@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as cat
+from .exact import BadPrime
 from .nichols import (
     CapExceeded,
     CoefficientSystem,
@@ -242,7 +243,7 @@ def cmd_dims(args) -> int:
             primes=primes,
             oracle=oracle,
         )
-    except CapExceeded as exc:
+    except (CapExceeded, BadPrime) as exc:
         raise InputError(str(exc)) from exc
     payload = graded.to_json()
     if entry is not None:

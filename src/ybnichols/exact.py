@@ -558,6 +558,21 @@ def primes_for_order(order: int, count: int = 2, lower: int = 2 ** 30) -> list[i
     return found
 
 
+#: Moduli stay below 2^31, so a product of two residues fits in int64.
+MODULUS_LIMIT = 1 << 31
+
+
+def check_modulus(p: int, order: int) -> None:
+    """Raise BadPrime unless p can carry the modular kernels for Q(zeta_order):
+    p prime, p = 1 (mod order), and p below MODULUS_LIMIT."""
+    if not is_prime(p):
+        raise BadPrime(f"{p} is not prime")
+    if p >= MODULUS_LIMIT:
+        raise BadPrime(f"{p} is not below 2^31, so residue products overflow int64")
+    if (p - 1) % order:
+        raise BadPrime(f"{p} is not 1 mod {order}")
+
+
 @lru_cache(maxsize=None)
 def unity_root_mod(order: int, p: int) -> int:
     """Smallest positive integer of multiplicative order ``order`` mod p.

@@ -24,12 +24,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exact import (
-    CycloElement,
-    _reduction_rows,
-    euler_phi,
-    unity_root_mod,
-)
+from .exact import CycloElement, _reduction_rows, euler_phi
 
 
 class DimensionMismatch(ValueError):
@@ -210,14 +205,19 @@ def _struct_tensor(order: int) -> tuple:
 
 class CycloCtx:
     """Numpy-side context for one cyclotomic order: structure constants and
-    conversions between CycloElements and integer coefficient vectors."""
+    conversions between CycloElements and integer coefficient vectors.
 
-    __slots__ = ("order", "phi", "struct", "struct_max")
+    ``mul_bound`` is max_c sum_{a,b} |S[a,b,c]|: every coefficient of a
+    product x * y, and every partial sum formed while computing it, is at
+    most max|x| * max|y| * mul_bound in absolute value.
+    """
+
+    __slots__ = ("order", "phi", "struct", "mul_bound")
 
     def __init__(self, order: int) -> None:
         self.order = order
         self.phi, self.struct = _struct_tensor(order)
-        self.struct_max = max(1, int(np.abs(self.struct).max()))
+        self.mul_bound = int(np.abs(self.struct).sum(axis=(0, 1)).max())
 
     def to_int_vec(self, x: CycloElement):
         """(numerator vector, denominator) with x = vector / denominator."""
@@ -230,26 +230,10 @@ class CycloCtx:
     def to_element(self, vec, den: int = 1) -> CycloElement:
         return CycloElement(self.order, [Fraction(int(v), den) for v in vec])
 
-    def eval_mod(self, vec, p: int) -> int:
-        """Image of an integer coefficient vector under zeta -> omega mod p."""
-        omega = unity_root_mod(self.order, p)
-        total = 0
-        w = 1
-        for v in vec:
-            total = (total + int(v) % p * w) % p
-            w = w * omega % p
-        return total
-
 
 def _as_object(arr):
-    if arr.dtype == object:
-        return arr
-    out = np.empty(arr.shape, dtype=object)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i, v in enumerate(flat_in):
-        flat_out[i] = int(v)
-    return out
+    """The array with Python-int entries (arbitrary precision)."""
+    return arr if arr.dtype == object else arr.astype(object)
 
 
 def _max_abs(arr) -> int:
@@ -281,18 +265,22 @@ def mul_rows_by_scalar(arr, svec, ctx: CycloCtx):
 
 
 def mul_rows_elementwise(arr, s_arr, ctx: CycloCtx):
-    """Entry-wise product of two (L, phi) coefficient arrays."""
+    """Entry-wise product of two (..., phi) coefficient arrays; leading axes
+    broadcast, and an object operand makes the product object."""
     phi = ctx.phi
-    out = np.zeros(arr.shape, dtype=arr.dtype)
+    out = np.zeros(
+        np.broadcast_shapes(arr.shape, s_arr.shape),
+        dtype=np.result_type(arr.dtype, s_arr.dtype),
+    )
     S = ctx.struct
     for a in range(phi):
-        col = arr[:, a]
+        col = arr[..., a]
         for b in range(phi):
-            tmp = col * s_arr[:, b]
+            tmp = col * s_arr[..., b]
             for c in range(phi):
                 coeff = int(S[a, b, c])
                 if coeff:
-                    out[:, c] += tmp * coeff
+                    out[..., c] += tmp * coeff
     return out
 
 
@@ -352,7 +340,6 @@ class ExactIntRows:
             self._promote()
         w = _as_object(arr).copy() if self._object_mode else arr.astype(np.int64, copy=True)
         w = strip_content(w)
-        phi = self.ctx.phi
         for idx in range(len(self.rows)):
             piv = self.pivots[idx]
             pv = w[piv]
@@ -362,8 +349,7 @@ class ExactIntRows:
             if not self._object_mode:
                 bound = (
                     2
-                    * phi
-                    * self.ctx.struct_max
+                    * self.ctx.mul_bound
                     * max(_max_abs(w) * _max_abs(row[piv]), _max_abs(row) * _max_abs(pv))
                 )
                 if bound >= _INT64_GUARD:
@@ -383,12 +369,6 @@ class ExactIntRows:
         self.rows.insert(pos, w)
         self.pivots.insert(pos, j)
         return False
-
-    def basis_field_rows(self) -> list[list[CycloElement]]:
-        """Materialize the basis as CycloElement vectors (primitive rows)."""
-        return [
-            [self.ctx.to_element(row[i]) for i in range(self.length)] for row in self.rows
-        ]
 
 
 class ModRows:

@@ -155,3 +155,24 @@ def test_catalog_command():
 def test_alias_accepted():
     code, out, _ = run_cli(["phi", "w1-grana", "--json"])
     assert code == 0
+
+
+def test_dims_rejects_composite_mod_prime():
+    code, _, err = run_cli(["dims", "z3-shift", "--mod-primes", "4,13", "--exact-cap", "9"])
+    assert code == 2
+    assert "4 is not prime" in err
+
+
+def test_dims_rejects_mod_prime_not_one_mod_order():
+    code, _, err = run_cli(["dims", "z3-shift", "--mod-primes", "17,13", "--exact-cap", "9"])
+    assert code == 2
+    assert "17 is not 1 mod 3" in err
+
+
+def test_dims_rejects_mod_prime_above_int64_headroom():
+    # a prime = 1 mod 3 just above 2^31: rejected before any arithmetic runs
+    code, _, err = run_cli(
+        ["dims", "z3-shift", "--mod-primes", "2147483659,13", "--exact-cap", "9"]
+    )
+    assert code == 2
+    assert "2147483659 is not below 2^31" in err

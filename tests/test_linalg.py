@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ybnichols.linalg import (
     MonomialOperator,
     RowSpace,
     apply,
+    mul_rows_elementwise,
     rank,
     rowspace_insert,
 )
@@ -209,3 +211,15 @@ def test_object_promotion_on_overflow():
     huge[0, 0] = 2 ** 80
     huge[1, 0] = 1
     assert not space.insert(huge) or space.rank == 2
+
+
+def test_mul_bound_is_the_attained_product_bound():
+    # over all coefficient vectors of height 1, the largest product
+    # coefficient is exactly mul_bound; for orders 3, 5 and 12 that exceeds
+    # phi * max|S|, so a bound counting phi products would be too small
+    for order in (1, 2, 3, 4, 5, 8, 12):
+        ctx = CycloCtx(order)
+        units = np.array(list(itertools.product((-1, 0, 1), repeat=ctx.phi)), dtype=np.int64)
+        products = mul_rows_elementwise(units[:, None, :], units[None, :, :], ctx)
+        assert int(np.abs(products).max()) == ctx.mul_bound, order
+    assert [CycloCtx(n).mul_bound for n in (3, 5, 12)] == [3, 7, 6]

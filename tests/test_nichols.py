@@ -1,9 +1,14 @@
+import math
+import random
+
+import numpy as np
 import pytest
 
-from ybnichols.catalog import build_entry
-from ybnichols.exact import CycloElement, cyclotomic_root, primes_for_order
+from ybnichols.catalog import build_entry, parse_scalar
+from ybnichols.exact import CycloElement, cyclotomic_root, euler_phi, primes_for_order
 from ybnichols.linalg import apply, rank
 from ybnichols.nichols import (
+    _Engine,
     CapExceeded,
     HexagonViolation,
     HypothesesNotMet,
@@ -158,20 +163,21 @@ def test_symmetrizer_image_modular_matches_exact():
 
 
 def test_symmetrizer_full_matrix_cross_check():
-    # rank from the degree chain equals the rank of the full operator matrix
-    entry = build_entry("z2-shift")
-    cs = entry.system
-    for k in (2, 3):
-        m = cs.size
-        L = m ** k
-        zero = CycloElement.zero(cs.order)
-        one = CycloElement.one(cs.order)
-        columns = []
-        for b in range(L):
-            e = [zero] * L
-            e[b] = one
-            columns.append(symmetrizer_apply(cs, e, k))
-        assert rank(columns) == symmetrizer_image(cs, k).rank
+    # rank from the orbit-blocked degree chain equals the rank of the full
+    # operator matrix
+    for name in ("z2-shift", "w1", "x4-sigma"):
+        cs = build_entry(name).system
+        for k in (2, 3):
+            m = cs.size
+            L = m ** k
+            zero = CycloElement.zero(cs.order)
+            one = CycloElement.one(cs.order)
+            columns = []
+            for b in range(L):
+                e = [zero] * L
+                e[b] = one
+                columns.append(symmetrizer_apply(cs, e, k))
+            assert rank(columns) == symmetrizer_image(cs, k).rank
 
 
 def test_graded_dims_published_profiles():
@@ -324,3 +330,73 @@ def test_engine_matches_generic_chain_on_random_systems():
     cs = entry.system
     for k in (2, 3):
         assert symmetrizer_image(cs, k).rank == graded_dims(cs, cap=k).dims[k]
+
+
+def test_braid_orbits_are_invariant_blocks():
+    for name in ("z3-shift", "x4-sigma", "w1", "z4-shift2"):
+        cs = build_entry(name).system
+        engine = _Engine(cs)
+        m = cs.size
+        for k in range(1, 7):
+            orbits = engine.orbits(k)
+            assert int(np.diff(orbits.starts).sum()) == m ** k
+            assert sorted(orbits.order.tolist()) == list(range(m ** k))
+            words = np.arange(m ** k)
+            assert (orbits.order[orbits.starts[orbits.label] + orbits.pos] == words).all()
+            for i in range(1, k):
+                perm, _ = engine._c_arrays(k, i)
+                assert (orbits.label[perm] == orbits.label).all(), (name, k, i)
+
+
+def test_braid_orbit_counts():
+    w1 = _Engine(build_entry("w1").system)
+    assert [w1.orbits(k).count for k in range(4, 9)] == [12] * 5
+    # involutive: the S_k-orbits, one per multiset of letters
+    x4 = _Engine(build_entry("x4-sigma").system)
+    assert [x4.orbits(k).count for k in range(1, 9)] == [
+        math.comb(k + 3, 3) for k in range(1, 9)
+    ]
+
+
+def _staircase_scalars(engine, k, object_mode):
+    words = np.arange(engine.m ** k, dtype=np.int64)
+    return [
+        (cur.tolist(), [int(v) for v in scal.reshape(-1)], den)
+        for cur, scal, den in engine._terms_exact(k, words, object_mode)
+    ]
+
+
+def test_staircase_scalars_int64_match_object():
+    # large numerators and denominators: the int64 products would wrap
+    # without promotion
+    q = parse_scalar("1000003/1000001")
+    engine = _Engine(build_entry("z2-shift", {"q": q}).system)
+    assert _staircase_scalars(engine, 8, False) == _staircase_scalars(engine, 8, True)
+    # random tables of large height in every field the catalog needs; any
+    # table is a braiding on the flip solution
+    rng = random.Random(7)
+    for order in (1, 2, 3, 4, 5, 8, 12):
+        phi = euler_phi(order)
+        table = [
+            [
+                CycloElement(order, [rng.randint(-(2 ** 20), 2 ** 20) for _ in range(phi)])
+                or CycloElement.one(order)
+                for _ in range(2)
+            ]
+            for _ in range(2)
+        ]
+        engine = _Engine(validate_coefficients(SetSolution.flip(2), table))
+        fast = _staircase_scalars(engine, 5, False)
+        assert fast == _staircase_scalars(engine, 5, True), order
+        assert max(abs(v) for v in fast[-1][1]) >= 2 ** 63, order
+
+
+def test_large_height_q_promotes_and_keeps_binomial_growth():
+    # the staircase sums leave int64 at degree 5 here, so the steps finish in
+    # object arithmetic
+    q = parse_scalar("1000003/1000001")
+    for name, cap in (("z2-shift", 8), ("z3-shift", 5)):
+        cs = build_entry(name, {"q": q}).system
+        m = cs.size
+        g = graded_dims(cs, cap=cap, mode="exact", exact_cap=m ** cap)
+        assert g.dims == tuple(math.comb(k + m - 1, m - 1) for k in range(cap + 1))
