@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from .exact import BadPrime
 from .nichols import (
     CapExceeded,
     CoefficientSystem,
-    HexagonViolation,
     HypothesesNotMet,
     canonical_coefficients,
     graded_dims,
@@ -62,20 +60,33 @@ def _load_json_file(path: str) -> dict:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _is_catalog_name(target: str) -> bool:
+    return target in cat.catalog_names() or target in cat._ALIASES
+
+
+def _load_target(target: str) -> dict:
+    """The JSON content of a target that is not a catalog name."""
+    if not Path(target).exists():
+        raise InputError(f"{target!r} is neither a catalog name nor an existing file")
+    return _load_json_file(target)
+
+
+def _solution_from(target: str, data) -> SetSolution:
+    """The solution in a solution file (bare, or under a "solution" key)."""
+    if isinstance(data, dict) and "solution" in data:
+        data = data["solution"]
+    try:
+        return SetSolution.from_json(data)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise InputError(f"{target}: not a solution file: {exc}") from exc
+
+
 def _resolve_solution(target: str) -> tuple[SetSolution, cat.CatalogEntry | None]:
     """A catalog name or a JSON file path -> (solution, entry-or-None)."""
-    if target in cat.catalog_names() or target in ("w1-grana", "w6-grana"):
+    if _is_catalog_name(target):
         entry = cat.build_entry(target)
         return entry.solution, entry
-    if Path(target).exists():
-        data = _load_json_file(target)
-        if "solution" in data:
-            data = data["solution"]
-        try:
-            return SetSolution.from_json(data), None
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise InputError(f"{target}: not a solution file: {exc}") from exc
-    raise InputError(f"{target!r} is neither a catalog name nor an existing file")
+    return _solution_from(target, _load_target(target)), None
 
 
 def _parse_overrides(args) -> dict:
@@ -104,28 +115,25 @@ def _resolve_system(target: str, args) -> tuple[CoefficientSystem, cat.CatalogEn
     assignment (q on fixed pairs, 1 elsewhere).
     """
     overrides = _parse_overrides(args)
-    if target in cat.catalog_names() or target in ("w1-grana", "w6-grana"):
+    if _is_catalog_name(target):
         try:
             entry = cat.build_entry(target, overrides or None)
-        except (cat.ConstraintViolation, HexagonViolation) as exc:
+        except ValueError as exc:  # constraint, hexagon or zero-entry violations
             raise InputError(str(exc)) from exc
         return entry.system, entry
-    if Path(target).exists():
-        data = _load_json_file(target)
-        if "R" in data:
-            try:
-                return CoefficientSystem.from_json(data), None
-            except (HexagonViolation, ValueError, KeyError) as exc:
-                raise InputError(f"{target}: {exc}") from exc
-        solution = SetSolution.from_json(data)
-        if not getattr(args, "q", None):
-            raise InputError("a bare solution file needs --q for the canonical braiding")
-        q = cat.parse_scalar(args.q)
+    data = _load_target(target)
+    if isinstance(data, dict) and "R" in data:
         try:
-            return canonical_coefficients(solution, q), None
-        except (HexagonViolation, NotInvolutive) as exc:
-            raise InputError(f"canonical coefficients rejected: {exc}") from exc
-    raise InputError(f"{target!r} is neither a catalog name nor an existing file")
+            return CoefficientSystem.from_json(data), None
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise InputError(f"{target}: {exc}") from exc
+    solution = _solution_from(target, data)
+    if "q" not in overrides:
+        raise InputError("a bare solution file needs --q for the canonical braiding")
+    try:
+        return canonical_coefficients(solution, overrides["q"]), None
+    except ValueError as exc:  # hexagon, non-involutive or zero-q failures
+        raise InputError(f"canonical coefficients rejected: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +356,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker cap for data-parallel verification")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized checks (reproducibility)")
     parser.add_argument("--mod-primes", type=_parse_primes, default=None,
                         help="comma-separated primes for modular arithmetic")
     parser.add_argument("--exact-cap", type=int, default=4096,
@@ -425,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     try:

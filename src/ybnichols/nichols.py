@@ -26,6 +26,15 @@ caller asks for the image itself.
 Degrees run exactly while the tensor space is small, then two-prime modular
 with exact escalation on disagreement, on a vanishing rank (a finiteness
 claim is only ever made with exact backing), or on an oracle mismatch.
+Escalation continues the exact chain from the last exact degree.
+
+Relation checks run on the same engine.  The full degree-k symmetrizer is
+T_2, then T_3, ..., then T_k, where T_j is the staircase on the first j
+letters; ``check_relation`` and ``relation_image`` apply it in integers to
+the orbits the element touches only, with the staircase term generator of
+the degree steps.  ``braiding_ops`` and ``symmetrizer_apply`` (dense
+CycloElement vectors over all m^k words) are the reference oracle the tests
+compare against; no relation path calls them.
 """
 
 from __future__ import annotations
@@ -351,39 +360,69 @@ def relation_image(cs: CoefficientSystem, element) -> list:
 
     ``element`` is an iterable of (coefficient, word) pairs, all words of one
     length; coefficients may be ints, Fractions or CycloElements.  The sum
-    lies in the defining ideal exactly when the image vanishes.
+    lies in the defining ideal exactly when the image vanishes.  The image is
+    a dense list over all m^k words, at the lcm of the system's order and the
+    coefficients' orders; it is zero off the orbits the element touches.
     """
+    found = _relation_rows(cs, element)
+    if found is None:
+        return []
+    engine, k, den, blocks = found
+    ctx = engine.ctx
+    image = [CycloElement.zero(ctx.order)] * (engine.m ** k)
+    for words, rows in blocks:
+        for word, row in zip(words.tolist(), rows):
+            image[word] = ctx.to_element(row, den)
+    return image
+
+
+def check_relation(cs: CoefficientSystem, element) -> bool:
+    """True iff the formal sum lies in the kernel of the symmetrizer."""
+    found = _relation_rows(cs, element)
+    if found is None:
+        return True
+    *_, blocks = found
+    return not any((rows != 0).any() for _, rows in blocks)
+
+
+def _relation_rows(cs: CoefficientSystem, element):
+    """The symmetrizer image of an element on the orbits it touches, in
+    integers: (engine, degree, denominator, blocks) as returned by
+    ``_Engine.symmetrize`` with the element's own denominator folded in, or
+    None for the empty element."""
     terms = list(element)
     if not terms:
-        return []
+        return None
     degrees = {len(word) for _, word in terms}
     if len(degrees) != 1:
         raise InhomogeneousElement(f"mixed degrees {sorted(degrees)}")
     k = degrees.pop()
-    m = cs.size
-    order = cs.order
     coeffs = []
+    order = cs.order
     for c, _ in terms:
         if not isinstance(c, CycloElement):
             c = CycloElement.from_rational(Fraction(c))
         order = math.lcm(order, c.order)
         coeffs.append(c)
-    cs_work = cs
     if order != cs.order:
-        cs_work = CoefficientSystem(
+        cs = CoefficientSystem(
             cs.solution, order, [[e.to_order(order) for e in row] for row in cs.R]
         )
-    zero = CycloElement.zero(order)
-    vec = [zero] * (m ** k)
+    engine = _Engine(cs)
+    summed: dict[int, CycloElement] = {}
     for c, (_, word) in zip(coeffs, terms):
-        idx = word_index(word, m)
-        vec[idx] = vec[idx] + c.to_order(order)
-    return symmetrizer_apply(cs_work, vec, k)
-
-
-def check_relation(cs: CoefficientSystem, element) -> bool:
-    """True iff the formal sum lies in the kernel of the symmetrizer."""
-    return not any(relation_image(cs, element))
+        idx = word_index(word, engine.m)
+        summed[idx] = summed.get(idx, 0) + c.to_order(order)
+    elem_den = reduce(
+        math.lcm, (x.denominator for c in summed.values() for x in c.coeffs), 1
+    )
+    nums = np.array(
+        [[int(x * elem_den) for x in c.coeffs] for c in summed.values()], dtype=object
+    )
+    if _max_abs(nums) < _INT64_GUARD:
+        nums = nums.astype(np.int64)
+    den, blocks = engine.symmetrize(k, np.array(list(summed), dtype=np.int64), nums)
+    return engine, k, den * elem_den, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +550,8 @@ class _Engine:
         """
         if k not in self._orbits:
             m = self.m
-            if k == 1:
-                label = np.arange(m, dtype=np.int64)
+            if k <= 1:
+                label = np.arange(m ** k, dtype=np.int64)
             else:
                 below = self.orbits(k - 1)
                 words = np.arange(m ** k, dtype=np.int64)
@@ -575,9 +614,10 @@ class _Engine:
             rows.append(arr)
         return OrbitRows(rows, range(self.m))
 
-    def _terms_exact(self, k: int, src, object_mode: bool):
-        """Yield (image words, scalars, denominator) of each staircase term on
-        the source words.  The scalars turn object before a product could
+    def _terms_exact(self, k: int, top: int, src, object_mode: bool):
+        """Yield (image words, scalars, denominator) of each term of the
+        staircase T_top = id + c_{top-1} + ... + c_1 ... c_{top-1} on the
+        degree-k source words.  The scalars turn object before a product could
         leave int64."""
         ctx = self.ctx
         cur = src
@@ -585,7 +625,7 @@ class _Engine:
         scal[:, 0] = 1
         den = 1
         yield cur, scal, den
-        for i in range(k - 1, 0, -1):
+        for i in range(top - 1, 0, -1):
             cur, sidx = self._c_arrays(k, i, cur)
             if scal.dtype != object and (
                 _max_abs(scal) * self.r_int_max * ctx.mul_bound >= _INT64_GUARD
@@ -595,35 +635,70 @@ class _Engine:
             den *= self.r_den
             yield cur, scal, den
 
+    def _staircase_sums(self, k: int, top: int, sources, blocks, size: int):
+        """T_top applied to rows on degree-k words of one orbit of ``size``
+        words, scaled by r_den^(top-1) to integers.
+
+        ``sources`` are the words the rows live on; each block is (slice of
+        sources, stacked rows on those words).  Returns one (rows, size, phi)
+        array per block, indexed by position in the orbit; they turn object
+        before a sum could leave int64.
+        """
+        ctx = self.ctx
+        here = self.orbits(k)
+        total_den = self.r_den ** (top - 1)
+        object_mode = any(stacked.dtype == object for _, stacked in blocks)
+        seed_max = 0 if object_mode else max(_max_abs(stacked) for _, stacked in blocks)
+        accs = [np.zeros((len(stacked), size, ctx.phi), dtype=np.int64) for _, stacked in blocks]
+        bound = 0  # bounds every accumulated entry while in int64
+        for cur, scal, den in self._terms_exact(k, top, sources, object_mode):
+            scale = total_den // den
+            if not object_mode:
+                bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
+            if object_mode or scal.dtype == object or bound >= _INT64_GUARD:
+                object_mode = True
+                blocks = [(sl, _as_object(stacked)) for sl, stacked in blocks]
+                accs = [_as_object(acc) for acc in accs]
+                scal = _as_object(scal)
+            target = here.pos[cur]
+            for (sl, stacked), acc in zip(blocks, accs):
+                tmp = mul_rows_elementwise(stacked, scal[sl], ctx)
+                if scale != 1:
+                    tmp = tmp * scale
+                acc[:, target[sl]] += tmp
+        return accs
+
     def exact_step(self, prev_rows: OrbitRows, k: int):
         """One degree of the recursion: span of staircase images of
         (previous basis) (x) (generators).  Returns (basis rows, dim)."""
-        ctx = self.ctx
-        here = self.orbits(k)
-        total_den = self.r_den ** (k - 1)
         out = OrbitRows()
         for orbit, size, sources, blocks in self._seed_blocks(prev_rows, k):
-            object_mode = any(stacked.dtype == object for _, stacked in blocks)
-            seed_max = 0 if object_mode else max(_max_abs(stacked) for _, stacked in blocks)
-            accs = [np.zeros((len(stacked), size, ctx.phi), dtype=np.int64) for _, stacked in blocks]
-            bound = 0  # bounds every accumulated entry while in int64
-            for cur, scal, den in self._terms_exact(k, sources, object_mode):
-                scale = total_den // den
-                if not object_mode:
-                    bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
-                if object_mode or scal.dtype == object or bound >= _INT64_GUARD:
-                    object_mode = True
-                    blocks = [(sl, _as_object(stacked)) for sl, stacked in blocks]
-                    accs = [_as_object(acc) for acc in accs]
-                    scal = _as_object(scal)
-                target = here.pos[cur]
-                for (sl, stacked), acc in zip(blocks, accs):
-                    tmp = mul_rows_elementwise(stacked, scal[sl], ctx)
-                    if scale != 1:
-                        tmp = tmp * scale
-                    acc[:, target[sl]] += tmp
-            out.add_span(orbit, ExactIntRows(ctx, size), accs)
+            accs = self._staircase_sums(k, k, sources, blocks, size)
+            out.add_span(orbit, ExactIntRows(self.ctx, size), accs)
         return out, len(out)
+
+    def symmetrize(self, k: int, words, coeffs):
+        """The full degree-k symmetrizer of sum_t coeffs[t] * words[t] on the
+        orbits those words touch: T_2, then T_3, ..., then T_k, where T_j is
+        the staircase on the first j letters.
+
+        ``words`` are distinct degree-k word indices and ``coeffs`` their
+        (n, phi) integer power-basis vectors (int64 or object).  Returns
+        (den, blocks): each block is (orbit words, integer rows) and the
+        image is rows / den, with den = r_den^(k(k-1)/2).
+        """
+        here = self.orbits(k)
+        labels = here.label[words]
+        blocks = []
+        for orbit in np.unique(labels).tolist():
+            src = here.words(orbit)
+            mine = labels == orbit
+            vec = np.zeros((1, src.size, self.ctx.phi), dtype=coeffs.dtype)
+            vec[0, here.pos[words[mine]]] = coeffs[mine]
+            for j in range(2, k + 1):
+                (vec,) = self._staircase_sums(k, j, src, [(slice(None), vec)], src.size)
+            blocks.append((src, vec[0]))
+        return self.r_den ** (k * (k - 1) // 2), blocks
 
     def specialize_rows(self, rows: OrbitRows, p: int) -> OrbitRows:
         """Mod-p images of exact basis rows (rows are primitive integers)."""
@@ -732,7 +807,8 @@ def graded_dims(
     engine = _Engine(cs)
     dims = [1, m]
     records = [DegreeRecord(0, 1, "trivial"), DegreeRecord(1, m, "trivial")]
-    exact_rows = engine.identity_rows()  # current exact basis (while in exact mode)
+    exact_rows = engine.identity_rows()  # exact basis of degree exact_degree
+    exact_degree = 1
     mod_rows: dict[int, list] | None = None
     escalated_permanently = False
     terminated = "cap"
@@ -751,6 +827,7 @@ def graded_dims(
         )
         if use_exact:
             exact_rows, dim = engine.exact_step(exact_rows, k)
+            exact_degree = k
             dims.append(dim)
             records.append(DegreeRecord(k, dim, "exact"))
             if dim == 0:
@@ -784,22 +861,21 @@ def graded_dims(
                 terminated = "zero"
                 break
             continue
-        # escalate: replay the exact chain through degree k (the cheap low
-        # degrees rerun too; the expensive part is the tail either way)
-        exact_rows = engine.identity_rows()
+        # escalate: continue the exact chain from the last exact degree (modular
+        # steps never replace exact_rows) through k, and rewrite the records
+        # of the degrees that ran modular
+        first = exact_degree + 1
         recomputed = {}
-        for degree in range(2, k + 1):
-            exact_rows, dim_exact = engine.exact_step(exact_rows, degree)
-            recomputed[degree] = dim_exact
+        for degree in range(first, k + 1):
+            exact_rows, recomputed[degree] = engine.exact_step(exact_rows, degree)
+        exact_degree = k
         escalated_permanently = True
-        for degree in range(2, k):
+        for degree in range(first, k):
             old = records[degree]
-            if old.mode != "modular" and recomputed[degree] == dims[degree]:
-                continue
             records[degree] = DegreeRecord(
                 degree,
                 recomputed[degree],
-                "modular+exact" if old.mode == "modular" else "exact",
+                "modular+exact",
                 primes=old.primes,
                 agreed=old.agreed,
                 escalated=recomputed[degree] != dims[degree],

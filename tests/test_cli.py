@@ -176,3 +176,33 @@ def test_dims_rejects_mod_prime_above_int64_headroom():
     )
     assert code == 2
     assert "2147483659 is not below 2^31" in err
+
+
+def _malformed_solution_file(tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"size": 2, "r": [[[0, 0]]]}))
+    return str(path)
+
+
+def test_dims_malformed_solution_file_is_input_error(tmp_path):
+    code, _, err = run_cli(["dims", _malformed_solution_file(tmp_path), "--q", "-1"])
+    assert code == 2
+    assert "not a solution file" in err
+
+
+def test_relations_malformed_solution_file_is_input_error(tmp_path):
+    code, _, err = run_cli(["relations", _malformed_solution_file(tmp_path), "--q", "-1"])
+    assert code == 2
+    assert "not a solution file" in err
+
+
+def test_dims_zero_q_is_input_error():
+    code, _, err = run_cli(["dims", "z2-shift", "--q", "0"])
+    assert code == 2
+    assert "nonzero" in err
+
+
+def test_dims_zero_parameter_is_input_error():
+    code, _, err = run_cli(["dims", "z3-shift", "--param", "d=0"])
+    assert code == 2
+    assert "nonzero" in err

@@ -1,15 +1,18 @@
 import math
 import random
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from ybnichols.catalog import build_entry, parse_scalar
+from ybnichols.catalog import build_entry, catalog_names, parse_scalar
 from ybnichols.exact import CycloElement, cyclotomic_root, euler_phi, primes_for_order
 from ybnichols.linalg import apply, rank
 from ybnichols.nichols import (
     _Engine,
     CapExceeded,
+    CoefficientSystem,
     HexagonViolation,
     HypothesesNotMet,
     InhomogeneousElement,
@@ -29,6 +32,7 @@ from ybnichols.nichols import (
     theorem_relations,
     theorem_suite,
     validate_coefficients,
+    word_index,
 )
 from ybnichols.ybe import SetSolution
 
@@ -362,7 +366,7 @@ def _staircase_scalars(engine, k, object_mode):
     words = np.arange(engine.m ** k, dtype=np.int64)
     return [
         (cur.tolist(), [int(v) for v in scal.reshape(-1)], den)
-        for cur, scal, den in engine._terms_exact(k, words, object_mode)
+        for cur, scal, den in engine._terms_exact(k, k, words, object_mode)
     ]
 
 
@@ -400,3 +404,116 @@ def test_large_height_q_promotes_and_keeps_binomial_growth():
         m = cs.size
         g = graded_dims(cs, cap=cap, mode="exact", exact_cap=m ** cap)
         assert g.dims == tuple(math.comb(k + m - 1, m - 1) for k in range(cap + 1))
+
+
+def _cyclo(c, order=1):
+    if not isinstance(c, CycloElement):
+        c = CycloElement.from_rational(Fraction(c))
+    return c.to_order(math.lcm(order, c.order))
+
+
+def _reference_image(cs, element):
+    """The symmetrizer image through the CycloElement reference layer."""
+    terms = [(_cyclo(c), w) for c, w in element]
+    k = len(terms[0][1])
+    order = reduce(math.lcm, (c.order for c, _ in terms), cs.order)
+    work = CoefficientSystem(
+        cs.solution, order, [[e.to_order(order) for e in row] for row in cs.R]
+    )
+    vec = [CycloElement.zero(order)] * (cs.size ** k)
+    for c, word in terms:
+        idx = word_index(word, cs.size)
+        vec[idx] = vec[idx] + c.to_order(order)
+    return symmetrizer_apply(work, vec, k)
+
+
+def _random_coefficient(rng, order):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-3, 3) or 1
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    phi = euler_phi(order)
+    return CycloElement(order, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(phi)])
+
+
+def _random_elements(rng, entry, k):
+    """Random degree-k elements with repeated words, and elements of the
+    two-sided ideal of the catalog relations (which the symmetrizer kills)."""
+    cs = entry.system
+    m = cs.size
+    orders = (cs.order, math.lcm(cs.order, 4))  # zeta4 above an order-2 system
+    out = []
+    for _ in range(3):
+        order = rng.choice(orders)
+        words = [tuple(rng.randrange(m) for _ in range(k)) for _ in range(rng.randint(1, 4))]
+        words += rng.choices(words, k=2)
+        out.append([(_random_coefficient(rng, order), w) for w in words])
+    relations = [terms for _, terms in entry.relations if len(terms[0][1]) <= k]
+    for _ in range(3 if relations else 0):
+        order = rng.choice(orders)
+        element = []
+        for _ in range(2):
+            terms = rng.choice(relations)
+            pad = k - len(terms[0][1])
+            a = rng.randint(0, pad)
+            prefix = tuple(rng.randrange(m) for _ in range(a))
+            suffix = tuple(rng.randrange(m) for _ in range(pad - a))
+            scale = _random_coefficient(rng, order)
+            element += [
+                (_cyclo(scale, order) * _cyclo(c, order), prefix + tuple(w) + suffix)
+                for c, w in terms
+            ]
+        out.append(element)
+    return out
+
+
+def test_relation_path_matches_reference_symmetrizer():
+    # the orbit-blocked relation check against the dense CycloElement
+    # reference, on every catalog entry, vanishing and non-vanishing
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for name in catalog_names():
+        entry = build_entry(name)
+        for k in range(5):
+            for element in _random_elements(rng, entry, k):
+                expected = _reference_image(entry.system, element)
+                assert relation_image(entry.system, element) == expected, (name, k)
+                vanishes = not any(expected)
+                assert check_relation(entry.system, element) == vanishes, (name, k)
+                seen[vanishes] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+
+
+def test_relation_path_promotes_large_heights():
+    # q^15 leaves int64 at degree 6, so the symmetrizer finishes in object
+    # arithmetic
+    cs = build_entry("z2-shift", {"q": parse_scalar("1000003")}).system
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(2) for _ in range(6)) for _ in range(5)]
+    element = [(rng.randint(1, 9), w) for w in words]
+    idx = np.array(sorted({word_index(w, 2) for w in words}), dtype=np.int64)
+    ones = np.zeros((idx.size, 1), dtype=np.int64)
+    ones[:, 0] = 1
+    _, blocks = _Engine(cs).symmetrize(6, idx, ones)
+    assert any(rows.dtype == object for _, rows in blocks)
+    expected = _reference_image(cs, element)
+    assert max(abs(c.coeffs[0]) for c in expected) >= 2 ** 63
+    assert relation_image(cs, element) == expected
+    assert not check_relation(cs, element)
+
+
+def test_escalation_resumes_from_exact_basis(monkeypatch):
+    # auto mode on w1 runs degrees 7..10 modular and escalates at 10; the
+    # exact chain continues from degree 6 instead of replaying from 2
+    stepped = []
+    original = _Engine.exact_step
+
+    def counting(self, prev_rows, k):
+        stepped.append(k)
+        return original(self, prev_rows, k)
+
+    monkeypatch.setattr(_Engine, "exact_step", counting)
+    g = graded_dims(build_entry("w1").system)
+    assert g.total == 72
+    assert sorted(stepped) == list(range(2, 11))
