@@ -354,12 +354,22 @@ def cmd_catalog(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker cap for data-parallel verification")
     parser.add_argument("--mod-primes", type=_parse_primes, default=None,
                         help="comma-separated primes for modular arithmetic")
-    parser.add_argument("--exact-cap", type=int, default=4096,
+    parser.add_argument("--exact-cap", type=_positive_int, default=4096,
                         help="largest tensor dimension handled exactly by default")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_primes(text: str):
@@ -391,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="list one canonical block word per orbit")
     p.add_argument("--csv", action="store_true", help="CSV census table")
-    p.add_argument("--cap", type=int, default=10 ** 7,
+    p.add_argument("--cap", type=_positive_int, default=10 ** 7,
                    help="largest m^n enumerated exhaustively")
     _add_common(p)
     p.set_defaults(func=cmd_orbits)
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help='braiding parameter, e.g. "-1", "zeta3", "2"')
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="override one catalog parameter (repeatable)")
-    p.add_argument("--cap", type=int, default=16, help="degree cap")
+    p.add_argument("--cap", type=_positive_int, default=16, help="degree cap")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", help="force exact arithmetic")
     group.add_argument("--mod", action="store_true", help="force modular arithmetic")
@@ -431,8 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except InputError as exc:

@@ -16,8 +16,11 @@ Every c_i sends a word to one word times a scalar, so the symmetrizer is
 block-diagonal over the orbits of the braid group B_k on the words X^k (for
 an involutive solution, the S_k-orbits counted by partitions, of multinomial
 sizes).  The engine labels the degree-k orbits from the degree-(k-1) ones:
-a word's orbit under c_1 .. c_{k-2} is (orbit of its first k-1 letters, last
-letter), and c_{k-1} joins those nodes.  Every basis row lives on one orbit,
+a word's orbit under c_1 .. c_{k-2} is the node (orbit of its first k-1
+letters, last letter), and c_{k-1} joins those nodes.  Its edges come from
+the orbit graph of the degrees below, one per (degree-(k-2) orbit, letter
+pair), so labelling needs no pass over the words; c_i images of words are
+one gather of a per-pair index shift.  Every basis row lives on one orbit,
 so each seed u (x) w_j lies in exactly one degree-k orbit; a step evaluates
 the staircase terms on the seeds' words only and eliminates orbit by orbit
 in vectors as long as the orbit.  Full-length rows are built only when a
@@ -458,6 +461,7 @@ class _Orbits:
     order: np.ndarray  # words grouped by orbit, ascending within each orbit
     starts: np.ndarray  # orbit o holds order[starts[o]:starts[o + 1]]
     pos: np.ndarray  # word -> its index within its orbit's part of order
+    links: np.ndarray  # node (orbit below) * m + (last letter) -> orbit id
 
     @property
     def count(self) -> int:
@@ -468,24 +472,28 @@ class _Orbits:
 
 
 def _components(a, b, count: int) -> np.ndarray:
-    """Component id of each a[t] in the graph on ``count`` nodes with the
-    edges a[t] -- b[t]; ids are 0, 1, ... in order of the smallest node."""
-    parent = list(range(count))
+    """Component id of each of the ``count`` nodes in the graph with the
+    edges a[t] -- b[t]; ids are 0, 1, ... in order of the smallest node.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    moved = a != b
-    for edge in np.unique(a[moved] * count + b[moved]).tolist():
-        ra, rb = find(edge // count), find(edge % count)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(x) for x in range(count)], dtype=np.int64)
-    _, comp = np.unique(roots, return_inverse=True)
-    return comp[a]
+    Each round hooks every root that has an edge to a smaller root onto the
+    smallest such root, then compresses every path to its root.  Every tree
+    keeps its smallest node as root, and the number of components that still
+    have an outside edge at least halves per round.
+    """
+    parent = np.arange(count, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        ra, rb = ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    return np.unique(parent, return_inverse=True)[1]
 
 
 class _Engine:
@@ -501,11 +509,12 @@ class _Engine:
         self.m = cs.size
         self.ctx = CycloCtx(cs.order)
         m = self.m
-        self.sig = np.array(
-            [[cs.solution.sigma(p, q) for q in range(m)] for p in range(m)], dtype=np.int64
-        )
-        self.tq = np.array(
-            [[cs.solution.tau(q, p) for q in range(m)] for p in range(m)], dtype=np.int64
+        # c sends the letters p q (pair index p m + q) to sigma_p(q) tau_q(p),
+        # moving the pair index by pair_shift[p m + q]
+        s = cs.solution
+        self.pair_shift = np.array(
+            [(s.sigma(p, q) - p) * m + s.tau(q, p) - q for p in range(m) for q in range(m)],
+            dtype=np.int64,
         )
         flat = [cs.entry(i, j) for i in range(m) for j in range(m)]
         dens = [self.ctx.to_int_vec(e)[1] for e in flat]
@@ -531,38 +540,43 @@ class _Engine:
         """Images and scalar indices of c_i on the degree-k words ``idx``
         (default: every word, in order)."""
         m = self.m
-        d1 = m ** (k - i)
-        d2 = m ** (k - i - 1)
+        low = m ** (k - i - 1)
         if idx is None:
             idx = np.arange(m ** k, dtype=np.int64)
-        p = idx // d1 % m
-        q = idx // d2 % m
-        perm = idx + (self.sig[p, q] - p) * d1 + (self.tq[p, q] - q) * d2
-        sidx = p * m + q
-        return perm, sidx
+        pair = idx // low % (m * m)
+        return idx + self.pair_shift[pair] * low, pair
 
     def orbits(self, k: int) -> _Orbits:
         """The B_k-orbits on degree-k words, built from those of degree k-1.
 
         c_1 .. c_{k-2} act on the first k-1 letters, so a word's orbit under
-        them is (orbit of its prefix, last letter); c_{k-1} then joins these
-        nodes into the B_k-orbits.
+        them is the node (orbit of its prefix, last letter); c_{k-1} then joins
+        these nodes into the B_k-orbits.  On every word u x y with u in the
+        degree-(k-2) orbit Q, c_{k-1} joins the same two nodes
+        (links[Q m + x], y) and (links[Q m + sigma_x(y)], tau_y(x)), with
+        ``links`` of degree k-1, so the edges come from (Q, x, y), not words.
         """
         if k not in self._orbits:
             m = self.m
             if k <= 1:
-                label = np.arange(m ** k, dtype=np.int64)
+                label = links = np.arange(m ** k, dtype=np.int64)
             else:
                 below = self.orbits(k - 1)
-                words = np.arange(m ** k, dtype=np.int64)
-                node = below.label[words // m] * m + words % m
-                perm, _ = self._c_arrays(k, k - 1)
-                label = _components(node, node[perm], below.count * m)
-            order = np.argsort(label, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(np.bincount(label))))
+                triples = self.orbits(k - 2).count * m * m
+                Q, pair = np.divmod(np.arange(triples, dtype=np.int64), m * m)
+                x, y = np.divmod(pair, m)
+                sx, ty = np.divmod(pair + self.pair_shift[pair], m)  # sigma_x(y), tau_y(x)
+                a = below.links[Q * m + x] * m + y
+                b = below.links[Q * m + sx] * m + ty
+                links = _components(a, b, below.count * m)
+                label = links.reshape(below.count, m)[below.label].ravel()
+            sizes = np.bincount(label)
+            # a stable sort of keys of at most 16 bits is a radix sort in numpy
+            order = np.argsort(label.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
+            starts = np.concatenate(([0], np.cumsum(sizes)))
             pos = np.empty_like(order)
-            pos[order] = np.arange(order.size) - starts[label[order]]
-            self._orbits[k] = _Orbits(label, order, starts, pos)
+            pos[order] = np.arange(order.size) - np.repeat(starts[:-1], sizes)
+            self._orbits[k] = _Orbits(label, order, starts, pos, links)
         return self._orbits[k]
 
     def expand(self, rows: OrbitRows, k: int) -> list[np.ndarray]:

@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from ybnichols.cli import main
 
 
@@ -206,3 +208,28 @@ def test_dims_zero_parameter_is_input_error():
     code, _, err = run_cli(["dims", "z3-shift", "--param", "d=0"])
     assert code == 2
     assert "nonzero" in err
+
+
+def run_cli_usage_error(argv):
+    """Exit code and stderr of an argument the parser itself rejects."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    return exc.value.code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dims", "z2-shift", "--cap", "-1"], "--cap"),
+        (["dims", "z2-shift", "--cap", "0"], "--cap"),
+        (["dims", "z2-shift", "--exact-cap", "-5"], "--exact-cap"),
+        (["verify", "z3-shift", "--threads", "0"], "--threads"),
+        (["orbits", "z3-shift", "-n", "3", "--cap", "0"], "--cap"),
+    ],
+)
+def test_nonpositive_counts_are_usage_errors(argv, flag):
+    code, err = run_cli_usage_error(argv)
+    assert code == 2
+    assert f"argument {flag}" in err and "must be >= 1" in err
