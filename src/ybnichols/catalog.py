@@ -22,6 +22,7 @@ from functools import reduce
 
 from .exact import CycloElement
 from .nichols import CoefficientSystem, validate_coefficients
+from .orbits import psi
 from .ybe import SetSolution
 
 
@@ -83,19 +84,6 @@ def _q_order(q: CycloElement) -> int | None:
     return n if n is not None and n >= 2 else None
 
 
-def _power_words(D_map, n: int, m: int):
-    """The degree-n words (D^{n-1}(i), ..., D(i), i) for each generator i."""
-    words = []
-    for i in range(m):
-        word = [i]
-        cur = i
-        for _ in range(n - 1):
-            cur = D_map[cur]
-            word.append(cur)
-        words.append(tuple(reversed(word)))
-    return words
-
-
 class _Spec:
     """One catalog family: solution + parametrized coefficient table."""
 
@@ -154,7 +142,7 @@ def build_entry(name: str, overrides=None) -> CatalogEntry:
     expected_total, expected_note = (
         spec.expected_builder(params) if point_ok else (None, "off the documented point")
     )
-    relations = tuple(spec.relations_builder(params)) if point_ok else ()
+    relations = tuple(spec.relations_builder(params, solution)) if point_ok else ()
     return CatalogEntry(
         name=spec.name,
         notes=spec.notes,
@@ -177,7 +165,7 @@ def _z2_table(P):
     return [[a, q], [q, e]]
 
 
-def _z2_relations(P):
+def _z2_relations(P, s):
     a, e, q = P["a"], P["e"], P["q"]
     one = q ** 0
     rels = [
@@ -186,7 +174,7 @@ def _z2_relations(P):
     ]
     n = _q_order(q)
     if n:
-        for word in _power_words({0: 1, 1: 0}, n, 2):
+        for word in (psi(n, i, s) for i in range(s.size)):
             rels.append((_word_label(word), ((one, word),)))
     return rels
 
@@ -207,7 +195,7 @@ def _z3_table(P):
     ]
 
 
-def _z3_relations(P):
+def _z3_relations(P, s):
     a, d, e, q = P["a"], P["d"], P["e"], P["q"]
     one = q ** 0
     rels = [
@@ -217,7 +205,7 @@ def _z3_relations(P):
     ]
     n = _q_order(q)
     if n:
-        for word in _power_words({0: 2, 1: 0, 2: 1}, n, 3):
+        for word in (psi(n, i, s) for i in range(s.size)):
             rels.append((_word_label(word), ((one, word),)))
     return rels
 
@@ -240,7 +228,7 @@ def _z4s1_table(P):
     ]
 
 
-def _z4s1_relations(P):
+def _z4s1_relations(P, s):
     q = P["q"]
     x1, x2, x3, x4, x6 = P["x1"], P["x2"], P["x3"], P["x4"], P["x6"]
     one = q ** 0
@@ -254,7 +242,7 @@ def _z4s1_relations(P):
     ]
     n = _q_order(q)
     if n:
-        for word in _power_words({i: (i - 1) % 4 for i in range(4)}, n, 4):
+        for word in (psi(n, i, s) for i in range(s.size)):
             rels.append((_word_label(word), ((one, word),)))
     return rels
 
@@ -333,7 +321,7 @@ def _x4_table(P):
     ]
 
 
-def _x4_relations(P):
+def _x4_relations(P, s):
     q = P["q"]
     x2, x3, x4, x5, x6 = P["x2"], P["x3"], P["x4"], P["x5"], P["x6"]
     one = q ** 0
@@ -350,7 +338,7 @@ def _x4_relations(P):
     ]
     n = _q_order(q)
     if n:
-        for word in _power_words({0: 0, 1: 2, 2: 1, 3: 3}, n, 4):
+        for word in (psi(n, i, s) for i in range(s.size)):
             rels.append((_word_label(word), ((one, word),)))
     return rels
 
@@ -951,7 +939,7 @@ def _specs() -> dict:
                 lambda P: P["x2"] * P["x7"] == P["x3"] * P["x5"] ** 2 * P["x9"],
             ),
         ],
-        relations_builder=_z4s2_relations,
+        relations_builder=lambda P, s: _z4s2_relations(P),
         expected_builder=_z4s2_expected,
     )
     specs["x4-sigma"] = _Spec(
@@ -1123,7 +1111,7 @@ def _specs() -> dict:
             table_builder=(lambda P, fn=rows_fn: _rows_to_coeffs(fn(P))),
             family_constraints=family,
             point_constraints=point,
-            relations_builder=rel_fn,
+            relations_builder=lambda P, s, fn=rel_fn: fn(P),
             expected_builder=lambda P: (72, "published total at the documented point"),
         )
     return specs

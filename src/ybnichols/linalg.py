@@ -244,44 +244,31 @@ def _max_abs(arr) -> int:
     return int(np.abs(arr).max())
 
 
+def _cyclo_product(a, b, ctx: CycloCtx):
+    """Entry-wise product of (..., phi) power-basis vectors: the outer product
+    of each pair, contracted against the structure tensor."""
+    phi = ctx.phi
+    if phi == 1:
+        return a * b
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (phi * phi,)) @ ctx.struct.reshape(phi * phi, phi)
+
+
 def mul_rows_by_scalar(arr, svec, ctx: CycloCtx):
     """Multiply every row of an (L, phi) coefficient array by one cyclotomic
-    integer scalar (a phi-vector).  Works on int64 and object arrays."""
-    phi = ctx.phi
-    out = np.zeros(arr.shape, dtype=arr.dtype)
-    S = ctx.struct
-    for a in range(phi):
-        col = arr[:, a]
-        for b in range(phi):
-            sb = int(svec[b])
-            if sb == 0:
-                continue
-            tmp = col * sb
-            for c in range(phi):
-                coeff = int(S[a, b, c])
-                if coeff:
-                    out[:, c] += tmp * coeff
-    return out
+    integer scalar (a phi-vector).  Works on int64 and object arrays.
+
+    No overflow check: on int64 operands the caller guarantees
+    max|arr| * max|svec| * ctx.mul_bound < 2^63 (``ExactIntRows.insert``
+    checks this before every elimination step and promotes otherwise).
+    """
+    return _cyclo_product(arr, svec, ctx)
 
 
 def mul_rows_elementwise(arr, s_arr, ctx: CycloCtx):
     """Entry-wise product of two (..., phi) coefficient arrays; leading axes
     broadcast, and an object operand makes the product object."""
-    phi = ctx.phi
-    out = np.zeros(
-        np.broadcast_shapes(arr.shape, s_arr.shape),
-        dtype=np.result_type(arr.dtype, s_arr.dtype),
-    )
-    S = ctx.struct
-    for a in range(phi):
-        col = arr[..., a]
-        for b in range(phi):
-            tmp = col * s_arr[..., b]
-            for c in range(phi):
-                coeff = int(S[a, b, c])
-                if coeff:
-                    out[..., c] += tmp * coeff
-    return out
+    return _cyclo_product(arr, s_arr, ctx)
 
 
 def strip_content(arr):

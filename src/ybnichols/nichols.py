@@ -21,10 +21,14 @@ letters, last letter), and c_{k-1} joins those nodes.  Its edges come from
 the orbit graph of the degrees below, one per (degree-(k-2) orbit, letter
 pair), so labelling needs no pass over the words; c_i images of words are
 one gather of a per-pair index shift.  Every basis row lives on one orbit,
-so each seed u (x) w_j lies in exactly one degree-k orbit; a step evaluates
-the staircase terms on the seeds' words only and eliminates orbit by orbit
-in vectors as long as the orbit.  Full-length rows are built only when a
-caller asks for the image itself.
+so each seed u (x) w_j lies in exactly one degree-k orbit.  A step walks the
+staircase terms once per batch of whole orbits, on the seeds' words only:
+the batch's seed rows are one flat list of entries, and each term is one
+gather, one cyclotomic product and one scatter-add.  A batch closes before
+its accumulators outgrow the largest single orbit's, and arithmetic turns
+object orbit by orbit.  Elimination still runs orbit by orbit, in vectors
+as long as the orbit.  Full-length rows are built only when a caller asks
+for the image itself.
 
 Degrees run exactly while the tensor space is small, then two-prime modular
 with exact escalation on disagreement, on a vanishing rank (a finiteness
@@ -34,7 +38,7 @@ Escalation continues the exact chain from the last exact degree.
 Relation checks run on the same engine.  The full degree-k symmetrizer is
 T_2, then T_3, ..., then T_k, where T_j is the staircase on the first j
 letters; ``check_relation`` and ``relation_image`` apply it in integers to
-the orbits the element touches only, with the staircase term generator of
+the orbits the element touches only, with the batched staircase walk of
 the degree steps.  ``braiding_ops`` and ``symmetrizer_apply`` (dense
 CycloElement vectors over all m^k words) are the reference oracle the tests
 compare against; no relation path calls them.
@@ -645,50 +649,120 @@ class _Engine:
                 _max_abs(scal) * self.r_int_max * ctx.mul_bound >= _INT64_GUARD
             ):
                 scal = _as_object(scal)
-            scal = mul_rows_elementwise(scal, self.r_int[sidx].astype(scal.dtype), ctx)
+            scal = mul_rows_elementwise(scal, self.r_int[sidx].astype(scal.dtype, copy=False), ctx)
             den *= self.r_den
             yield cur, scal, den
 
-    def _staircase_sums(self, k: int, top: int, sources, blocks, size: int):
-        """T_top applied to rows on degree-k words of one orbit of ``size``
-        words, scaled by r_den^(top-1) to integers.
+    def _batches(self, groups):
+        """Split one degree's orbit groups (orbit, size, sources, blocks) into
+        runs of consecutive orbits whose accumulators (seed rows x orbit size)
+        together stay within the largest single orbit's."""
+        groups = list(groups)
+        weights = [size * sum(len(rows) for _, rows in blocks) for _, size, _, blocks in groups]
+        limit = max(weights, default=0)
+        batch, total = [], 0
+        for group, weight in zip(groups, weights):
+            if batch and total + weight > limit:
+                yield batch
+                batch, total = [], 0
+            batch.append(group)
+            total += weight
+        if batch:
+            yield batch
 
-        ``sources`` are the words the rows live on; each block is (slice of
-        sources, stacked rows on those words).  Returns one (rows, size, phi)
-        array per block, indexed by position in the orbit; they turn object
-        before a sum could leave int64.
+    def _staircase(self, k: int, top: int, batch):
+        """T_top applied to the seed rows of a batch of whole degree-k orbits,
+        scaled by r_den^(top-1) to integers.
+
+        ``batch`` holds (orbit, size, sources, blocks) as ``_seed_blocks``
+        yields them.  Returns one (seed rows, size, phi) array per orbit,
+        indexed by position in the orbit.  The orbits are walked together; an
+        orbit's arithmetic turns object exactly where its own int64 bound
+        would be crossed, so a batch that would cross the bound is re-run one
+        orbit at a time.
+        """
+        if len(batch) > 1:
+            accs = self._staircase_walk(k, top, batch, promote=False)
+            if accs is not None:
+                return accs
+        return [self._staircase_walk(k, top, [group], promote=True)[0] for group in batch]
+
+    def _entries(self, batch):
+        """Flatten a batch's seed rows into entries, one per nonzero seed
+        coefficient.  Returns (source words, entry -> index into the source
+        words, entry -> offset in the output, entry values, (seed rows, size)
+        per orbit); the output holds one segment of the orbit's size per seed,
+        orbit after orbit."""
+        phi = self.ctx.phi
+        words, vals, shapes, spans = [], [], [], []
+        n_src = n_out = 0
+        for _, size, sources, blocks in batch:
+            count = 0
+            for sl, rows in blocks:
+                # first source index, first output offset, width, output stride
+                spans.append((n_src + sl.start, n_out + count * size, sl.stop - sl.start, size))
+                vals.append(rows.reshape(-1, phi))
+                count += len(rows)
+            words.append(sources)
+            shapes.append((count, size))
+            n_src += sources.size
+            n_out += count * size
+        # entry e of a block is its row e // width on its source word e % width
+        lengths = [len(v) for v in vals]
+        first_src, first_out, width, stride = np.repeat(
+            np.array(spans, dtype=np.int64), lengths, axis=0
+        ).T
+        vals = np.concatenate(vals)
+        local = np.arange(len(vals)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        row, col = np.divmod(local, width)
+        nonzero = (vals != 0).any(axis=1)
+        src = (first_src + col)[nonzero]
+        base = (first_out + row * stride)[nonzero]
+        return np.concatenate(words), src, base, vals[nonzero], shapes
+
+    def _staircase_walk(self, k: int, top: int, batch, promote: bool):
+        """The staircase terms walked once over a batch's seed entries.
+
+        A term is injective on the words and every seed owns its own output
+        segment, so the output indices within one term are distinct and a
+        plain scatter-add is exact.  Returns None instead of turning object
+        unless ``promote``.
         """
         ctx = self.ctx
         here = self.orbits(k)
+        object_mode = any(rows.dtype == object for *_, blocks in batch for _, rows in blocks)
+        if object_mode and not promote:
+            return None
+        words, src, base, vals, shapes = self._entries(batch)
+        seed_max = 0 if object_mode else _max_abs(vals)
+        sizes = [count * size for count, size in shapes]
+        out = np.zeros((sum(sizes), ctx.phi), dtype=object if object_mode else np.int64)
         total_den = self.r_den ** (top - 1)
-        object_mode = any(stacked.dtype == object for _, stacked in blocks)
-        seed_max = 0 if object_mode else max(_max_abs(stacked) for _, stacked in blocks)
-        accs = [np.zeros((len(stacked), size, ctx.phi), dtype=np.int64) for _, stacked in blocks]
         bound = 0  # bounds every accumulated entry while in int64
-        for cur, scal, den in self._terms_exact(k, top, sources, object_mode):
+        for cur, scal, den in self._terms_exact(k, top, words, object_mode):
             scale = total_den // den
             if not object_mode:
                 bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
-            if object_mode or scal.dtype == object or bound >= _INT64_GUARD:
-                object_mode = True
-                blocks = [(sl, _as_object(stacked)) for sl, stacked in blocks]
-                accs = [_as_object(acc) for acc in accs]
+                if scal.dtype == object or bound >= _INT64_GUARD:
+                    if not promote:
+                        return None
+                    object_mode = True
+                    vals, out = _as_object(vals), _as_object(out)
+            if object_mode:
                 scal = _as_object(scal)
-            target = here.pos[cur]
-            for (sl, stacked), acc in zip(blocks, accs):
-                tmp = mul_rows_elementwise(stacked, scal[sl], ctx)
-                if scale != 1:
-                    tmp = tmp * scale
-                acc[:, target[sl]] += tmp
-        return accs
+            if scale != 1:
+                scal = scal * scale
+            out[base + here.pos[cur][src]] += mul_rows_elementwise(vals, scal[src], ctx)
+        parts = np.split(out, np.cumsum(sizes)[:-1])
+        return [part.reshape(count, size, ctx.phi) for part, (count, size) in zip(parts, shapes)]
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
         """One degree of the recursion: span of staircase images of
         (previous basis) (x) (generators).  Returns (basis rows, dim)."""
         out = OrbitRows()
-        for orbit, size, sources, blocks in self._seed_blocks(prev_rows, k):
-            accs = self._staircase_sums(k, k, sources, blocks, size)
-            out.add_span(orbit, ExactIntRows(self.ctx, size), accs)
+        for batch in self._batches(self._seed_blocks(prev_rows, k)):
+            for (orbit, size, _, _), acc in zip(batch, self._staircase(k, k, batch)):
+                out.add_span(orbit, ExactIntRows(self.ctx, size), [acc])
         return out, len(out)
 
     def symmetrize(self, k: int, words, coeffs):
@@ -703,16 +777,21 @@ class _Engine:
         """
         here = self.orbits(k)
         labels = here.label[words]
-        blocks = []
+        groups = []
         for orbit in np.unique(labels).tolist():
             src = here.words(orbit)
             mine = labels == orbit
             vec = np.zeros((1, src.size, self.ctx.phi), dtype=coeffs.dtype)
             vec[0, here.pos[words[mine]]] = coeffs[mine]
-            for j in range(2, k + 1):
-                (vec,) = self._staircase_sums(k, j, src, [(slice(None), vec)], src.size)
-            blocks.append((src, vec[0]))
-        return self.r_den ** (k * (k - 1) // 2), blocks
+            groups.append((orbit, src.size, src, [(slice(0, src.size), vec)]))
+        for j in range(2, k + 1):
+            accs = [acc for batch in self._batches(groups) for acc in self._staircase(k, j, batch)]
+            groups = [
+                (orbit, size, src, [(slice(0, size), acc)])
+                for (orbit, size, src, _), acc in zip(groups, accs)
+            ]
+        den = self.r_den ** (k * (k - 1) // 2)
+        return den, [(src, blocks[0][1][0]) for _, _, src, blocks in groups]
 
     def specialize_rows(self, rows: OrbitRows, p: int) -> OrbitRows:
         """Mod-p images of exact basis rows (rows are primitive integers)."""

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from ybnichols.catalog import (
@@ -114,3 +117,48 @@ def test_coefficient_json_round_trip():
     assert data["cyclotomic_order"] == 6
     rebuilt = CoefficientSystem.from_json(data)
     assert rebuilt == entry.system
+
+
+# sha256 prefix and length of each entry's relation list, taken from the
+# builders that spelled out the diagonal map D of each solution by hand
+RELATION_DIGESTS = {
+    ("z2-shift", None): ("c2faf85c62f44738", 4),
+    ("z2-shift", "zeta3"): ("2a10246a843cca2e", 4),
+    ("z2-shift", "zeta5"): ("151113105d2ae006", 4),
+    ("z3-shift", None): ("a508e651c2b4fab0", 6),
+    ("z3-shift", "zeta3"): ("a508e651c2b4fab0", 6),
+    ("z3-shift", "zeta5"): ("fa6e4e66b45c02d5", 6),
+    ("z4-shift1", None): ("70e8d5ef7c105de8", 10),
+    ("z4-shift1", "zeta3"): ("4474dc2dcd821b8b", 10),
+    ("z4-shift1", "zeta5"): ("4c813f0f4141ec3c", 10),
+    ("z4-shift2", None): ("7aee73e0edbbcdba", 10),
+    ("x4-sigma", None): ("9442bb4f733b9d1f", 10),
+    ("x4-sigma", "zeta3"): ("729d82e52612cb39", 10),
+    ("x4-sigma", "zeta5"): ("82004a4f357af6ec", 10),
+    ("w1", None): ("4e6a4d7e63daad8c", 9),
+    ("w2", None): ("0ba48f5c4ea84b1c", 9),
+    ("w3", None): ("4bed48dd8c480170", 9),
+    ("w4", None): ("84d8a1b17c9a0c45", 9),
+    ("w5", None): ("994afbbdaa90951c", 9),
+    ("w6", None): ("eb2c5007780f98db", 9),
+    ("w7", None): ("978b0eb6f1308988", 9),
+    ("w8", None): ("90a1814ce109f3dc", 9),
+}
+
+
+def _relation_digest(entry):
+    data = [
+        [label, [[c.to_json(), list(word)] for c, word in terms]]
+        for label, terms in entry.relations
+    ]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_relation_lists_unchanged():
+    # the power words D^{n-1}(i) ... D(i) i now come from orbits.psi with
+    # the solution's own diagonal map
+    assert {name for name, _ in RELATION_DIGESTS} == set(catalog_names())
+    for (name, q), (digest, count) in RELATION_DIGESTS.items():
+        entry = build_entry(name, None if q is None else {"q": q})
+        assert len(entry.relations) == count, (name, q)
+        assert _relation_digest(entry) == digest, (name, q)

@@ -14,6 +14,7 @@ from ybnichols.linalg import (
     MonomialOperator,
     RowSpace,
     apply,
+    mul_rows_by_scalar,
     mul_rows_elementwise,
     rank,
     rowspace_insert,
@@ -223,3 +224,63 @@ def test_mul_bound_is_the_attained_product_bound():
         products = mul_rows_elementwise(units[:, None, :], units[None, :, :], ctx)
         assert int(np.abs(products).max()) == ctx.mul_bound, order
     assert [CycloCtx(n).mul_bound for n in (3, 5, 12)] == [3, 7, 6]
+
+
+def _loop_product(arr, s_arr, ctx):
+    """The cyclotomic entry-wise product as a sum over the structure
+    constants, one term at a time (the oracle for the contraction)."""
+    phi = ctx.phi
+    out = np.zeros(
+        np.broadcast_shapes(arr.shape, s_arr.shape),
+        dtype=np.result_type(arr.dtype, s_arr.dtype),
+    )
+    for a in range(phi):
+        for b in range(phi):
+            tmp = arr[..., a] * s_arr[..., b]
+            for c in range(phi):
+                coeff = int(ctx.struct[a, b, c])
+                if coeff:
+                    out[..., c] += tmp * coeff
+    return out
+
+
+def _random_rows(rng, shape, height, dtype):
+    arr = np.empty(shape, dtype=dtype)
+    flat = arr.reshape(-1)
+    for i in range(flat.size):
+        flat[i] = rng.randint(-height, height)
+    return arr
+
+
+def test_contraction_matches_structure_constant_loop():
+    # int64 at a height the products cannot overflow, object far past int64;
+    # leading axes broadcast, and an object operand makes the product object
+    rng = random.Random(23)
+    for order in (1, 2, 3, 4, 5, 8, 12):
+        ctx = CycloCtx(order)
+        phi = ctx.phi
+        for dtype, height in ((np.int64, 2 ** 20), (object, 2 ** 80)):
+            for left, right in (
+                ((7, phi), (7, phi)),
+                ((3, 1, phi), (1, 4, phi)),
+                ((2, 5, phi), (5, phi)),
+                ((6, phi), (phi,)),
+                ((0, phi), (0, phi)),
+            ):
+                a = _random_rows(rng, left, height, dtype)
+                b = _random_rows(rng, right, height, dtype)
+                got = mul_rows_elementwise(a, b, ctx)
+                expected = _loop_product(a, b, ctx)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, order
+                assert got.tolist() == expected.tolist(), (order, dtype, left, right)
+            rows = _random_rows(rng, (9, phi), height, dtype)
+            svec = _random_rows(rng, (phi,), height, dtype)
+            got = mul_rows_by_scalar(rows, svec, ctx)
+            assert got.dtype == rows.dtype
+            assert got.tolist() == _loop_product(rows, svec[None, :], ctx).tolist(), order
+        # mixed operands: the object side decides, and nothing wraps
+        a = _random_rows(rng, (4, phi), 2 ** 40, np.int64)
+        b = _random_rows(rng, (4, phi), 2 ** 70, object)
+        got = mul_rows_elementwise(a, b, ctx)
+        assert got.dtype == object
+        assert got.tolist() == _loop_product(a.astype(object), b, ctx).tolist(), order

@@ -8,9 +8,11 @@ import pytest
 
 from ybnichols.catalog import build_entry, catalog_names, parse_scalar
 from ybnichols.exact import CycloElement, cyclotomic_root, euler_phi, primes_for_order
-from ybnichols.linalg import apply, rank
+from ybnichols.catalog import ConstraintViolation
+from ybnichols.linalg import ExactIntRows, _max_abs, apply, mul_rows_elementwise, rank
 from ybnichols.nichols import (
     _Engine,
+    OrbitRows,
     CapExceeded,
     CoefficientSystem,
     HexagonViolation,
@@ -601,3 +603,98 @@ def test_escalation_resumes_from_exact_basis(monkeypatch):
     g = graded_dims(build_entry("w1").system)
     assert g.total == 72
     assert sorted(stepped) == list(range(2, 11))
+
+
+def _per_orbit_step(engine, prev_rows, k):
+    """exact_step evaluated one orbit and one seed block at a time: each
+    orbit keeps its own int64 bound and turns object on its own."""
+    ctx = engine.ctx
+    here = engine.orbits(k)
+    total_den = engine.r_den ** (k - 1)
+    out = OrbitRows()
+    for orbit, size, sources, blocks in engine._seed_blocks(prev_rows, k):
+        object_mode = any(rows.dtype == object for _, rows in blocks)
+        seed_max = max(_max_abs(rows) for _, rows in blocks)
+        accs = [np.zeros((len(rows), size, ctx.phi), dtype=np.int64) for _, rows in blocks]
+        bound = 0
+        for cur, scal, den in engine._terms_exact(k, k, sources, object_mode):
+            scale = total_den // den
+            if not object_mode:
+                bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
+            if object_mode or scal.dtype == object or bound >= 2 ** 62:
+                object_mode = True
+                blocks = [(sl, rows.astype(object)) for sl, rows in blocks]
+                accs = [acc.astype(object) for acc in accs]
+                scal = scal.astype(object)
+            target = here.pos[cur]
+            for (sl, rows), acc in zip(blocks, accs):
+                acc[:, target[sl]] += mul_rows_elementwise(rows, scal[sl], ctx) * scale
+        out.add_span(orbit, ExactIntRows(ctx, size), accs)
+    return out, len(out)
+
+
+def _assert_same_rows(got, expected):
+    assert got.orbits == expected.orbits
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tolist() == b.tolist()
+
+
+def _checked_chain(engine, max_words):
+    """Run the exact chain while m^k <= max_words, checking every step
+    against the per-orbit reference; yields (k, rows) per step."""
+    rows = engine.identity_rows()
+    k = 1
+    while engine.m ** (k + 1) <= max_words and len(rows):
+        k += 1
+        expected, _ = _per_orbit_step(engine, rows, k)
+        rows, dim = engine.exact_step(rows, k)
+        _assert_same_rows(rows, expected)
+        assert dim == len(expected)
+        yield k, rows
+
+
+def test_batched_exact_step_matches_per_orbit_reference():
+    # the batched staircase walk against one pass per orbit and per block,
+    # bit for bit: orbits, row values and dtypes
+    steps = 0
+    for name in catalog_names():
+        for q in (None, "zeta3", "-1", "2"):
+            try:
+                entry = build_entry(name, None if q is None else {"q": q})
+            except (ConstraintViolation, HexagonViolation):
+                continue
+            steps += sum(1 for _ in _checked_chain(_Engine(entry.system), 2 ** 14))
+    assert steps >= 150, steps
+
+
+def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
+    # an orbit turns object exactly when its own int64 bound would be
+    # crossed, and the int64 orbits batched with it stay int64.  With
+    # q = 1000003/1000001 alone, r_den^(k-1) crosses int64 in every orbit of
+    # a degree at once, so a = 3 sets the orbits of z2-shift apart; with an
+    # integer q the orbits without fixed pairs never grow.
+    refused = []
+    walk = _Engine._staircase_walk
+
+    def recording(self, k, top, batch, promote):
+        accs = walk(self, k, top, batch, promote)
+        if accs is None:
+            refused.append(len(batch))
+        return accs
+
+    monkeypatch.setattr(_Engine, "_staircase_walk", recording)
+    mixed = 0
+    cases = (
+        ("z2-shift", {"q": "1000003/1000001", "a": "3"}, 6),
+        ("z3-shift", {"q": "1000003/1000001"}, 6),
+        ("z2-shift", {"q": "1000003"}, 8),
+        ("z3-shift", {"q": "1000003"}, 7),
+    )
+    for name, params, cap in cases:
+        engine = _Engine(build_entry(name, params).system)
+        for _, rows in _checked_chain(engine, engine.m ** cap):
+            mixed += {row.dtype == object for row in rows} == {True, False}
+    assert mixed >= 4, mixed
+    assert refused and max(refused) > 1
