@@ -301,13 +301,16 @@ class ExactIntRows:
     arbitrary-precision object arrays if int64 would overflow.
     """
 
-    __slots__ = ("ctx", "length", "rows", "pivots", "_object_mode")
+    __slots__ = ("ctx", "length", "rows", "pivots", "_peaks", "_object_mode")
 
     def __init__(self, ctx: CycloCtx, length: int) -> None:
         self.ctx = ctx
         self.length = length
         self.rows: list[np.ndarray] = []
         self.pivots: list[int] = []
+        # (largest absolute entry of the row, of its pivot entry) per row,
+        # recorded once: stored rows never change, and object mode reads none
+        self._peaks: list[tuple[int, int] | None] = []
         self._object_mode = False
 
     @property
@@ -334,11 +337,8 @@ class ExactIntRows:
                 continue
             row = self.rows[idx]
             if not self._object_mode:
-                bound = (
-                    2
-                    * self.ctx.mul_bound
-                    * max(_max_abs(w) * _max_abs(row[piv]), _max_abs(row) * _max_abs(pv))
-                )
+                row_max, piv_max = self._peaks[idx]
+                bound = 2 * self.ctx.mul_bound * max(_max_abs(w) * piv_max, row_max * _max_abs(pv))
                 if bound >= _INT64_GUARD:
                     self._promote()
                     w = _as_object(w)
@@ -355,6 +355,7 @@ class ExactIntRows:
         pos = bisect(self.pivots, j)
         self.rows.insert(pos, w)
         self.pivots.insert(pos, j)
+        self._peaks.insert(pos, None if self._object_mode else (_max_abs(w), _max_abs(w[j])))
         return False
 
 

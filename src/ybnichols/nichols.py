@@ -15,14 +15,11 @@ permutation passes.
 Every c_i sends a word to one word times a scalar, so the symmetrizer is
 block-diagonal over the orbits of the braid group B_k on the words X^k (for
 an involutive solution, the S_k-orbits counted by partitions, of multinomial
-sizes).  The engine labels the degree-k orbits from the degree-(k-1) ones:
-a word's orbit under c_1 .. c_{k-2} is the node (orbit of its first k-1
-letters, last letter), and c_{k-1} joins those nodes.  Its edges come from
-the orbit graph of the degrees below, one per (degree-(k-2) orbit, letter
-pair), so labelling needs no pass over the words; c_i images of words are
-one gather of a per-pair index shift.  Every basis row lives on one orbit,
-so each seed u (x) w_j lies in exactly one degree-k orbit.  A step walks the
-staircase terms once per batch of whole orbits, on the seeds' words only:
+sizes).  ``orbits.BraidOrbits`` labels them, the same labeller the orbit
+census uses, and c_i images of words are one gather of its per-pair index
+shift.  Every basis row lives on one orbit, so each seed u (x) w_j lies in
+exactly one degree-k orbit.  A step walks the staircase terms once per batch
+of whole orbits, on the seeds' words only:
 the batch's seed rows are one flat list of entries, and each term is one
 gather, one cyclotomic product and one scatter-add.  A batch closes before
 its accumulators outgrow the largest single orbit's, and arithmetic turns
@@ -73,7 +70,7 @@ from .linalg import (
     apply,
     mul_rows_elementwise,
 )
-from .orbits import partitions, psi
+from .orbits import BraidOrbits, partitions, psi, word_index
 from .ybe import SetSolution, diagonal, full_decomposition, verify_solution
 
 
@@ -355,13 +352,6 @@ def symmetrizer_apply(cs: CoefficientSystem, v, k: int):
     return list(v)
 
 
-def word_index(word, m: int) -> int:
-    code = 0
-    for letter in word:
-        code = code * m + letter
-    return code
-
-
 def relation_image(cs: CoefficientSystem, element) -> list:
     """The symmetrizer image of a formal sum of scaled words.
 
@@ -440,7 +430,7 @@ class OrbitRows(list):
     """Basis rows of one degree, each local to one braid-group orbit.
 
     Row t is a vector on the words of orbit ``orbits[t]``, in the order
-    those words have in ``_Orbits.order``.
+    those words have in the orbit's part of ``orbits._Orbits.order``.
     """
 
     def __init__(self, rows=(), orbits=()) -> None:
@@ -457,49 +447,6 @@ class OrbitRows(list):
         self.orbits += [orbit] * space.rank
 
 
-@dataclass(frozen=True)
-class _Orbits:
-    """The orbits of the braid group B_k on the degree-k words."""
-
-    label: np.ndarray  # word -> orbit id
-    order: np.ndarray  # words grouped by orbit, ascending within each orbit
-    starts: np.ndarray  # orbit o holds order[starts[o]:starts[o + 1]]
-    pos: np.ndarray  # word -> its index within its orbit's part of order
-    links: np.ndarray  # node (orbit below) * m + (last letter) -> orbit id
-
-    @property
-    def count(self) -> int:
-        return len(self.starts) - 1
-
-    def words(self, orbit: int) -> np.ndarray:
-        return self.order[self.starts[orbit] : self.starts[orbit + 1]]
-
-
-def _components(a, b, count: int) -> np.ndarray:
-    """Component id of each of the ``count`` nodes in the graph with the
-    edges a[t] -- b[t]; ids are 0, 1, ... in order of the smallest node.
-
-    Each round hooks every root that has an edge to a smaller root onto the
-    smallest such root, then compresses every path to its root.  Every tree
-    keeps its smallest node as root, and the number of components that still
-    have an outside edge at least halves per round.
-    """
-    parent = np.arange(count, dtype=np.int64)
-    while True:
-        ra, rb = parent[a], parent[b]
-        cross = ra != rb
-        if not cross.any():
-            break
-        ra, rb = ra[cross], rb[cross]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            grand = parent[parent]
-            if (grand == parent).all():
-                break
-            parent = grand
-    return np.unique(parent, return_inverse=True)[1]
-
-
 class _Engine:
     """Vectorized staircase terms and degree steps for one coefficient system.
 
@@ -513,13 +460,8 @@ class _Engine:
         self.m = cs.size
         self.ctx = CycloCtx(cs.order)
         m = self.m
-        # c sends the letters p q (pair index p m + q) to sigma_p(q) tau_q(p),
-        # moving the pair index by pair_shift[p m + q]
-        s = cs.solution
-        self.pair_shift = np.array(
-            [(s.sigma(p, q) - p) * m + s.tau(q, p) - q for p in range(m) for q in range(m)],
-            dtype=np.int64,
-        )
+        self.braid = BraidOrbits(cs.solution)
+        self.orbits = self.braid.orbits  # orbits(k): the B_k-orbits on degree-k words
         flat = [cs.entry(i, j) for i in range(m) for j in range(m)]
         dens = [self.ctx.to_int_vec(e)[1] for e in flat]
         self.r_den = reduce(math.lcm, dens, 1)
@@ -531,7 +473,6 @@ class _Engine:
         self.r_int_max = max(1, int(np.abs(rint).max()))
         self._r_mod: dict[int, np.ndarray] = {}
         self._flat = flat
-        self._orbits: dict[int, _Orbits] = {}
 
     def r_mod(self, p: int) -> np.ndarray:
         if p not in self._r_mod:
@@ -548,40 +489,7 @@ class _Engine:
         if idx is None:
             idx = np.arange(m ** k, dtype=np.int64)
         pair = idx // low % (m * m)
-        return idx + self.pair_shift[pair] * low, pair
-
-    def orbits(self, k: int) -> _Orbits:
-        """The B_k-orbits on degree-k words, built from those of degree k-1.
-
-        c_1 .. c_{k-2} act on the first k-1 letters, so a word's orbit under
-        them is the node (orbit of its prefix, last letter); c_{k-1} then joins
-        these nodes into the B_k-orbits.  On every word u x y with u in the
-        degree-(k-2) orbit Q, c_{k-1} joins the same two nodes
-        (links[Q m + x], y) and (links[Q m + sigma_x(y)], tau_y(x)), with
-        ``links`` of degree k-1, so the edges come from (Q, x, y), not words.
-        """
-        if k not in self._orbits:
-            m = self.m
-            if k <= 1:
-                label = links = np.arange(m ** k, dtype=np.int64)
-            else:
-                below = self.orbits(k - 1)
-                triples = self.orbits(k - 2).count * m * m
-                Q, pair = np.divmod(np.arange(triples, dtype=np.int64), m * m)
-                x, y = np.divmod(pair, m)
-                sx, ty = np.divmod(pair + self.pair_shift[pair], m)  # sigma_x(y), tau_y(x)
-                a = below.links[Q * m + x] * m + y
-                b = below.links[Q * m + sx] * m + ty
-                links = _components(a, b, below.count * m)
-                label = links.reshape(below.count, m)[below.label].ravel()
-            sizes = np.bincount(label)
-            # a stable sort of keys of at most 16 bits is a radix sort in numpy
-            order = np.argsort(label.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
-            starts = np.concatenate(([0], np.cumsum(sizes)))
-            pos = np.empty_like(order)
-            pos[order] = np.arange(order.size) - np.repeat(starts[:-1], sizes)
-            self._orbits[k] = _Orbits(label, order, starts, pos, links)
-        return self._orbits[k]
+        return idx + self.braid.pair_shift[pair] * low, pair
 
     def expand(self, rows: OrbitRows, k: int) -> list[np.ndarray]:
         """Orbit-local rows as full-length vectors on all m^k words."""
@@ -633,25 +541,26 @@ class _Engine:
         return OrbitRows(rows, range(self.m))
 
     def _terms_exact(self, k: int, top: int, src, object_mode: bool):
-        """Yield (image words, scalars, denominator) of each term of the
+        """Yield (image words, scalars, denominator, peak) of each term of the
         staircase T_top = id + c_{top-1} + ... + c_1 ... c_{top-1} on the
-        degree-k source words.  The scalars turn object before a product could
-        leave int64."""
+        degree-k source words.  ``peak`` is the largest absolute scalar while
+        the scalars are int64, else None.  The scalars turn object before a
+        product could leave int64."""
         ctx = self.ctx
         cur = src
         scal = np.zeros((src.size, ctx.phi), dtype=object if object_mode else np.int64)
         scal[:, 0] = 1
         den = 1
-        yield cur, scal, den
+        peak = None if object_mode else _max_abs(scal)
+        yield cur, scal, den, peak
         for i in range(top - 1, 0, -1):
             cur, sidx = self._c_arrays(k, i, cur)
-            if scal.dtype != object and (
-                _max_abs(scal) * self.r_int_max * ctx.mul_bound >= _INT64_GUARD
-            ):
+            if peak is not None and peak * self.r_int_max * ctx.mul_bound >= _INT64_GUARD:
                 scal = _as_object(scal)
             scal = mul_rows_elementwise(scal, self.r_int[sidx].astype(scal.dtype, copy=False), ctx)
             den *= self.r_den
-            yield cur, scal, den
+            peak = None if scal.dtype == object else _max_abs(scal)
+            yield cur, scal, den, peak
 
     def _batches(self, groups):
         """Split one degree's orbit groups (orbit, size, sources, blocks) into
@@ -739,11 +648,12 @@ class _Engine:
         out = np.zeros((sum(sizes), ctx.phi), dtype=object if object_mode else np.int64)
         total_den = self.r_den ** (top - 1)
         bound = 0  # bounds every accumulated entry while in int64
-        for cur, scal, den in self._terms_exact(k, top, words, object_mode):
+        for cur, scal, den, peak in self._terms_exact(k, top, words, object_mode):
             scale = total_den // den
             if not object_mode:
-                bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
-                if scal.dtype == object or bound >= _INT64_GUARD:
+                if peak is not None:
+                    bound += seed_max * peak * ctx.mul_bound * scale
+                if peak is None or bound >= _INT64_GUARD:
                     if not promote:
                         return None
                     object_mode = True

@@ -6,6 +6,11 @@ exchange-rule moves to a canonical concatenation of Psi-blocks
 Psi_k(a) = D^{k-1}(a) ... D(a) a whose block lengths form the partition.
 The classifier below performs that rewriting explicitly and records the
 generator moves it used, so orbit membership of its output is replayable.
+
+One labeller, ``BraidOrbits``, finds the orbits of the braid group B_k on X^k
+(the S_k-orbits, for an involutive solution) for the census and the Nichols
+engine alike.  It builds them degree by degree from an orbit graph with one
+edge per (degree-(k-2) orbit, letter pair), with no pass over the words.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .ybe import NotInvolutive, SetSolution, TooLarge, diagonal, verify_solution
 
@@ -431,6 +438,114 @@ def lambda_classify(w: Word, s: SetSolution) -> tuple[Partition, Word]:
 
 
 # ---------------------------------------------------------------------------
+# orbit labels on word indices
+
+
+def word_index(word, m: int) -> int:
+    """The index of a word among the m^k words of its degree."""
+    code = 0
+    for letter in word:
+        code = code * m + letter
+    return code
+
+
+@dataclass(frozen=True)
+class _Orbits:
+    """The orbits of the braid group B_k on the degree-k words."""
+
+    label: np.ndarray  # word -> orbit id, ascending with the orbit's least word
+    order: np.ndarray  # words grouped by orbit, ascending within each orbit
+    starts: np.ndarray  # orbit o holds order[starts[o]:starts[o + 1]]
+    pos: np.ndarray  # word -> its index within its orbit's part of order
+    links: np.ndarray  # node (orbit below) * m + (last letter) -> orbit id
+
+    @property
+    def count(self) -> int:
+        return len(self.starts) - 1
+
+    def words(self, orbit: int) -> np.ndarray:
+        return self.order[self.starts[orbit] : self.starts[orbit + 1]]
+
+
+def _components(a, b, count: int) -> np.ndarray:
+    """Component id of each of the ``count`` nodes in the graph with the
+    edges a[t] -- b[t]; ids are 0, 1, ... in order of the smallest node.
+
+    Each round hooks every root that has an edge to a smaller root onto the
+    smallest such root, then compresses every path to its root.  Every tree
+    keeps its smallest node as root, and the number of components that still
+    have an outside edge at least halves per round.
+    """
+    parent = np.arange(count, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        ra, rb = ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    return np.unique(parent, return_inverse=True)[1]
+
+
+class BraidOrbits:
+    """The orbits of the braid group B_k on the words X^k (``word_index``
+    integers) of a solution, where c_i applies r to the letters i, i + 1;
+    each degree is built once and cached."""
+
+    def __init__(self, s: SetSolution) -> None:
+        m = self.m = s.size
+        # r sends the letters p q (pair index p m + q) to sigma_p(q) tau_q(p),
+        # moving the pair index by pair_shift[p m + q]
+        self.pair_shift = np.array(
+            [(s.sigma(p, q) - p) * m + s.tau(q, p) - q for p in range(m) for q in range(m)],
+            dtype=np.int64,
+        )
+        self._orbits: dict[int, _Orbits] = {}
+
+    def orbits(self, k: int) -> _Orbits:
+        """The B_k-orbits on degree-k words, built from those of degree k-1.
+
+        c_1 .. c_{k-2} act on the first k-1 letters, so a word's orbit under
+        them is the node (orbit of its prefix, last letter); c_{k-1} then joins
+        these nodes into the B_k-orbits.  On every word u x y with u in the
+        degree-(k-2) orbit Q, c_{k-1} joins the same two nodes
+        (links[Q m + x], y) and (links[Q m + sigma_x(y)], tau_y(x)), with
+        ``links`` of degree k-1, so the edges come from (Q, x, y), not words.
+        Node (Q, y) holds the words of Q followed by y, so, by induction on
+        k, the smallest node of an orbit holds its least word and orbit ids
+        ascend with the least word.
+        """
+        if k not in self._orbits:
+            m = self.m
+            if k <= 1:
+                label = links = np.arange(m ** k, dtype=np.int64)
+            else:
+                below = self.orbits(k - 1)
+                triples = self.orbits(k - 2).count * m * m
+                Q, pair = np.divmod(np.arange(triples, dtype=np.int64), m * m)
+                x, y = np.divmod(pair, m)
+                sx, ty = np.divmod(pair + self.pair_shift[pair], m)  # sigma_x(y), tau_y(x)
+                a = below.links[Q * m + x] * m + y
+                b = below.links[Q * m + sx] * m + ty
+                links = _components(a, b, below.count * m)
+                label = links.reshape(below.count, m)[below.label].ravel()
+            sizes = np.bincount(label)
+            # a stable sort of keys of at most 16 bits is a radix sort in numpy
+            order = np.argsort(label.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
+            starts = np.concatenate(([0], np.cumsum(sizes)))
+            pos = np.empty_like(order)
+            pos[order] = np.arange(order.size)
+            pos -= starts[label]
+            self._orbits[k] = _Orbits(label, order, starts, pos, links)
+        return self._orbits[k]
+
+
+# ---------------------------------------------------------------------------
 # census
 
 
@@ -446,7 +561,7 @@ class OrbitSummary:
 class Census:
     n: int
     size: int  # |X|
-    orbits: tuple  # OrbitSummary, in order of discovery (lex-least reps)
+    orbits: tuple  # OrbitSummary, ascending least word (the representative)
 
     def by_partition(self) -> dict:
         """partition -> (orbit count, orbit size); sizes must agree per class."""
@@ -486,8 +601,8 @@ def orbit_census(
     cap: int = 10 ** 7,
     witnesses: bool = False,
 ) -> Census:
-    """Partition all of X^n into orbits by sweeping words in lexicographic
-    order; the sweep order makes each orbit's first-seen word its least one."""
+    """Partition all of X^n into orbits, in ascending order of their least
+    words, and classify each orbit by its least word."""
     if n < 1:
         raise ValueError("degree must be positive")
     _check_involutive(s)
@@ -495,44 +610,16 @@ def orbit_census(
     total = m ** n
     if total > cap:
         raise TooLarge(f"{m}^{n} = {total} exceeds cap {cap}")
-    powers = [m ** (n - 1 - i) for i in range(n)]
-    rp = s.table  # rp[p][q] = (p', q')
-
-    def decode(code: int) -> Word:
-        out = []
-        for p in powers:
-            out.append(code // p % m)
-        return tuple(out)
-
-    visited = bytearray(total)
+    here = BraidOrbits(s).orbits(n)
+    least = here.order[here.starts[:-1]]  # ascending, as orbit ids follow the least word
+    letters = least[:, None] // m ** np.arange(n - 1, -1, -1) % m
     summaries = []
-    for code in range(total):
-        if visited[code]:
-            continue
-        # BFS on integer codes
-        orbit_codes = [code]
-        visited[code] = 1
-        frontier = [code]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for k in range(n - 1):
-                    d1, d2 = powers[k], powers[k + 1]
-                    p = c // d1 % m
-                    q = c // d2 % m
-                    p2, q2 = rp[p][q]
-                    c2 = c + (p2 - p) * d1 + (q2 - q) * d2
-                    if not visited[c2]:
-                        visited[c2] = 1
-                        orbit_codes.append(c2)
-                        nxt.append(c2)
-            frontier = nxt
-        rep = decode(code)
+    for rep, size in zip(map(tuple, letters.tolist()), np.diff(here.starts).tolist()):
         result = classify(rep, s)
         summaries.append(
             OrbitSummary(
                 representative=rep,
-                size=len(orbit_codes),
+                size=size,
                 partition=result.partition,
                 witness=result.witness if witnesses else None,
             )

@@ -36,6 +36,7 @@ from ybnichols.nichols import (
     validate_coefficients,
     word_index,
 )
+from ybnichols.orbits import BraidOrbits
 from ybnichols.ybe import SetSolution
 
 ONE2 = CycloElement.one(2)
@@ -435,24 +436,23 @@ def test_orbits_match_word_level_reference():
 
 def test_orbits_match_reference_beyond_small_id_types():
     # 286 orbits of x4-sigma at degree 10 (ids past 2^8), and C(43, 4) = 123410
-    # orbits of the flip on 40 letters at degree 4 (ids past 2^16); the flip's
-    # system is built directly, skipping the m^3 hexagon check
+    # orbits of the flip on 40 letters at degree 4 (ids past 2^16); the
+    # flip's labels need only the solution
     x4 = build_entry("x4-sigma").system
     engine = _Engine(x4)
     assert engine.orbits(10).count == 286
     _assert_orbits_match_reference(engine, x4.solution, 10)
     flip = SetSolution.flip(40)
-    one = CycloElement.one(1)
-    engine = _Engine(CoefficientSystem(flip, 1, [[one] * 40 for _ in range(40)]))
-    assert engine.orbits(4).count == math.comb(43, 4)
-    _assert_orbits_match_reference(engine, flip, 4)
+    labeller = BraidOrbits(flip)
+    assert labeller.orbits(4).count == math.comb(43, 4)
+    _assert_orbits_match_reference(labeller, flip, 4)
 
 
 def _staircase_scalars(engine, k, object_mode):
     words = np.arange(engine.m ** k, dtype=np.int64)
     return [
         (cur.tolist(), [int(v) for v in scal.reshape(-1)], den)
-        for cur, scal, den in engine._terms_exact(k, k, words, object_mode)
+        for cur, scal, den, _ in engine._terms_exact(k, k, words, object_mode)
     ]
 
 
@@ -617,7 +617,7 @@ def _per_orbit_step(engine, prev_rows, k):
         seed_max = max(_max_abs(rows) for _, rows in blocks)
         accs = [np.zeros((len(rows), size, ctx.phi), dtype=np.int64) for _, rows in blocks]
         bound = 0
-        for cur, scal, den in engine._terms_exact(k, k, sources, object_mode):
+        for cur, scal, den, _ in engine._terms_exact(k, k, sources, object_mode):
             scale = total_den // den
             if not object_mode:
                 bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale

@@ -1,9 +1,14 @@
+import hashlib
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from itertools import product
 
 import pytest
 
 from ybnichols.catalog import build_entry, catalog_names
+from ybnichols.cli import main
 from ybnichols.orbits import (
     MalformedBlocks,
     Partition,
@@ -229,6 +234,100 @@ def test_census_witnesses():
     for summary in census.orbits:
         assert summary.witness is not None
         assert is_lambda_element(summary.witness, Z3) == summary.partition
+
+
+CENSUS_SOLUTIONS = {
+    "cyclic_shift(5)": SetSolution.cyclic_shift(5),
+    "permutation(1, 2, 0, 4, 3)": SetSolution.permutation((1, 2, 0, 4, 3)),
+}
+
+# sha256 prefixes of orbit_census(n, s).to_json() and of the output of
+# ``orbits <solution> -n <n> --witness --json``, taken from the census that
+# swept the words breadth-first in lexicographic order
+CENSUS_DIGESTS = {
+    ("z2-shift", 1): ("561dd063a35e8704", "f4b159438652b83e"),
+    ("z2-shift", 2): ("f98bc818d82f8522", "be6eca8be9af50f5"),
+    ("z2-shift", 3): ("c0951a09beb5dcb2", "0cdd83b15b65607d"),
+    ("z2-shift", 4): ("c029422238da7bed", "f212e7deaa4f20ee"),
+    ("z2-shift", 5): ("871390147134fb9e", "69d7b25fd85e8e85"),
+    ("z2-shift", 6): ("74d5d178092320c6", "0d48b35ee2e47eda"),
+    ("z2-shift", 7): ("60e6c247bf85e3f5", "c317b3de248b73bd"),
+    ("z2-shift", 8): ("4a3ed9a99b7f5bdf", "cdad310eec902843"),
+    ("z2-shift", 9): ("e205a69234fcb05c", "95e7192d92e9ffdb"),
+    ("z2-shift", 10): ("3bdc4d5e7f2017e6", "0732c7af3d0ad25e"),
+    ("z3-shift", 1): ("35882d85309013af", "a7e8f84b00ede5cb"),
+    ("z3-shift", 2): ("03d48ce4e2a63460", "de216bc59cce00de"),
+    ("z3-shift", 3): ("de465b06ee56f45e", "c0470e4a72b3562f"),
+    ("z3-shift", 4): ("795e65fbe619c6d3", "6f5cef19ff09ac33"),
+    ("z3-shift", 5): ("dbee83851231d6fc", "290d5fc63016fc69"),
+    ("z3-shift", 6): ("dbcde43e68d045d2", "59b7df6c0ccf1439"),
+    ("z4-shift1", 1): ("40396dcfa5158f11", "a6d62a250b8ccf94"),
+    ("z4-shift1", 2): ("dc1feb6877b527eb", "61829e476750ebf4"),
+    ("z4-shift1", 3): ("f6a249108f563275", "a3265ad76c288563"),
+    ("z4-shift1", 4): ("d493c47254d74744", "f4047c8102353861"),
+    ("z4-shift1", 5): ("4007a744b0adf104", "f144195915fd1c74"),
+    ("z4-shift2", 1): ("40396dcfa5158f11", "a6d62a250b8ccf94"),
+    ("z4-shift2", 2): ("dc1feb6877b527eb", "68947fba030f5875"),
+    ("z4-shift2", 3): ("f6a249108f563275", "21b2cca4eb48de73"),
+    ("z4-shift2", 4): ("d493c47254d74744", "05cf4efea1b87007"),
+    ("z4-shift2", 5): ("4007a744b0adf104", "40a2e5468df34888"),
+    ("x4-sigma", 1): ("40396dcfa5158f11", "a6d62a250b8ccf94"),
+    ("x4-sigma", 2): ("dc1feb6877b527eb", "7475e5cedb9df9f1"),
+    ("x4-sigma", 3): ("f6a249108f563275", "90f392ceab81f204"),
+    ("x4-sigma", 4): ("d493c47254d74744", "109fc0b051d66c20"),
+    ("x4-sigma", 5): ("4007a744b0adf104", "2bf2f952594c184e"),
+    ("cyclic_shift(5)", 4): ("1cacb060ff215d2a", "0d24cb249f619534"),
+    ("permutation(1, 2, 0, 4, 3)", 4): ("1cacb060ff215d2a", "4c51fa0f4b08a289"),
+}
+
+
+def _census_cases():
+    """Every involutive catalog entry with m^n <= 4^5, and two more
+    solutions on five letters at n = 4."""
+    for name in catalog_names():
+        entry = build_entry(name)
+        n = 1
+        while entry.involutive and entry.solution.size ** n <= 4 ** 5:
+            yield name, n, entry.solution
+            n += 1
+    for name, s in CENSUS_SOLUTIONS.items():
+        yield name, 4, s
+
+
+def test_census_matches_word_level_reference():
+    # least word and size of every orbit, ascending by least word, from
+    # orbit_words on the words in lexicographic order
+    for name, n, s in _census_cases():
+        census = orbit_census(n, s, witnesses=True)
+        expected, orbit_of = [], {}
+        for word in product(range(s.size), repeat=n):
+            if word not in orbit_of:
+                words = orbit_words(word, s)
+                orbit_of.update(dict.fromkeys(words, words))
+                expected.append((word, len(words)))
+        assert [(o.representative, o.size) for o in census.orbits] == expected, (name, n)
+        for summary in census.orbits:
+            assert summary.witness in orbit_of[summary.representative]
+            assert is_lambda_element(summary.witness, s) == summary.partition
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_census_output_unchanged(tmp_path):
+    assert set(CENSUS_DIGESTS) == {(name, n) for name, n, _ in _census_cases()}
+    for name, n, s in _census_cases():
+        census = orbit_census(n, s, witnesses=True)
+        target = name
+        if name in CENSUS_SOLUTIONS:
+            target = tmp_path / "solution.json"
+            target.write_text(json.dumps(s.to_json()))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["orbits", str(target), "-n", str(n), "--witness", "--json"]) == 0
+        got = (_digest(json.dumps(census.to_json(), sort_keys=True)), _digest(out.getvalue()))
+        assert got == CENSUS_DIGESTS[name, n], (name, n)
 
 
 def test_shuffles_and_reduced_words():
