@@ -71,13 +71,18 @@ def _load_target(target: str) -> dict:
     return _load_json_file(target)
 
 
+# what parsing a table out of JSON raises on a malformed one: also a
+# denominator of 0 ("1/0") and a number JSON reads as infinity (1e400)
+_MALFORMED = (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError, OverflowError)
+
+
 def _solution_from(target: str, data) -> SetSolution:
     """The solution in a solution file (bare, or under a "solution" key)."""
     if isinstance(data, dict) and "solution" in data:
         data = data["solution"]
     try:
         return SetSolution.from_json(data)
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except _MALFORMED as exc:
         raise InputError(f"{target}: not a solution file: {exc}") from exc
 
 
@@ -125,7 +130,7 @@ def _resolve_system(target: str, args) -> tuple[CoefficientSystem, cat.CatalogEn
     if isinstance(data, dict) and "R" in data:
         try:
             return CoefficientSystem.from_json(data), None
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+        except _MALFORMED as exc:
             raise InputError(f"{target}: {exc}") from exc
     solution = _solution_from(target, data)
     if "q" not in overrides:

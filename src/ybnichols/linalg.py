@@ -220,12 +220,12 @@ class CycloCtx:
         self.mul_bound = int(np.abs(self.struct).sum(axis=(0, 1)).max())
 
     def to_int_vec(self, x: CycloElement):
-        """(numerator vector, denominator) with x = vector / denominator."""
+        """(numerator vector, denominator) with x = vector / denominator; the
+        numerators are Python ints of any size."""
         if x.order != self.order:
             raise ValueError("order mismatch")
         den = reduce(math.lcm, (c.denominator for c in x.coeffs), 1)
-        vec = np.array([int(c * den) for c in x.coeffs], dtype=np.int64)
-        return vec, den
+        return [int(c * den) for c in x.coeffs], den
 
     def to_element(self, vec, den: int = 1) -> CycloElement:
         return CycloElement(self.order, [Fraction(int(v), den) for v in vec])

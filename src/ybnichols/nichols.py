@@ -23,9 +23,11 @@ of whole orbits, on the seeds' words only:
 the batch's seed rows are one flat list of entries, and each term is one
 gather, one cyclotomic product and one scatter-add.  A batch closes before
 its accumulators outgrow the largest single orbit's, and arithmetic turns
-object orbit by orbit.  Elimination still runs orbit by orbit, in vectors
-as long as the orbit.  Full-length rows are built only when a caller asks
-for the image itself.
+object orbit by orbit.  Modular steps walk the same batches with one running
+product per seed entry, reduced mod p at every term, so they touch only the
+words that carry a nonzero entry.  Elimination still runs orbit by orbit,
+in vectors as long as the orbit.  Full-length rows are built only when a
+caller asks for the image itself.
 
 Degrees run exactly while the tensor space is small, then two-prime modular
 with exact escalation on disagreement, on a vanishing rank (a finiteness
@@ -463,14 +465,14 @@ class _Engine:
         self.braid = BraidOrbits(cs.solution)
         self.orbits = self.braid.orbits  # orbits(k): the B_k-orbits on degree-k words
         flat = [cs.entry(i, j) for i in range(m) for j in range(m)]
-        dens = [self.ctx.to_int_vec(e)[1] for e in flat]
-        self.r_den = reduce(math.lcm, dens, 1)
-        rint = np.zeros((m * m, self.ctx.phi), dtype=np.int64)
-        for idx, e in enumerate(flat):
-            vec, den = self.ctx.to_int_vec(e)
-            rint[idx] = vec * (self.r_den // den)
-        self.r_int = rint
-        self.r_int_max = max(1, int(np.abs(rint).max()))
+        vecs = [self.ctx.to_int_vec(e) for e in flat]
+        self.r_den = reduce(math.lcm, (den for _, den in vecs), 1)
+        rint = np.array(
+            [[c * (self.r_den // den) for c in vec] for vec, den in vecs], dtype=object
+        )
+        self.r_int_max = max(1, _max_abs(rint))
+        # object only when an entry leaves int64; _terms_exact promotes first
+        self.r_int = rint.astype(np.int64) if self.r_int_max < _INT64_GUARD else rint
         self._r_mod: dict[int, np.ndarray] = {}
         self._flat = flat
 
@@ -602,31 +604,31 @@ class _Engine:
         words, entry -> offset in the output, entry values, (seed rows, size)
         per orbit); the output holds one segment of the orbit's size per seed,
         orbit after orbit."""
-        phi = self.ctx.phi
         words, vals, shapes, spans = [], [], [], []
         n_src = n_out = 0
         for _, size, sources, blocks in batch:
             count = 0
             for sl, rows in blocks:
+                width = sl.stop - sl.start
                 # first source index, first output offset, width, output stride
-                spans.append((n_src + sl.start, n_out + count * size, sl.stop - sl.start, size))
-                vals.append(rows.reshape(-1, phi))
+                spans.append((n_src + sl.start, n_out + count * size, width, size))
+                # (phi,) per entry for exact rows, (1,) for mod-p rows
+                vals.append(rows.reshape(len(rows) * width, -1))
                 count += len(rows)
             words.append(sources)
             shapes.append((count, size))
             n_src += sources.size
             n_out += count * size
-        # entry e of a block is its row e // width on its source word e % width
-        lengths = [len(v) for v in vals]
-        first_src, first_out, width, stride = np.repeat(
-            np.array(spans, dtype=np.int64), lengths, axis=0
-        ).T
+        # entry e of a block is its row e // width on its source word e % width;
+        # only the nonzero entries get indices
+        lengths = np.array([len(v) for v in vals])
+        ends = np.cumsum(lengths)
         vals = np.concatenate(vals)
-        local = np.arange(len(vals)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        row, col = np.divmod(local, width)
-        nonzero = (vals != 0).any(axis=1)
-        src = (first_src + col)[nonzero]
-        base = (first_out + row * stride)[nonzero]
+        nonzero = np.flatnonzero((vals != 0).any(axis=1))
+        block = np.searchsorted(ends, nonzero, side="right")
+        first_src, first_out, width, stride = np.array(spans, dtype=np.int64)[block].T
+        row, col = np.divmod(nonzero - (ends - lengths)[block], width)
+        src, base = first_src + col, first_out + row * stride
         return np.concatenate(words), src, base, vals[nonzero], shapes
 
     def _staircase_walk(self, k: int, top: int, batch, promote: bool):
@@ -717,27 +719,26 @@ class _Engine:
             out.append(total)
         return OrbitRows(out, rows.orbits)
 
-    def _terms_mod(self, k: int, src, p: int):
-        rmod = self.r_mod(p)
-        cur = src
-        scal = np.ones(src.size, dtype=np.int64)
-        yield cur, scal
-        for i in range(k - 1, 0, -1):
-            cur, sidx = self._c_arrays(k, i, cur)
-            scal = scal * rmod[sidx] % p
-            yield cur, scal
-
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
+        """``exact_step`` over F_p, on the same batches.  The walk carries one
+        running product per seed entry, reduced mod p at every term, so the k
+        terms sum below k * p < 2^63; ``ModRows`` reduces each row on insert."""
         here = self.orbits(k)
+        rmod = self.r_mod(p)
         out = OrbitRows()
-        for orbit, size, sources, blocks in self._seed_blocks(prev_vecs, k):
-            accs = [np.zeros((len(stacked), size), dtype=np.int64) for _, stacked in blocks]
-            for cur, scal in self._terms_mod(k, sources, p):
-                target = here.pos[cur]
-                for (sl, stacked), acc in zip(blocks, accs):
-                    t = target[sl]
-                    acc[:, t] = (acc[:, t] + stacked * scal[sl]) % p
-            out.add_span(orbit, ModRows(p, size), accs)
+        for batch in self._batches(self._seed_blocks(prev_vecs, k)):
+            words, src, base, vals, shapes = self._entries(batch)
+            sizes = [count * size for count, size in shapes]
+            acc = np.zeros(sum(sizes), dtype=np.int64)
+            cur, term = words[src], vals[:, 0]
+            acc[base + here.pos[cur]] += term
+            for i in range(k - 1, 0, -1):
+                cur, sidx = self._c_arrays(k, i, cur)
+                term = term * rmod[sidx] % p
+                acc[base + here.pos[cur]] += term
+            parts = np.split(acc, np.cumsum(sizes)[:-1])
+            for (orbit, *_), part, (count, size) in zip(batch, parts, shapes):
+                out.add_span(orbit, ModRows(p, size), [part.reshape(count, size)])
         return out, len(out)
 
 

@@ -198,6 +198,40 @@ def test_relations_malformed_solution_file_is_input_error(tmp_path):
     assert "not a solution file" in err
 
 
+def _coefficient_file(tmp_path, coefficient):
+    """z2-shift's coefficient file with its first entry replaced."""
+    from ybnichols.catalog import build_entry
+
+    data = build_entry("z2-shift").system.to_json()
+    data["R"][0][0]["coeffs"] = [coefficient]
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_dims_zero_denominator_coefficient_is_input_error(tmp_path):
+    path = _coefficient_file(tmp_path, "1/0")
+    code, _, err = run_cli(["dims", path])
+    assert code == 2
+    assert path in err
+
+
+def test_dims_infinite_coefficient_is_input_error(tmp_path):
+    # JSON reads the number 1e400 as a float infinity
+    path = _coefficient_file(tmp_path, 1e400)
+    code, _, err = run_cli(["dims", path])
+    assert code == 2
+    assert path in err
+
+
+def test_dims_infinite_solution_entry_is_input_error(tmp_path):
+    path = tmp_path / "solution.json"
+    path.write_text('{"size": 2, "r": [[[1e400, 1], [0, 1]], [[1, 0], [0, 0]]]}')
+    code, _, err = run_cli(["dims", str(path), "--q", "-1"])
+    assert code == 2
+    assert f"{path}: not a solution file" in err
+
+
 def test_dims_zero_q_is_input_error():
     code, _, err = run_cli(["dims", "z2-shift", "--q", "0"])
     assert code == 2

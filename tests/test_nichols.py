@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 from ybnichols.catalog import build_entry, catalog_names, parse_scalar
 from ybnichols.exact import CycloElement, cyclotomic_root, euler_phi, primes_for_order
 from ybnichols.catalog import ConstraintViolation
-from ybnichols.linalg import ExactIntRows, _max_abs, apply, mul_rows_elementwise, rank
+from ybnichols.linalg import ExactIntRows, ModRows, _max_abs, apply, mul_rows_elementwise, rank
 from ybnichols.nichols import (
     _Engine,
     OrbitRows,
@@ -698,3 +700,94 @@ def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
             mixed += {row.dtype == object for row in rows} == {True, False}
     assert mixed >= 4, mixed
     assert refused and max(refused) > 1
+
+
+def _per_orbit_mod_step(engine, prev_vecs, k, p):
+    """mod_step evaluated one orbit and one seed block at a time: one running
+    product per source word, and every term reduces the whole accumulator."""
+    here = engine.orbits(k)
+    rmod = engine.r_mod(p)
+    out = OrbitRows()
+    for orbit, size, sources, blocks in engine._seed_blocks(prev_vecs, k):
+        accs = [np.zeros((len(stacked), size), dtype=np.int64) for _, stacked in blocks]
+        cur, scal = sources, np.ones(sources.size, dtype=np.int64)
+        for i in range(k, 0, -1):
+            if i < k:
+                cur, sidx = engine._c_arrays(k, i, cur)
+                scal = scal * rmod[sidx] % p
+            target = here.pos[cur]
+            for (sl, stacked), acc in zip(blocks, accs):
+                t = target[sl]
+                acc[:, t] = (acc[:, t] + stacked * scal[sl]) % p
+        out.add_span(orbit, ModRows(p, size), accs)
+    return out, len(out)
+
+
+def test_batched_mod_step_matches_per_orbit_reference():
+    # the entry walk against one pass per orbit and per block at both primes
+    # of the order: orbits, row values and dtypes
+    steps = 0
+    for name in catalog_names():
+        for q in (None, "zeta3", "-1", "2"):
+            try:
+                entry = build_entry(name, None if q is None else {"q": q})
+            except (ConstraintViolation, HexagonViolation):
+                continue
+            engine = _Engine(entry.system)
+            for p in primes_for_order(entry.system.order, count=2):
+                rows = engine.specialize_rows(engine.identity_rows(), p)
+                k = 1
+                while engine.m ** (k + 1) <= 2 ** 14 and len(rows):
+                    k += 1
+                    expected, _ = _per_orbit_mod_step(engine, rows, k, p)
+                    rows, dim = engine.mod_step(rows, k, p)
+                    _assert_same_rows(rows, expected)
+                    assert dim == len(expected)
+                    steps += 1
+    assert steps >= 350, steps
+
+
+# sha256 prefix of graded_dims(...).to_json() per catalog entry at its
+# default point, taken before modular steps ran on the batched walk
+GRADED_DIGESTS = {
+    "z2-shift": ("6dbe6e14b01b32bc", "6c4273eebbe92692", "6c4273eebbe92692"),
+    "z3-shift": ("fa1254b93834d668", "5627f1fb30dfffff", "d2573b38785891b5"),
+    "z4-shift1": ("29569dee318376fc", "95365a9bcca4196e", "21279b7191fd63d6"),
+    "z4-shift2": ("474617a6bb9ae30a", "f90deb2125c297f9", "c97c5736981b031d"),
+    "x4-sigma": ("29569dee318376fc", "95365a9bcca4196e", "21279b7191fd63d6"),
+    **{
+        f"w{i}": ("888222bcb6a7b3af", "f8b4079bfe5b8f72", "86fb12ddebba6826")
+        for i in range(1, 9)
+    },
+}
+
+
+def test_graded_dims_json_unchanged():
+    # forced modular, and auto with exact caps 64 and 9 (modular steps,
+    # agreement and escalation all show in the provenance)
+    assert set(GRADED_DIGESTS) == set(catalog_names())
+    for name, digests in GRADED_DIGESTS.items():
+        cs = build_entry(name).system
+        runs = (
+            graded_dims(cs, mode="modular"),
+            graded_dims(cs, exact_cap=64),
+            graded_dims(cs, exact_cap=9),
+        )
+        got = tuple(
+            hashlib.sha256(json.dumps(g.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+            for g in runs
+        )
+        assert got == digests, name
+
+
+def test_coefficients_beyond_int64():
+    # q = 2^65 does not fit int64: the coefficient table starts object, and
+    # every mode still gives the growth profile k + 1
+    entry = build_entry("z2-shift", {"q": str(2 ** 65)})
+    engine = _Engine(entry.system)
+    assert engine.r_int.dtype == object and engine.r_int_max == 2 ** 65
+    for mode in ("exact", "auto", "modular"):
+        g = graded_dims(entry.system, cap=6, mode=mode, exact_cap=8)
+        assert g.dims == tuple(range(1, 8)), mode
+        assert (mode != "exact") == any(r.mode == "modular" for r in g.provenance)
+    assert all(check_relation(entry.system, terms) for _, terms in entry.relations)
