@@ -359,12 +359,6 @@ def cmd_catalog(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker cap for data-parallel verification")
-    parser.add_argument("--mod-primes", type=_parse_primes, default=None,
-                        help="comma-separated primes for modular arithmetic")
-    parser.add_argument("--exact-cap", type=_positive_int, default=4096,
-                        help="largest tensor dimension handled exactly by default")
 
 
 def _positive_int(text: str) -> int:
@@ -397,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a solution table and report its invariants")
     p.add_argument("target", help="catalog name or solution JSON file")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted for compatibility; the check runs in one vectorized pass")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -422,6 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mod", action="store_true", help="force modular arithmetic")
     p.add_argument("--expect", action="store_true",
                    help="compare against the catalog expectation (exit 1 on mismatch)")
+    p.add_argument("--mod-primes", type=_parse_primes, default=None,
+                   help="comma-separated primes for modular arithmetic")
+    p.add_argument("--exact-cap", type=_positive_int, default=4096,
+                   help="largest tensor dimension handled exactly by default")
     _add_common(p)
     p.set_defaults(func=cmd_dims)
 

@@ -607,6 +607,8 @@ def orbit_census(
         raise ValueError("degree must be positive")
     _check_involutive(s)
     m = s.size
+    if m >= 2 and n >= cap.bit_length():  # then m^n >= 2^n > cap: skip the power
+        raise TooLarge(f"{m}^{n} exceeds cap {cap}")
     total = m ** n
     if total > cap:
         raise TooLarge(f"{m}^{n} = {total} exceeds cap {cap}")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 
 class NotInvolutive(ValueError):
     """Operation requires an involutive solution."""
@@ -155,59 +157,42 @@ class VerificationReport:
         return self.is_ybe and self.is_nondegenerate
 
 
-def _r_mid(s: SetSolution, t):
-    a, b, c = t
-    b2, c2 = s.r(b, c)
-    return (a, b2, c2)
-
-
-def _r_left(s: SetSolution, t):
-    a, b, c = t
-    a2, b2 = s.r(a, b)
-    return (a2, b2, c)
-
-
-def _ybe_failures_for_row(s: SetSolution, i: int) -> list:
-    m = s.size
-    out = []
-    for j in range(m):
-        for k in range(m):
-            t = (i, j, k)
-            lhs = _r_left(s, _r_mid(s, _r_left(s, t)))
-            rhs = _r_mid(s, _r_left(s, _r_mid(s, t)))
-            if lhs != rhs:
-                out.append((t, lhs, rhs))
-    return out
-
-
 def verify_solution(s: SetSolution, threads: int = 1) -> VerificationReport:
     """Check the braid identity on all triples, non-degeneracy, involutivity.
 
-    The triple check may shard across ``threads`` workers; every operation
-    is pure, so the merged report is identical either way.
+    One vectorized pass over the table; witnesses come in lexicographic
+    order as tuples of Python ints.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     m = s.size
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(lambda i: _ybe_failures_for_row(s, i), range(m)))
-        ybe_failures = [f for shard in shards for f in shard]
-    else:
-        ybe_failures = [f for i in range(m) for f in _ybe_failures_for_row(s, i)]
-    nondeg_failures = []
-    full = set(range(m))
-    for i in range(m):
-        if set(s.sigma_map(i)) != full:
-            nondeg_failures.append(("sigma", i))
-        if set(s.tau_map(i)) != full:
-            nondeg_failures.append(("tau", i))
-    invol_failures = []
-    for i in range(m):
-        for j in range(m):
-            a, b = s.r(i, j)
-            if s.r(a, b) != (i, j):
-                invol_failures.append((i, j))
+    table = np.array(s.table, dtype=np.min_scalar_type(m - 1))
+    sig, tau = table[..., 0], table[..., 1]
+    x = np.arange(m)
+    a, b, c = x[:, None, None], x[:, None], x  # broadcast to the m^3 triples
+    # lhs = r12 r23 r12 (a, b, c), rhs = r23 r12 r23 (a, b, c)
+    a1, b1 = sig[a, b], tau[a, b]
+    b2, c2 = sig[b1, c], tau[b1, c]
+    lhs = (sig[a1, b2], tau[a1, b2], c2)
+    b1, c1 = sig[b, c], tau[b, c]
+    a2, b2 = sig[a, b1], tau[a, b1]
+    rhs = (a2, sig[b2, c1], tau[b2, c1])
+    bad = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1]) | (lhs[2] != rhs[2])
+    sides = [side[bad].tolist() for side in lhs + rhs]
+    ybe_failures = [
+        (tuple(t), tuple(w[:3]), tuple(w[3:]))
+        for t, *w in zip(np.argwhere(bad).tolist(), *sides)
+    ]
+    # sigma_i is row i of sig, tau_j is column j of tau
+    sig_bad = (np.sort(sig, axis=1) != x).any(axis=1)
+    tau_bad = (np.sort(tau, axis=0) != x[:, None]).any(axis=0)
+    nondeg_failures = [
+        (name, i)
+        for i in range(m)
+        for name, failed in (("sigma", sig_bad), ("tau", tau_bad))
+        if failed[i]
+    ]
+    back = (sig[sig, tau] != x[:, None]) | (tau[sig, tau] != x)
+    invol_failures = list(map(tuple, np.argwhere(back).tolist()))
     return VerificationReport(
         is_ybe=not ybe_failures,
         is_nondegenerate=not nondeg_failures,

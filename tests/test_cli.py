@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import ybnichols
 from ybnichols.cli import main
 
 
@@ -37,6 +42,13 @@ def test_verify_corrupted_solution_file(tmp_path):
     code, out, _ = run_cli(["verify", str(path)])
     assert code == 1
     assert "FAIL" in out
+    code, out, _ = run_cli(["verify", str(path), "--json"])
+    assert code == 1
+    failures = json.loads(out)["ybe_failures"]
+    assert 0 < len(failures) <= 10
+    triples = [f["triple"] for f in failures]
+    assert triples == sorted(triples) and triples[0] == [0, 0, 0]
+    assert all(f["lhs"] != f["rhs"] for f in failures)
 
 
 def test_malformed_json_is_an_input_error(tmp_path):
@@ -60,6 +72,19 @@ def test_orbits_census_and_usage_error():
     assert sum(row["count"] for row in payload["orbits"]) == 15
     code, _, err = run_cli(["orbits", "z3-shift", "-n", "0"])
     assert code == 2
+
+
+def test_orbits_huge_degree_exits_at_once():
+    # m^n must not be formed before the cap check: at this n it has 10^11 bits
+    src = str(Path(ybnichols.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ybnichols.cli", "orbits", "z2-shift", "-n", "99999999999"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "2^99999999999 exceeds cap 10000000" in proc.stderr
 
 
 def test_orbits_needs_involutive():
@@ -267,3 +292,18 @@ def test_nonpositive_counts_are_usage_errors(argv, flag):
     code, err = run_cli_usage_error(argv)
     assert code == 2
     assert f"argument {flag}" in err and "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "z3-shift", "--mod-primes", "4"],
+        ["relations", "w1", "--mod-primes", "4"],
+        ["phi", "z3-shift", "--exact-cap", "8"],
+        ["orbits", "z3-shift", "-n", "3", "--threads", "2"],
+    ],
+)
+def test_options_of_other_subcommands_are_usage_errors(argv):
+    code, err = run_cli_usage_error(argv)
+    assert code == 2
+    assert "unrecognized arguments" in err

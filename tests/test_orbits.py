@@ -223,8 +223,14 @@ def test_census_small_cases():
 
 
 def test_census_caps():
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match=r"^4\^8 = 65536 exceeds cap 1000$"):
         orbit_census(8, SetSolution.flip(4), cap=1000)
+    # from n = cap.bit_length() on, m^n > cap for every m >= 2 without forming it
+    with pytest.raises(TooLarge, match=r"^2\^10 exceeds cap 1000$"):
+        orbit_census(10, SetSolution.flip(2), cap=1000)
+    with pytest.raises(TooLarge, match=r"^2\^1000000000000 exceeds cap 1000$"):
+        orbit_census(10 ** 12, SetSolution.flip(2), cap=1000)
+    assert orbit_census(9, SetSolution.flip(2), cap=2 ** 9).orbit_count == 10
     with pytest.raises(ValueError):
         orbit_census(0, Z3)
 

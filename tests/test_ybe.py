@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from ybnichols import catalog as cat
 from ybnichols.ybe import (
     NotInvolutive,
     SetSolution,
     TooLarge,
+    VerificationReport,
     decompose,
     derived_group_transitive,
     diagonal,
@@ -154,3 +158,95 @@ def test_json_round_trip_and_errors():
 def test_verify_threads_agree():
     s = SetSolution.cyclic_shift(4, 1)
     assert verify_solution(s, threads=3) == verify_solution(s)
+
+
+# -- the per-triple loop verify_solution replaced, kept as its reference
+
+
+def _r_mid(s, t):
+    a, b, c = t
+    b2, c2 = s.r(b, c)
+    return (a, b2, c2)
+
+
+def _r_left(s, t):
+    a, b, c = t
+    a2, b2 = s.r(a, b)
+    return (a2, b2, c)
+
+
+def _reference_report(s):
+    m = s.size
+    ybe_failures = []
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                t = (i, j, k)
+                lhs = _r_left(s, _r_mid(s, _r_left(s, t)))
+                rhs = _r_mid(s, _r_left(s, _r_mid(s, t)))
+                if lhs != rhs:
+                    ybe_failures.append((t, lhs, rhs))
+    nondeg_failures = []
+    full = set(range(m))
+    for i in range(m):
+        if set(s.sigma_map(i)) != full:
+            nondeg_failures.append(("sigma", i))
+        if set(s.tau_map(i)) != full:
+            nondeg_failures.append(("tau", i))
+    invol_failures = []
+    for i in range(m):
+        for j in range(m):
+            a, b = s.r(i, j)
+            if s.r(a, b) != (i, j):
+                invol_failures.append((i, j))
+    return VerificationReport(
+        is_ybe=not ybe_failures,
+        is_nondegenerate=not nondeg_failures,
+        is_involutive=not invol_failures,
+        ybe_failures=tuple(ybe_failures),
+        nondegeneracy_failures=tuple(nondeg_failures),
+        involutivity_failures=tuple(invol_failures),
+    )
+
+
+def _witness_entries(report):
+    """Every number in the report's witnesses."""
+    stack = [report.ybe_failures, report.nondegeneracy_failures, report.involutivity_failures]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif not isinstance(item, str):
+            yield item
+
+
+def _differential_corpus():
+    for name in cat.catalog_names():
+        yield cat.build_entry(name).solution
+    rng = random.Random(8)
+    for m in range(1, 9):
+        yield SetSolution.flip(m)
+        yield SetSolution.cyclic_shift(m)
+        for _ in range(3):
+            yield SetSolution.permutation(rng.sample(range(m), m))
+    for _ in range(240):
+        m = rng.randint(1, 6)
+        yield SetSolution(
+            [[(rng.randrange(m), rng.randrange(m)) for _ in range(m)] for _ in range(m)]
+        )
+    for _ in range(60):  # one entry of a solution changed: few, scattered witnesses
+        m = rng.randint(2, 6)
+        table = [list(row) for row in SetSolution.cyclic_shift(m, rng.randrange(m)).table]
+        table[rng.randrange(m)][rng.randrange(m)] = (rng.randrange(m), rng.randrange(m))
+        yield SetSolution(table)
+
+
+def test_verify_matches_per_triple_reference():
+    seen = failing_all = 0
+    for s in _differential_corpus():
+        report = verify_solution(s)
+        assert report == _reference_report(s), s.table
+        assert all(type(x) is int for x in _witness_entries(report))
+        seen += 1
+        failing_all += not (report.is_ybe or report.is_nondegenerate or report.is_involutive)
+    assert seen >= 300 and failing_all >= 150
