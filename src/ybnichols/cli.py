@@ -21,9 +21,7 @@ from .nichols import (
     HypothesesNotMet,
     canonical_coefficients,
     graded_dims,
-    orbit_count_oracle,
     relation_image,
-    theorem_hypotheses,
 )
 from .orbits import orbit_census
 from .ybe import (
@@ -239,22 +237,13 @@ def cmd_dims(args) -> int:
         mode = "exact"
     elif args.mod:
         mode = "modular"
-    primes = args.mod_primes
-    oracle = None
-    try:
-        hyp = theorem_hypotheses(system)
-        if hyp.finite_type:
-            oracle = lambda k: orbit_count_oracle(system, k)
-    except NotInvolutive:
-        pass
     try:
         graded = graded_dims(
             system,
             cap=args.cap,
             mode=mode,
             exact_cap=args.exact_cap,
-            primes=primes,
-            oracle=oracle,
+            primes=args.mod_primes,
         )
     except (CapExceeded, BadPrime) as exc:
         raise InputError(str(exc)) from exc

@@ -182,12 +182,6 @@ class CycloElement:
             power = power * z
         return result
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a Fraction when it lies in Q, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     # -- arithmetic
 
     def _lift(self, other):
@@ -322,10 +316,6 @@ class CycloElement:
             if self ** k == one:
                 return k
         return None
-
-    def is_primitive_root(self, n: int) -> bool:
-        """True iff self is a primitive n-th root of unity."""
-        return self.multiplicative_order() == n
 
     # -- serialization
 

@@ -59,9 +59,6 @@ class MonomialOperator:
     def identity(cls, dimension: int, one) -> "MonomialOperator":
         return cls(range(dimension), (one,) * dimension)
 
-    def is_bijective(self) -> bool:
-        return len(set(self.target)) == self.dimension
-
     def compose(self, inner: "MonomialOperator") -> "MonomialOperator":
         """self after inner (apply ``inner`` first)."""
         if inner.dimension != self.dimension:
@@ -146,19 +143,6 @@ class RowSpace:
         self.pivots.insert(pos, j)
         return False
 
-    def contains(self, v) -> bool:
-        if len(v) != self.dimension:
-            raise DimensionMismatch
-        w = list(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = w[piv]
-            if c:
-                w = [a - c * b for a, b in zip(w, row)]
-        return not any(w)
-
-    def basis(self) -> list[list]:
-        return [list(row) for row in self.rows]
-
 
 def rowspace_insert(rs: RowSpace, v):
     """Functional-style wrapper: returns (rs, absorbed).  Mutates rs."""
@@ -226,6 +210,15 @@ class CycloCtx:
             raise ValueError("order mismatch")
         den = reduce(math.lcm, (c.denominator for c in x.coeffs), 1)
         return [int(c * den) for c in x.coeffs], den
+
+    def to_int_array(self, elements):
+        """(numerators, denominator) with element t = numerators[t] / den over
+        one common denominator: an (n, phi) array, int64 when every entry is
+        below ``_INT64_GUARD`` in absolute value, else object."""
+        vecs = [self.to_int_vec(x) for x in elements]
+        den = reduce(math.lcm, (d for _, d in vecs), 1)
+        nums = np.array([[c * (den // d) for c in vec] for vec, d in vecs], dtype=object)
+        return (nums.astype(np.int64) if _max_abs(nums) < _INT64_GUARD else nums), den
 
     def to_element(self, vec, den: int = 1) -> CycloElement:
         return CycloElement(self.order, [Fraction(int(v), den) for v in vec])

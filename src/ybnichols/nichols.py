@@ -3,7 +3,7 @@
 A coefficient system attaches a nonzero scalar R[i][j] to every pair, giving
 the braiding c(w_i (x) w_j) = R[i][j] w_{sigma_i(j)} (x) w_{tau_j(i)}.  The
 hexagon identity on all triples is exactly the braid equation for c, and is
-validated up front.
+validated up front on the braid walk of ``verify_solution``, in integers.
 
 Graded dimensions come from the quantum symmetrizer recursion: the degree-k
 image is the span of S_{k-1,1}(u (x) w_j) over a basis u of the previous
@@ -31,7 +31,8 @@ caller asks for the image itself.
 
 Degrees run exactly while the tensor space is small, then two-prime modular
 with exact escalation on disagreement, on a vanishing rank (a finiteness
-claim is only ever made with exact backing), or on an oracle mismatch.
+claim is only ever made with exact backing), or, when the finite-type
+hypotheses hold, on a mismatch with the dimension they predict.
 Escalation continues the exact chain from the last exact degree.
 
 Relation checks run on the same engine.  The full degree-k symmetrizer is
@@ -73,7 +74,14 @@ from .linalg import (
     mul_rows_elementwise,
 )
 from .orbits import BraidOrbits, partitions, psi, word_index
-from .ybe import SetSolution, diagonal, full_decomposition, verify_solution
+from .ybe import (
+    NotInvolutive,
+    SetSolution,
+    braid_walk,
+    diagonal,
+    full_decomposition,
+    verify_solution,
+)
 
 
 class HexagonViolation(ValueError):
@@ -157,20 +165,28 @@ def _common_order(entries) -> int:
 
 
 def hexagon_failures(s: SetSolution, R) -> list:
-    """All triples (i, j, k) where the two braid-equation products differ."""
-    m = s.size
-    failures = []
-    for i in range(m):
-        for j in range(m):
-            tji = s.tau(j, i)
-            sij = s.sigma(i, j)
-            for k in range(m):
-                lhs = R[i][j] * R[tji][k] * R[sij][s.sigma(tji, k)]
-                sjk = s.sigma(j, k)
-                rhs = R[j][k] * R[i][sjk] * R[s.tau(sjk, i)][s.tau(k, j)]
-                if lhs != rhs:
-                    failures.append(((i, j, k), lhs, rhs))
-    return failures
+    """All triples (i, j, k) where the two braid-equation products differ, as
+    ((i, j, k), lhs, rhs) in lexicographic order.
+
+    Each side multiplies R at the three pairs its half of the braid walk
+    (``ybe.braid_walk``) applies r to, in integers over one common
+    denominator; both sides carry its cube, so the numerators compare.
+    """
+    flat = [e for row in R for e in row]
+    ctx = CycloCtx(flat[0].order)
+    nums, den = ctx.to_int_array(flat)
+    if _max_abs(nums) ** 3 * ctx.mul_bound ** 2 >= _INT64_GUARD:
+        nums = _as_object(nums)
+
+    def at(pair):  # the entries R[left][right] at index arrays (left, right)
+        return nums[pair[0].astype(np.int64) * s.size + pair[1]]
+
+    lhs, rhs = (
+        mul_rows_elementwise(mul_rows_elementwise(at(p), at(q), ctx), at(t), ctx)
+        for (p, q, t), _ in braid_walk(s)
+    )
+    bad = map(tuple, np.argwhere((lhs != rhs).any(axis=-1)).tolist())
+    return [(t, ctx.to_element(lhs[t], den ** 3), ctx.to_element(rhs[t], den ** 3)) for t in bad]
 
 
 def validate_coefficients(s: SetSolution, R) -> CoefficientSystem:
@@ -412,14 +428,7 @@ def _relation_rows(cs: CoefficientSystem, element):
     for c, (_, word) in zip(coeffs, terms):
         idx = word_index(word, engine.m)
         summed[idx] = summed.get(idx, 0) + c.to_order(order)
-    elem_den = reduce(
-        math.lcm, (x.denominator for c in summed.values() for x in c.coeffs), 1
-    )
-    nums = np.array(
-        [[int(x * elem_den) for x in c.coeffs] for c in summed.values()], dtype=object
-    )
-    if _max_abs(nums) < _INT64_GUARD:
-        nums = nums.astype(np.int64)
+    nums, elem_den = engine.ctx.to_int_array(summed.values())
     den, blocks = engine.symmetrize(k, np.array(list(summed), dtype=np.int64), nums)
     return engine, k, den * elem_den, blocks
 
@@ -465,14 +474,9 @@ class _Engine:
         self.braid = BraidOrbits(cs.solution)
         self.orbits = self.braid.orbits  # orbits(k): the B_k-orbits on degree-k words
         flat = [cs.entry(i, j) for i in range(m) for j in range(m)]
-        vecs = [self.ctx.to_int_vec(e) for e in flat]
-        self.r_den = reduce(math.lcm, (den for _, den in vecs), 1)
-        rint = np.array(
-            [[c * (self.r_den // den) for c in vec] for vec, den in vecs], dtype=object
-        )
-        self.r_int_max = max(1, _max_abs(rint))
         # object only when an entry leaves int64; _terms_exact promotes first
-        self.r_int = rint.astype(np.int64) if self.r_int_max < _INT64_GUARD else rint
+        self.r_int, self.r_den = self.ctx.to_int_array(flat)
+        self.r_int_max = max(1, _max_abs(self.r_int))
         self._r_mod: dict[int, np.ndarray] = {}
         self._flat = flat
 
@@ -790,7 +794,6 @@ def graded_dims(
     mode: str = "auto",
     exact_cap: int = 4096,
     primes=None,
-    oracle=None,
     dimension_limit: int = 2 ** 22,
 ) -> GradedDims:
     """Per-degree dimensions until the first zero (all later degrees vanish
@@ -798,10 +801,10 @@ def graded_dims(
 
     ``mode``: "auto" runs degrees with m^k <= exact_cap exactly, larger ones
     at two primes with escalation back to exact on disagreement, vanishing
-    rank, or oracle mismatch; "exact" and "modular" force one path.
-    ``oracle`` is an optional degree -> predicted-dimension callable used as
-    an escalation tripwire in auto mode.  Given ``primes`` are checked up
-    front (BadPrime unless each is a prime below 2^31 and 1 mod the order).
+    rank, or a mismatch with ``predicted_dimension`` when the finite-type
+    hypotheses hold; "exact" and "modular" force one path.  Given ``primes``
+    are checked up front (BadPrime unless each is a prime below 2^31 and
+    1 mod the order).
     """
     if mode not in ("auto", "exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -814,6 +817,7 @@ def graded_dims(
     exact_rows = engine.identity_rows()  # exact basis of degree exact_degree
     exact_degree = 1
     mod_rows: dict[int, list] | None = None
+    root_order = None  # of q when the finite-type hypotheses hold
     escalated_permanently = False
     terminated = "cap"
 
@@ -842,13 +846,18 @@ def graded_dims(
             primes = tuple(primes_for_order(cs.order, count=2))
         if mod_rows is None:
             mod_rows = {p: engine.specialize_rows(exact_rows, p) for p in primes}
+            try:
+                hyp = theorem_hypotheses(cs)
+                root_order = hyp.root_order if hyp.finite_type else None
+            except NotInvolutive:
+                pass
         step_results = {p: engine.mod_step(mod_rows[p], k, p) for p in primes}
         mod_dims = tuple(step_results[p][1] for p in primes)
         agreed = len(set(mod_dims)) == 1
         suspicious = (
             not agreed
             or mod_dims[0] == 0
-            or (oracle is not None and mod_dims[0] != oracle(k))
+            or (root_order is not None and mod_dims[0] != predicted_dimension(m, root_order, k))
         )
         if mode == "modular" or not suspicious:
             dim = mod_dims[0]
@@ -1076,14 +1085,10 @@ def theorem_suite(
         raise HypothesesNotMet("pairing R[i][j] R[r(i,j)] = 1 fails off fixed pairs")
     if hyp.q_constant and hyp.root_order is not None:
         n = hyp.root_order
-        oracle = lambda k: predicted_dimension(m, n, k)
-        graded = graded_dims(
-            cs, cap=cap, mode=dims_mode, exact_cap=exact_cap, primes=primes,
-            oracle=oracle,
-        )
+        graded = graded_dims(cs, cap=cap, mode=dims_mode, exact_cap=exact_cap, primes=primes)
         checks["total_is_n_to_m"] = graded.total == n ** m
         checks["oracle_matches"] = all(
-            graded.dims[k] == oracle(k) for k in range(len(graded.dims))
+            graded.dims[k] == predicted_dimension(m, n, k) for k in range(len(graded.dims))
         )
         checks["relations_vanish"] = all(
             check_relation(cs, terms) for _, terms in theorem_relations(cs)

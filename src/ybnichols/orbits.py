@@ -505,7 +505,7 @@ class BraidOrbits:
             [(s.sigma(p, q) - p) * m + s.tau(q, p) - q for p in range(m) for q in range(m)],
             dtype=np.int64,
         )
-        self._orbits: dict[int, _Orbits] = {}
+        self._orbits: list[_Orbits] = []  # degrees 0, 1, ..., built in order
 
     def orbits(self, k: int) -> _Orbits:
         """The B_k-orbits on degree-k words, built from those of degree k-1.
@@ -518,15 +518,16 @@ class BraidOrbits:
         ``links`` of degree k-1, so the edges come from (Q, x, y), not words.
         Node (Q, y) holds the words of Q followed by y, so, by induction on
         k, the smallest node of an orbit holds its least word and orbit ids
-        ascend with the least word.
+        ascend with the least word.  Missing degrees are built bottom-up.
         """
-        if k not in self._orbits:
-            m = self.m
-            if k <= 1:
-                label = links = np.arange(m ** k, dtype=np.int64)
+        m = self.m
+        while len(self._orbits) <= k:
+            d = len(self._orbits)
+            if d <= 1:
+                label = links = np.arange(m ** d, dtype=np.int64)
             else:
-                below = self.orbits(k - 1)
-                triples = self.orbits(k - 2).count * m * m
+                below = self._orbits[d - 1]
+                triples = self._orbits[d - 2].count * m * m
                 Q, pair = np.divmod(np.arange(triples, dtype=np.int64), m * m)
                 x, y = np.divmod(pair, m)
                 sx, ty = np.divmod(pair + self.pair_shift[pair], m)  # sigma_x(y), tau_y(x)
@@ -541,7 +542,7 @@ class BraidOrbits:
             pos = np.empty_like(order)
             pos[order] = np.arange(order.size)
             pos -= starts[label]
-            self._orbits[k] = _Orbits(label, order, starts, pos, links)
+            self._orbits.append(_Orbits(label, order, starts, pos, links))
         return self._orbits[k]
 
 
@@ -612,6 +613,8 @@ def orbit_census(
     total = m ** n
     if total > cap:
         raise TooLarge(f"{m}^{n} = {total} exceeds cap {cap}")
+    if n > cap:  # reachable only for m = 1, where every degree has one word
+        raise TooLarge(f"degree {n} exceeds cap {cap}")
     here = BraidOrbits(s).orbits(n)
     least = here.order[here.starts[:-1]]  # ascending, as orbit ids follow the least word
     letters = least[:, None] // m ** np.arange(n - 1, -1, -1) % m

@@ -157,6 +157,27 @@ class VerificationReport:
         return self.is_ybe and self.is_nondegenerate
 
 
+def braid_walk(s: SetSolution):
+    """Both sides of r12 r23 r12 = r23 r12 r23 on the triples (a, b, c) of X^3.
+
+    Returns (lhs, rhs); each side is (pairs, image): the three pairs
+    (left, right) the side applies r to, in order, and the triple it ends
+    at.  Entries are index arrays that broadcast to shape (m, m, m).
+    """
+    m = s.size
+    table = np.array(s.table, dtype=np.min_scalar_type(m - 1))
+    sig, tau = table[..., 0], table[..., 1]
+    x = np.arange(m)
+    a, b, c = x[:, None, None], x[:, None], x  # broadcast to the m^3 triples
+    a1, b1 = sig[a, b], tau[a, b]
+    b2, c2 = sig[b1, c], tau[b1, c]
+    lhs = ((a, b), (b1, c), (a1, b2)), (sig[a1, b2], tau[a1, b2], c2)
+    b1, c1 = sig[b, c], tau[b, c]
+    a2, b2 = sig[a, b1], tau[a, b1]
+    rhs = ((b, c), (a, b1), (b2, c1)), (a2, sig[b2, c1], tau[b2, c1])
+    return lhs, rhs
+
+
 def verify_solution(s: SetSolution, threads: int = 1) -> VerificationReport:
     """Check the braid identity on all triples, non-degeneracy, involutivity.
 
@@ -165,23 +186,16 @@ def verify_solution(s: SetSolution, threads: int = 1) -> VerificationReport:
     compatibility and has no effect.
     """
     m = s.size
-    table = np.array(s.table, dtype=np.min_scalar_type(m - 1))
-    sig, tau = table[..., 0], table[..., 1]
-    x = np.arange(m)
-    a, b, c = x[:, None, None], x[:, None], x  # broadcast to the m^3 triples
-    # lhs = r12 r23 r12 (a, b, c), rhs = r23 r12 r23 (a, b, c)
-    a1, b1 = sig[a, b], tau[a, b]
-    b2, c2 = sig[b1, c], tau[b1, c]
-    lhs = (sig[a1, b2], tau[a1, b2], c2)
-    b1, c1 = sig[b, c], tau[b, c]
-    a2, b2 = sig[a, b1], tau[a, b1]
-    rhs = (a2, sig[b2, c1], tau[b2, c1])
+    (_, lhs), (_, rhs) = braid_walk(s)
     bad = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1]) | (lhs[2] != rhs[2])
     sides = [side[bad].tolist() for side in lhs + rhs]
     ybe_failures = [
         (tuple(t), tuple(w[:3]), tuple(w[3:]))
         for t, *w in zip(np.argwhere(bad).tolist(), *sides)
     ]
+    table = np.array(s.table, dtype=np.min_scalar_type(m - 1))
+    sig, tau = table[..., 0], table[..., 1]
+    x = np.arange(m)
     # sigma_i is row i of sig, tau_j is column j of tau
     sig_bad = (np.sort(sig, axis=1) != x).any(axis=1)
     tau_bad = (np.sort(tau, axis=0) != x[:, None]).any(axis=0)
@@ -270,11 +284,6 @@ def diagonal(s: SetSolution) -> Diagonal:
         if s.sigma_map(i).index(i) != diag.inverse(i):
             raise AssertionError("diagonal inverse characterization failed")
     return diag
-
-
-def permutation_solution(f) -> SetSolution:
-    """The permutation solution r(i, j) = (f^-1(j), f(i)) for a bijection f."""
-    return SetSolution.permutation(f)
 
 
 def decompose(s: SetSolution, bound: int = 16):

@@ -74,17 +74,37 @@ def test_orbits_census_and_usage_error():
     assert code == 2
 
 
-def test_orbits_huge_degree_exits_at_once():
-    # m^n must not be formed before the cap check: at this n it has 10^11 bits
+def run_cli_process(argv):
+    """The CLI in a fresh interpreter, killed after 30 s."""
     src = str(Path(ybnichols.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ybnichols.cli", "orbits", "z2-shift", "-n", "99999999999"],
+    return subprocess.run(
+        [sys.executable, "-m", "ybnichols.cli", *argv],
         capture_output=True, text=True, env=env, timeout=30,
     )
+
+
+def test_orbits_huge_degree_exits_at_once():
+    # m^n must not be formed before the cap check: at this n it has 10^11 bits
+    proc = run_cli_process(["orbits", "z2-shift", "-n", "99999999999"])
     assert proc.returncode == 2
     assert "2^99999999999 exceeds cap 10000000" in proc.stderr
+
+
+def test_orbits_one_point_solution_at_large_degree(tmp_path):
+    # m = 1 has one word per degree, so only the cap on n bounds the degree;
+    # orbits are built degree by degree without recursion
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"size": 1, "r": [[[0, 0]]]}))
+    proc = run_cli_process(["orbits", str(path), "-n", "99999999999"])
+    assert proc.returncode == 2
+    assert "degree 99999999999 exceeds cap 10000000" in proc.stderr
+    proc = run_cli_process(["orbits", str(path), "-n", "2000", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["n"] == 2000
+    assert payload["orbits"] == [{"lambda": [2000], "count": 1, "size": 1}]
 
 
 def test_orbits_needs_involutive():

@@ -284,3 +284,47 @@ def test_contraction_matches_structure_constant_loop():
         got = mul_rows_elementwise(a, b, ctx)
         assert got.dtype == object
         assert got.tolist() == _loop_product(a.astype(object), b, ctx).tolist(), order
+
+
+def test_to_int_array_matches_to_int_vec():
+    import math
+    from functools import reduce
+
+    rng = random.Random(37)
+    for order in (1, 2, 3, 4, 5, 12):
+        ctx = CycloCtx(order)
+        for _ in range(20):
+            elements = [
+                CycloElement(
+                    order,
+                    [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(ctx.phi)],
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+            nums, den = ctx.to_int_array(elements)
+            vecs = [ctx.to_int_vec(e) for e in elements]
+            assert den == reduce(math.lcm, (d for _, d in vecs), 1)
+            assert nums.dtype == np.int64 and nums.shape == (len(elements), ctx.phi)
+            assert nums.tolist() == [[c * (den // d) for c in vec] for vec, d in vecs]
+            assert [ctx.to_element(row, den) for row in nums] == elements
+
+
+def test_to_int_array_is_int64_exactly_below_the_guard():
+    ctx = CycloCtx(3)
+    guard = 2 ** 62
+    for top, dtype in (
+        (guard - 1, np.int64),
+        (-(guard - 1), np.int64),
+        (guard, object),
+        (-guard, object),
+        (2 ** 80, object),
+    ):
+        nums, den = ctx.to_int_array([CycloElement(3, [1, top]), CycloElement.one(3)])
+        assert nums.dtype == dtype, top
+        assert den == 1 and nums.tolist() == [[1, top], [1, 0]]
+    # the common denominator scales numerators past the guard
+    nums, den = ctx.to_int_array(
+        [CycloElement(3, [2 ** 61, 0]), CycloElement(3, [Fraction(1, 2), 0])]
+    )
+    assert den == 2 and nums.dtype == object
+    assert nums.tolist() == [[2 ** 62, 0], [1, 0]]

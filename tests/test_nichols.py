@@ -791,3 +791,137 @@ def test_coefficients_beyond_int64():
         assert g.dims == tuple(range(1, 8)), mode
         assert (mode != "exact") == any(r.mode == "modular" for r in g.provenance)
     assert all(check_relation(entry.system, terms) for _, terms in entry.relations)
+
+
+# ---------------------------------------------------------------------------
+# hexagon validation against the per-triple CycloElement loop
+
+
+def _hexagon_reference(s, R):
+    """The hexagon identity triple by triple in CycloElement arithmetic, with
+    its own index formulas: the reference for ``hexagon_failures``."""
+    m = s.size
+    failures = []
+    for i in range(m):
+        for j in range(m):
+            tji = s.tau(j, i)
+            sij = s.sigma(i, j)
+            for k in range(m):
+                lhs = R[i][j] * R[tji][k] * R[sij][s.sigma(tji, k)]
+                sjk = s.sigma(j, k)
+                rhs = R[j][k] * R[i][sjk] * R[s.tau(sjk, i)][s.tau(k, j)]
+                if lhs != rhs:
+                    failures.append(((i, j, k), lhs, rhs))
+    return failures
+
+
+def _hexagon_takes_object_path(R) -> bool:
+    from ybnichols.linalg import CycloCtx
+
+    flat = [e for row in R for e in row]
+    ctx = CycloCtx(flat[0].order)
+    nums, _ = ctx.to_int_array(flat)
+    return _max_abs(nums) ** 3 * ctx.mul_bound ** 2 >= 2 ** 62
+
+
+def _random_element(rng, order, height):
+    coeffs = [
+        Fraction(rng.randint(-height, height), rng.choice((1, 1, 2, 3)))
+        for _ in range(euler_phi(order))
+    ]
+    if not any(coeffs):
+        coeffs[0] = Fraction(height)
+    return CycloElement(order, coeffs)
+
+
+def test_hexagon_failures_match_reference_on_catalog_tables():
+    from ybnichols import catalog
+
+    rng = random.Random(29)
+    checked = failing = 0
+    for name in catalog_names():
+        spec = catalog._spec_for(name)
+        for q in (None, "zeta3", "-1", "2"):
+            overrides = {key: q for key in spec.defaults if key.startswith("q")} if q else None
+            params = catalog._coerce_params(spec, overrides)
+            if not all(check(params) for _, check in spec.family_constraints):
+                continue
+            table = spec.table_builder(params)
+            order = reduce(math.lcm, (e.order for row in table for e in row), 1)
+            table = [[e.to_order(order) for e in row] for row in table]
+            s = spec.solution_builder()
+            # the table itself, then single-entry mutations of it
+            tables = [table]
+            for _ in range(3):
+                mutated = [list(row) for row in table]
+                i, j = rng.randrange(s.size), rng.randrange(s.size)
+                factor = parse_scalar(rng.choice(("2", "-1", "1/3"))).to_order(order)
+                mutated[i][j] = mutated[i][j] * factor
+                tables.append(mutated)
+            for R in tables:
+                expected = _hexagon_reference(s, R)
+                assert hexagon_failures(s, R) == expected, (name, q)
+                checked += 1
+                failing += bool(expected)
+    assert checked >= 100 and failing >= 30
+
+
+def test_hexagon_failures_match_reference_on_random_tables():
+    rng = random.Random(31)
+    kinds = {"fail": 0, "pass": 0, "object": 0}
+    for _ in range(240):
+        m = rng.randint(1, 5)
+        kind = rng.choice(("flip", "shift", "permutation"))
+        if kind == "flip":
+            s = SetSolution.flip(m)
+        elif kind == "shift":
+            s = SetSolution.cyclic_shift(m, rng.randrange(m))
+        else:
+            s = SetSolution.permutation(rng.sample(range(m), m))
+        order = rng.choice((1, 2, 3, 4, 5, 8, 12))
+        height = rng.choice((1, 3, 2 ** 21, 2 ** 40))
+        # a constant table passes; changed entries usually break it
+        c = _random_element(rng, order, height)
+        R = [[c] * m for _ in range(m)]
+        for _ in range(rng.choice((0, 1, 2))):
+            R[rng.randrange(m)][rng.randrange(m)] = _random_element(rng, order, height)
+        expected = _hexagon_reference(s, R)
+        assert hexagon_failures(s, R) == expected, (kind, m, order, height)
+        kinds["fail" if expected else "pass"] += 1
+        kinds["object"] += _hexagon_takes_object_path(R)
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_hexagon_failures_match_reference_beyond_int64():
+    # the cube of the largest numerator leaves int64 on these tables, and
+    # the witnesses keep every digit
+    s = SetSolution.cyclic_shift(3)
+    for q in (2 ** 21, 2 ** 31, 2 ** 70):
+        big = CycloElement(3, [q, Fraction(1, 7)])
+        R = [[big] * 3 for _ in range(3)]
+        R[0][1] = CycloElement(3, [1, -q])
+        assert _hexagon_takes_object_path(R)
+        expected = _hexagon_reference(s, R)
+        assert expected and hexagon_failures(s, R) == expected
+        with pytest.raises(HexagonViolation) as info:
+            validate_coefficients(s, R)
+        assert list(info.value.witnesses) == expected
+
+
+def test_graded_dims_predicts_finite_type_dimensions(monkeypatch):
+    # graded_dims derives the finite-type prediction itself: a wrong
+    # prediction escalates the first modular degree, and a non-involutive
+    # base (w1) has none
+    import ybnichols.nichols as nichols
+
+    z3 = build_entry("z3-shift").system
+    plain = graded_dims(z3, cap=5, exact_cap=9)
+    assert [r.mode for r in plain.provenance[3:]] == ["modular"] * 3
+    monkeypatch.setattr(nichols, "predicted_dimension", lambda m, n, k: -1)
+    g = graded_dims(z3, cap=5, exact_cap=9)
+    assert g.dims == plain.dims
+    assert [r.mode for r in g.provenance[3:]] == ["modular+exact", "exact", "exact"]
+    assert g.provenance[3].agreed and g.provenance[3].modular_dims[0] != 0
+    g = graded_dims(build_entry("w1").system, cap=9)
+    assert g.dims[7:] == (8, 4, 1)
+    assert [r.mode for r in g.provenance[7:]] == ["modular"] * 3
