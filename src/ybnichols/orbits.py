@@ -16,8 +16,10 @@ edge per (degree-(k-2) orbit, letter pair), with no pass over the words.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,6 +125,16 @@ def partitions(n: int, max_parts: int, max_part: int | None = None):
 # the action
 
 
+class _View(NamedTuple):
+    """One read of an involutive, non-degenerate solution for the rewriting
+    below: r as the nested table, D and D^-1 as tuples."""
+
+    m: int
+    r: tuple  # r[p][q] == (sigma_p(q), tau_q(p))
+    forward: tuple  # D
+    backward: tuple  # D^-1
+
+
 def _check_involutive(s: SetSolution) -> None:
     report = _cached_report(s)
     if not report.is_nondegenerate:
@@ -138,24 +150,47 @@ def _cached_report(s: SetSolution):
     return verify_solution(s)
 
 
+@lru_cache(maxsize=None)
+def _view(s: SetSolution) -> _View:
+    """The solution's view; raises unless it is non-degenerate and involutive."""
+    _check_involutive(s)
+    D = diagonal(s)
+    return _View(s.size, s.table, D.forward, D.backward)
+
+
+def _letters(w, m: int) -> list:
+    """The letters of w as a list, each checked to be an integer in 0 .. m-1."""
+    letters = []
+    for a in w:
+        try:
+            letter = operator.index(a)
+        except TypeError:
+            raise ValueError(f"letter {a!r} is not an integer in 0..{m - 1} (m = {m})") from None
+        if not 0 <= letter < m:
+            raise ValueError(f"letter {letter} is not in 0..{m - 1} (m = {m})")
+        letters.append(letter)
+    return letters
+
+
 def act(k: int, w: Word, s: SetSolution) -> Word:
     """Apply the k-th adjacent generator (1-based, 1 <= k <= len(w) - 1)."""
-    if not 1 <= k <= len(w) - 1:
-        raise PositionOutOfRange(f"position {k} not in 1..{len(w) - 1}")
-    p, q = w[k - 1], w[k]
-    a, b = s.r(p, q)
-    return w[: k - 1] + (a, b) + w[k + 1 :]
+    return act_sequence((k,), w, s)
 
 
 def act_sequence(moves, w: Word, s: SetSolution) -> Word:
+    """Apply the generators in ``moves`` in order; the letters are checked once."""
+    word = _letters(w, s.size)
     for k in moves:
-        w = act(k, w, s)
-    return w
+        if not 1 <= k <= len(word) - 1:
+            raise PositionOutOfRange(f"position {k} not in 1..{len(word) - 1}")
+        word[k - 1], word[k] = s.table[word[k - 1]][word[k]]
+    return tuple(word)
 
 
 def orbit_words(w: Word, s: SetSolution) -> frozenset:
     """Breadth-first closure of w under all adjacent generators."""
     _check_involutive(s)
+    w = tuple(_letters(w, s.size))
     n = len(w)
     seen = {w}
     frontier = [w]
@@ -163,7 +198,8 @@ def orbit_words(w: Word, s: SetSolution) -> frozenset:
         nxt = []
         for word in frontier:
             for k in range(1, n):
-                image = act(k, word, s)
+                a, b = s.table[word[k - 1]][word[k]]
+                image = word[: k - 1] + (a, b) + word[k + 1 :]
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
@@ -198,12 +234,17 @@ def orbit(w: Word, s: SetSolution) -> OrbitReport:
 
 # ---------------------------------------------------------------------------
 # Psi-words and block factorizations
+#
+# maximal_blocks, is_lambda_element, exchange and classify read the solution
+# into a view and check the letters once per call; the helpers below work on
+# that view and on the word as a list.
 
 
 def psi(k: int, a: int, s: SetSolution) -> Word:
     """The word D^{k-1}(a) D^{k-2}(a) ... D(a) a."""
     if k < 1:
         raise ValueError("k must be positive")
+    (a,) = _letters((a,), s.size)
     D = diagonal(s)
     out = [a]
     cur = a
@@ -213,31 +254,6 @@ def psi(k: int, a: int, s: SetSolution) -> Word:
     return tuple(reversed(out))
 
 
-def psi_neg(k: int, b: int, s: SetSolution) -> Word:
-    """The same block described from its head: b D^{-1}(b) ... D^{-(k-1)}(b)."""
-    D = diagonal(s)
-    out = [b]
-    cur = b
-    for _ in range(k - 1):
-        cur = D.inverse(cur)
-        out.append(cur)
-    return tuple(out)
-
-
-def sigma_of_word(word: Word, y: int, s: SetSolution) -> int:
-    """sigma_{a_1} sigma_{a_2} ... sigma_{a_k} (y) for word = a_1 a_2 ... a_k."""
-    for letter in reversed(word):
-        y = s.sigma(letter, y)
-    return y
-
-
-def tau_of_word(word: Word, x: int, s: SetSolution) -> int:
-    """tau_{a_k} ... tau_{a_2} tau_{a_1} (x) for word = a_1 a_2 ... a_k."""
-    for letter in word:
-        x = s.tau(letter, x)
-    return x
-
-
 def maximal_blocks(w: Word, s: SetSolution) -> list[tuple[int, int]]:
     """Greedy factorization into maximal Psi-blocks, as (length, letter) pairs.
 
@@ -245,55 +261,65 @@ def maximal_blocks(w: Word, s: SetSolution) -> list[tuple[int, int]]:
     condition a_{j-1} != D^{mu_j}(a_j) automatic, and this factorization is
     the unique one with that property; a round-trip assertion guards it.
     """
-    if not w:
-        return []
-    D = diagonal(s)
+    v = _view(s)
+    return _blocks(v, _letters(w, v.m))
+
+
+def _blocks(v: _View, w: list) -> list[tuple[int, int]]:
+    """maximal_blocks on the view.  Rebuilding a block from its letter with
+    D gives back w exactly when D takes each letter inside a block to the
+    letter before it, which is checked as the blocks grow."""
+    forward, back = v.forward, v.backward
+    n = len(w)
     blocks = []
     start = 0
-    for t in range(1, len(w) + 1):
-        if t == len(w) or w[t] != D.inverse(w[t - 1]):
+    for t in range(1, n + 1):
+        if t == n or w[t] != back[w[t - 1]]:
             blocks.append((t - start, w[t - 1]))
             start = t
-    rebuilt = []
-    for length, letter in blocks:
-        rebuilt.extend(psi(length, letter, s))
-    if tuple(rebuilt) != tuple(w):
-        raise AssertionError("maximal block factorization failed to round-trip")
+        elif forward[w[t]] != w[t - 1]:
+            raise AssertionError("maximal block factorization failed to round-trip")
     return blocks
 
 
-def _condition_violation(blocks, w: Word, s: SetSolution):
+def _condition_violation(v: _View, blocks, w: list):
     """First (i, j), 0-based i < j, violating the non-merging condition.
 
     Block j merges toward block i when
-    a_j == D^{-lambda_j}( tau_{blocks i+1 .. j-1}(a_i) ).
-    Returns None when every pair satisfies the condition.
+    a_j == D^{-lambda_j}( tau_{blocks i+1 .. j-1}(a_i) ), that is, when that
+    tau value is D^{lambda_j}(a_j), D of block j's first letter.  For each i
+    the tau value extends by one block as j grows.  Returns None when every
+    pair satisfies the condition.
     """
-    D = diagonal(s)
-    k = len(blocks)
+    r, forward = v.r, v.forward
     offsets = [0]
     for length, _ in blocks:
         offsets.append(offsets[-1] + length)
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            middle = w[offsets[i + 1] : offsets[j]]
-            value = tau_of_word(middle, blocks[i][1], s)
-            value = D.power(value, -blocks[j][0])
-            if blocks[j][1] == value:
+    merges_at = [forward[w[start]] for start in offsets[:-1]]
+    for i in range(len(blocks) - 1):
+        value = blocks[i][1]
+        for j in range(i + 1, len(blocks)):
+            if value == merges_at[j]:
                 return (i, j)
+            for p in range(offsets[j], offsets[j + 1]):
+                value = r[value][w[p]][1]
     return None
 
 
 def is_lambda_element(w: Word, s: SetSolution) -> Partition | None:
     """The partition lambda when w is a lambda-element, else None."""
-    _check_involutive(s)
-    blocks = maximal_blocks(w, s)
+    v = _view(s)
+    return _lambda_type(v, _letters(w, v.m))
+
+
+def _lambda_type(v: _View, w: list) -> Partition | None:
+    blocks = _blocks(v, w)
     lengths = [length for length, _ in blocks]
     if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
         return None
-    if len(blocks) > s.size:
+    if len(blocks) > v.m:
         return None
-    if _condition_violation(blocks, w, s) is not None:
+    if _condition_violation(v, blocks, w) is not None:
         return None
     return Partition(lengths)
 
@@ -312,11 +338,10 @@ def exchange_moves(start: int, k: int, t: int) -> list[int]:
     return moves
 
 
-def _validate_block(w: Word, start: int, length: int, s: SetSolution) -> int:
+def _validate_block(v: _View, w: list, start: int, length: int) -> int:
     """Check w[start:start+length] is a Psi-word; return its letter."""
-    D = diagonal(s)
     for i in range(start + 1, start + length):
-        if w[i] != D.inverse(w[i - 1]):
+        if w[i] != v.backward[w[i - 1]]:
             raise MalformedBlocks(f"span [{start}, {start + length}) is not a Psi-word")
     return w[start + length - 1]
 
@@ -329,32 +354,50 @@ def exchange(w: Word, block_a, block_b, s: SetSolution) -> Word:
     generator applications (so orbit membership holds by construction) and
     is cross-checked against the closed-form exchanged word.
     """
-    _check_involutive(s)
-    word, _ = _exchange_with_moves(w, block_a, block_b, s)
-    return word
-
-
-def _exchange_with_moves(w: Word, block_a, block_b, s: SetSolution):
-    start, k = block_a
-    start_b, t = block_b
+    v = _view(s)
+    word = _letters(w, v.m)
+    (start, k), (start_b, t) = block_a, block_b
     if start_b != start + k:
         raise MalformedBlocks("blocks are not adjacent")
-    if start < 0 or start_b + t > len(w) or k < 1 or t < 1:
+    _exchange(v, word, start, k, t)
+    return tuple(word)
+
+
+def _exchange(v: _View, w: list, start: int, k: int, t: int) -> list[int]:
+    """Exchange the blocks w[start:start+k] and w[start+k:start+k+t] in place
+    by replaying their generator moves, which it returns.
+
+    The replay must give the closed form Psi_t(b) Psi_k(c) of the exchange
+    rule, written from the head of the new left block
+    b = sigma_{block a}(D^{t-1}(y)) and the letter c = tau_{block b}(x) of the
+    new right block, where x and y are the letters of blocks a and b.
+    """
+    mid, end = start + k, start + k + t
+    if start < 0 or end > len(w) or k < 1 or t < 1:
         raise MalformedBlocks("block spans out of range")
-    x = _validate_block(w, start, k, s)
-    y = _validate_block(w, start_b, t, s)
-    D = diagonal(s)
-    a_word = w[start : start + k]
-    b_word = w[start_b : start_b + t]
-    head = sigma_of_word(a_word, D.power(y, t - 1), s)
-    new_left = psi_neg(t, head, s)
-    new_right = psi(k, tau_of_word(b_word, x, s), s)
-    expected = w[:start] + new_left + new_right + w[start_b + t :]
+    x = _validate_block(v, w, start, k)
+    y = _validate_block(v, w, mid, t)
+    r, forward, back = v.r, v.forward, v.backward
+    head = y
+    for _ in range(t - 1):
+        head = forward[head]
+    for p in range(mid - 1, start - 1, -1):
+        head = r[w[p]][head][0]
+    letter = x
+    for p in range(mid, end):
+        letter = r[letter][w[p]][1]
+    expected, right = [head], [letter]
+    for _ in range(t - 1):
+        expected.append(back[expected[-1]])
+    for _ in range(k - 1):
+        right.append(forward[right[-1]])
+    expected += reversed(right)
     moves = exchange_moves(start, k, t)
-    replayed = act_sequence(moves, w, s)
-    if replayed != expected:
+    for p in moves:
+        w[p - 1], w[p] = r[w[p - 1]][w[p]]
+    if w[start:end] != expected:
         raise AssertionError("exchange-rule formula disagrees with generator replay")
-    return expected, moves
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +419,15 @@ def classify(w: Word, s: SetSolution) -> ClassifyResult:
     the non-merging condition and merge that block pair (each merge strictly
     decreases the block count, so the loop terminates).
     """
-    _check_involutive(s)
+    v = _view(s)
     if not w:
         raise ValueError("empty word")
+    current = _letters(w, v.m)
     moves: list[int] = []
-    current = tuple(w)
+    blocks = _blocks(v, current)
     while True:
         # phase 1: sort block lengths, refactoring after every swap
         while True:
-            blocks = maximal_blocks(current, s)
             swap_at = next(
                 (
                     i
@@ -396,39 +439,28 @@ def classify(w: Word, s: SetSolution) -> ClassifyResult:
             if swap_at is None:
                 break
             offset = sum(length for length, _ in blocks[:swap_at])
-            current, mv = _exchange_with_moves(
-                current,
-                (offset, blocks[swap_at][0]),
-                (offset + blocks[swap_at][0], blocks[swap_at + 1][0]),
-                s,
-            )
-            moves.extend(mv)
+            moves += _exchange(v, current, offset, blocks[swap_at][0], blocks[swap_at + 1][0])
+            blocks = _blocks(v, current)
         # phase 2: merge the lexicographically first violating pair
-        violation = _condition_violation(blocks, current, s)
+        violation = _condition_violation(v, blocks, current)
         if violation is None:
             part = Partition([length for length, _ in blocks])
-            checked = is_lambda_element(current, s)
-            if checked != part:
+            if _lambda_type(v, current) != part:
                 raise AssertionError("classifier output failed the lambda-element check")
-            return ClassifyResult(part, current, tuple(moves))
+            return ClassifyResult(part, tuple(current), tuple(moves))
         i, j = violation
         lengths = [length for length, _ in blocks]
         # walk block j leftward until adjacent to block i, no refactoring
         pos = j
         while pos > i + 1:
             offset = sum(lengths[: pos - 1])
-            current, mv = _exchange_with_moves(
-                current,
-                (offset, lengths[pos - 1]),
-                (offset + lengths[pos - 1], lengths[pos]),
-                s,
-            )
-            moves.extend(mv)
+            moves += _exchange(v, current, offset, lengths[pos - 1], lengths[pos])
             lengths[pos - 1], lengths[pos] = lengths[pos], lengths[pos - 1]
             pos -= 1
-        merged = maximal_blocks(current, s)
+        merged = _blocks(v, current)
         if len(merged) >= len(blocks):
             raise AssertionError("expected merge did not reduce the block count")
+        blocks = merged
 
 
 def lambda_classify(w: Word, s: SetSolution) -> tuple[Partition, Word]:
@@ -456,12 +488,20 @@ class _Orbits:
     label: np.ndarray  # word -> orbit id, ascending with the orbit's least word
     order: np.ndarray  # words grouped by orbit, ascending within each orbit
     starts: np.ndarray  # orbit o holds order[starts[o]:starts[o + 1]]
-    pos: np.ndarray  # word -> its index within its orbit's part of order
     links: np.ndarray  # node (orbit below) * m + (last letter) -> orbit id
 
     @property
     def count(self) -> int:
         return len(self.starts) - 1
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """word -> its index within its orbit's part of order; built on first
+        read, as the census never reads it."""
+        pos = np.empty_like(self.order)
+        pos[self.order] = np.arange(self.order.size)
+        pos -= self.starts[self.label]
+        return pos
 
     def words(self, orbit: int) -> np.ndarray:
         return self.order[self.starts[orbit] : self.starts[orbit + 1]]
@@ -539,10 +579,7 @@ class BraidOrbits:
             # a stable sort of keys of at most 16 bits is a radix sort in numpy
             order = np.argsort(label.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
             starts = np.concatenate(([0], np.cumsum(sizes)))
-            pos = np.empty_like(order)
-            pos[order] = np.arange(order.size)
-            pos -= starts[label]
-            self._orbits.append(_Orbits(label, order, starts, pos, links))
+            self._orbits.append(_Orbits(label, order, starts, links))
         return self._orbits[k]
 
 

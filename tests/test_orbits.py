@@ -2,14 +2,20 @@ import hashlib
 import io
 import json
 import math
+import os
+import random
 from contextlib import redirect_stdout
 from itertools import product
 
+import numpy as np
 import pytest
 
+from ybnichols import orbits as orbits_module
 from ybnichols.catalog import build_entry, catalog_names
 from ybnichols.cli import main
 from ybnichols.orbits import (
+    BraidOrbits,
+    ClassifyResult,
     MalformedBlocks,
     Partition,
     PositionOutOfRange,
@@ -17,6 +23,7 @@ from ybnichols.orbits import (
     act_sequence,
     classify,
     exchange,
+    exchange_moves,
     is_lambda_element,
     lambda_classify,
     maximal_blocks,
@@ -31,7 +38,7 @@ from ybnichols.orbits import (
     shuffles,
     stabilizer_check,
 )
-from ybnichols.ybe import SetSolution, TooLarge
+from ybnichols.ybe import SetSolution, TooLarge, diagonal
 
 Z3 = SetSolution.cyclic_shift(3)
 FLIP2 = SetSolution.flip(2)
@@ -158,14 +165,12 @@ def test_classification_is_orbit_constant():
 def test_exchange_single_letter_case():
     # with a single-letter right block the exchanged word is
     # sigma_{block}(y) followed by the block built on tau_y(x)
-    from ybnichols.orbits import sigma_of_word, tau_of_word
-
     word = psi(3, 0, Z3) + (1,)
     out = exchange(word, (0, 3), (3, 1), Z3)
     block = psi(3, 0, Z3)
     y = 1
-    head = sigma_of_word(block, y, Z3)
-    assert out == (head,) + psi(3, tau_of_word((y,), 0, Z3), Z3)
+    head = _ref_sigma_of_word(block, y, Z3)
+    assert out == (head,) + psi(3, _ref_tau_of_word((y,), 0, Z3), Z3)
     assert out in orbit_words(word, Z3)
 
 
@@ -390,3 +395,261 @@ def test_census_identities_all_involutive_entries_small():
                 assert size == part.orbit_size()
             total = sum(count * size for count, size in census.by_partition().values())
             assert total == m ** n
+
+
+def test_letters_outside_the_alphabet_are_rejected():
+    # each public entry checks the letters once: a negative letter used to
+    # index from the end of the table, a too-large one to pass unchecked;
+    # every word below ends in a bad letter
+    for word in ((0, 2, -1), (0, 3), (-1,), (1, 0, 3), (0, 1.0), (0, "1"), (None,)):
+        calls = [
+            lambda: classify(word, Z3),
+            lambda: is_lambda_element(word, Z3),
+            lambda: maximal_blocks(word, Z3),
+            lambda: orbit_words(word, Z3),
+            lambda: exchange(word, (0, 1), (1, 1), Z3),
+            lambda: psi(2, word[-1], Z3),
+        ]
+        if len(word) >= 2:
+            calls.append(lambda: act(1, word, Z3))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"letter .* (not in|not an integer in) 0\.\.2 \(m = 3\)"):
+                call()
+    with pytest.raises(ValueError, match=r"^letter -1 is not in 0\.\.2 \(m = 3\)$"):
+        classify((0, -1, 2), Z3)
+    with pytest.raises(ValueError, match=r"^letter 3 is not in 0\.\.2 \(m = 3\)$"):
+        classify((0, 3), Z3)
+    with pytest.raises(ValueError, match=r"^letter 1\.5 is not an integer in 0\.\.2 \(m = 3\)$"):
+        is_lambda_element((1.5,), Z3)
+    # integer types other than int are letters
+    assert classify(tuple(np.arange(3)), Z3) == classify((0, 1, 2), Z3)
+
+
+# -- the classifier before it read the solution into one view per call, kept
+# -- as the reference: tuple words, every helper reads the solution itself
+
+
+def _ref_act(k, w, s):
+    p, q = w[k - 1], w[k]
+    a, b = s.r(p, q)
+    return w[: k - 1] + (a, b) + w[k + 1 :]
+
+
+def _ref_psi_neg(k, b, s):
+    D = diagonal(s)
+    out = [b]
+    cur = b
+    for _ in range(k - 1):
+        cur = D.inverse(cur)
+        out.append(cur)
+    return tuple(out)
+
+
+def _ref_sigma_of_word(word, y, s):
+    for letter in reversed(word):
+        y = s.sigma(letter, y)
+    return y
+
+
+def _ref_tau_of_word(word, x, s):
+    for letter in word:
+        x = s.tau(letter, x)
+    return x
+
+
+def _ref_maximal_blocks(w, s):
+    if not w:
+        return []
+    D = diagonal(s)
+    blocks = []
+    start = 0
+    for t in range(1, len(w) + 1):
+        if t == len(w) or w[t] != D.inverse(w[t - 1]):
+            blocks.append((t - start, w[t - 1]))
+            start = t
+    rebuilt = []
+    for length, letter in blocks:
+        rebuilt.extend(psi(length, letter, s))
+    if tuple(rebuilt) != tuple(w):
+        raise AssertionError("maximal block factorization failed to round-trip")
+    return blocks
+
+
+def _ref_condition_violation(blocks, w, s):
+    D = diagonal(s)
+    k = len(blocks)
+    offsets = [0]
+    for length, _ in blocks:
+        offsets.append(offsets[-1] + length)
+    for i in range(k - 1):
+        for j in range(i + 1, k):
+            middle = w[offsets[i + 1] : offsets[j]]
+            value = _ref_tau_of_word(middle, blocks[i][1], s)
+            value = D.power(value, -blocks[j][0])
+            if blocks[j][1] == value:
+                return (i, j)
+    return None
+
+
+def _ref_is_lambda_element(w, s):
+    blocks = _ref_maximal_blocks(w, s)
+    lengths = [length for length, _ in blocks]
+    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+        return None
+    if len(blocks) > s.size:
+        return None
+    if _ref_condition_violation(blocks, w, s) is not None:
+        return None
+    return Partition(lengths)
+
+
+def _ref_validate_block(w, start, length, s):
+    D = diagonal(s)
+    for i in range(start + 1, start + length):
+        if w[i] != D.inverse(w[i - 1]):
+            raise MalformedBlocks(f"span [{start}, {start + length}) is not a Psi-word")
+    return w[start + length - 1]
+
+
+def _ref_exchange_with_moves(w, block_a, block_b, s):
+    start, k = block_a
+    start_b, t = block_b
+    if start_b != start + k:
+        raise MalformedBlocks("blocks are not adjacent")
+    if start < 0 or start_b + t > len(w) or k < 1 or t < 1:
+        raise MalformedBlocks("block spans out of range")
+    x = _ref_validate_block(w, start, k, s)
+    y = _ref_validate_block(w, start_b, t, s)
+    D = diagonal(s)
+    a_word = w[start : start + k]
+    b_word = w[start_b : start_b + t]
+    head = _ref_sigma_of_word(a_word, D.power(y, t - 1), s)
+    new_left = _ref_psi_neg(t, head, s)
+    new_right = psi(k, _ref_tau_of_word(b_word, x, s), s)
+    expected = w[:start] + new_left + new_right + w[start_b + t :]
+    moves = exchange_moves(start, k, t)
+    replayed = w
+    for move in moves:
+        replayed = _ref_act(move, replayed, s)
+    if replayed != expected:
+        raise AssertionError("exchange-rule formula disagrees with generator replay")
+    return expected, moves
+
+
+def _ref_classify(w, s):
+    if not w:
+        raise ValueError("empty word")
+    moves = []
+    current = tuple(w)
+    while True:
+        while True:
+            blocks = _ref_maximal_blocks(current, s)
+            swap_at = next(
+                (i for i in range(len(blocks) - 1) if blocks[i][0] < blocks[i + 1][0]),
+                None,
+            )
+            if swap_at is None:
+                break
+            offset = sum(length for length, _ in blocks[:swap_at])
+            current, mv = _ref_exchange_with_moves(
+                current,
+                (offset, blocks[swap_at][0]),
+                (offset + blocks[swap_at][0], blocks[swap_at + 1][0]),
+                s,
+            )
+            moves.extend(mv)
+        violation = _ref_condition_violation(blocks, current, s)
+        if violation is None:
+            part = Partition([length for length, _ in blocks])
+            if _ref_is_lambda_element(current, s) != part:
+                raise AssertionError("classifier output failed the lambda-element check")
+            return ClassifyResult(part, current, tuple(moves))
+        i, j = violation
+        lengths = [length for length, _ in blocks]
+        pos = j
+        while pos > i + 1:
+            offset = sum(lengths[: pos - 1])
+            current, mv = _ref_exchange_with_moves(
+                current,
+                (offset, lengths[pos - 1]),
+                (offset + lengths[pos - 1], lengths[pos]),
+                s,
+            )
+            moves.extend(mv)
+            lengths[pos - 1], lengths[pos] = lengths[pos], lengths[pos - 1]
+            pos -= 1
+        merged = _ref_maximal_blocks(current, s)
+        if len(merged) >= len(blocks):
+            raise AssertionError("expected merge did not reduce the block count")
+
+
+def _classify_corpus(max_m, max_length, seed):
+    """Seeded (word, solution) pairs: per solution and length, three uniform
+    words and three concatenations of random Psi-blocks, whose long blocks
+    drive the exchanges and merges.  Solutions: every involutive catalog
+    entry, the shift and the flip for m = 1 .. max_m, and three seeded
+    permutation solutions for m = 2 .. max_m."""
+    rng = random.Random(seed)
+    solutions = [build_entry(n).solution for n in catalog_names() if build_entry(n).involutive]
+    for m in range(1, max_m + 1):
+        solutions += [SetSolution.cyclic_shift(m), SetSolution.flip(m)]
+        if m >= 2:
+            solutions += [SetSolution.permutation(rng.sample(range(m), m)) for _ in range(3)]
+    for s in solutions:
+        m = s.size
+        for length in range(1, max_length + 1):
+            for _ in range(3):
+                yield tuple(rng.randrange(m) for _ in range(length)), s
+            for _ in range(3):
+                word = ()
+                while len(word) < length:
+                    block = rng.randint(1, length - len(word))
+                    word += psi(block, rng.randrange(m), s)
+                yield word, s
+
+
+def _assert_classify_matches_reference(corpus):
+    count = 0
+    for word, s in corpus:
+        assert classify(word, s) == _ref_classify(word, s), (word, s.table)
+        count += 1
+    return count
+
+
+def test_classify_matches_reference():
+    # partition, witness and moves all equal the reference's
+    assert _assert_classify_matches_reference(_classify_corpus(8, 24, seed=10)) >= 5000
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_classify_matches_reference_extended():
+    assert _assert_classify_matches_reference(_classify_corpus(12, 40, seed=11)) >= 14000
+
+
+def _eager_pos(orbs):
+    pos = np.empty_like(orbs.order)
+    pos[orbs.order] = np.arange(orbs.order.size)
+    pos -= orbs.starts[orbs.label]
+    return pos
+
+
+def test_lazy_pos_equals_eager_formula():
+    for name, n, s in _census_cases():
+        orbs = BraidOrbits(s).orbits(n)
+        assert "pos" not in vars(orbs)
+        pos = orbs.pos
+        eager = _eager_pos(orbs)
+        assert pos.dtype == eager.dtype and np.array_equal(pos, eager), (name, n)
+        for o in range(orbs.count):
+            assert np.array_equal(pos[orbs.words(o)], np.arange(len(orbs.words(o))))
+
+
+def test_census_leaves_pos_unbuilt(monkeypatch):
+    def unread(self):
+        raise AssertionError("orbit_census read pos")
+
+    monkeypatch.setattr(orbits_module._Orbits, "pos", property(unread))
+    for name, n, s in _census_cases():
+        orbit_census(n, s, witnesses=True)
