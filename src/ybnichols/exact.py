@@ -44,6 +44,25 @@ def euler_phi(n: int) -> int:
     return result
 
 
+#: The largest phi(N) of a field Q(zeta_N) the package computes in.  Engine
+#: arrays carry phi coordinates per entry and the structure tensor phi^3, so
+#: ``dims z3-shift`` takes about 7 s at phi = 40 (zeta100) and 50 s at
+#: phi = 64 (zeta128) on 2 cores, while zeta5000 would need a 60 GiB tensor.
+PHI_LIMIT = 64
+
+
+@lru_cache(maxsize=None)  # every order it returns for is at most 2 * PHI_LIMIT^2
+def checked_phi(order: int) -> int:
+    """phi(order); ValueError naming the order unless phi(order) <= PHI_LIMIT."""
+    # phi(n) >= sqrt(n / 2), so a huge order is refused before it is factored
+    phi = euler_phi(order) if order <= 2 * PHI_LIMIT ** 2 else None
+    if phi is None or phi > PHI_LIMIT:
+        raise ValueError(
+            f"cyclotomic order {order} is too large: phi({order}) exceeds {PHI_LIMIT}"
+        )
+    return phi
+
+
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -125,7 +144,7 @@ class CycloElement:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs) -> None:
-        phi = euler_phi(order)
+        phi = checked_phi(order)
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}, got {len(coeffs)}")
@@ -139,7 +158,7 @@ class CycloElement:
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycloElement":
-        phi = euler_phi(order)
+        phi = checked_phi(order)
         return cls(order, (Fraction(value),) + (Fraction(0),) * (phi - 1))
 
     @classmethod
@@ -153,13 +172,11 @@ class CycloElement:
     @classmethod
     def zeta(cls, order: int) -> "CycloElement":
         """A primitive ``order``-th root of unity (the power-basis generator)."""
-        if order < 1:
-            raise ValueError("order must be positive")
+        phi = checked_phi(order)
         if order == 1:
             return cls.one(1)
         if order == 2:
             return cls(2, (Fraction(-1),))
-        phi = euler_phi(order)
         coeffs = [Fraction(0)] * phi
         coeffs[1] = Fraction(1)
         return cls(order, coeffs)

@@ -23,7 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ybe import NotInvolutive, SetSolution, TooLarge, diagonal, verify_solution
+from .ybe import (
+    SOLUTION_CACHE_SIZE,
+    NotInvolutive,
+    SetSolution,
+    TooLarge,
+    diagonal,
+    verify_solution,
+)
 
 Word = tuple
 
@@ -145,12 +152,12 @@ def _check_involutive(s: SetSolution) -> None:
         raise NotInvolutive("the word action needs an involutive solution")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def _cached_report(s: SetSolution):
     return verify_solution(s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def _view(s: SetSolution) -> _View:
     """The solution's view; raises unless it is non-degenerate and involutive."""
     _check_involutive(s)

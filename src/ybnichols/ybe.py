@@ -263,7 +263,13 @@ class Diagonal:
         return f"Diagonal({list(self.forward)})"
 
 
-@lru_cache(maxsize=None)
+#: How many solutions each solution-keyed cache (``diagonal`` here, the
+#: views and reports of ``orbits``) keeps.  A census or theorem pass uses a
+#: few dozen at most; a fixed size keeps a long run's memory flat.
+SOLUTION_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def diagonal(s: SetSolution) -> Diagonal:
     """Compute D; requires a non-degenerate involutive solution."""
     report = verify_solution(s)

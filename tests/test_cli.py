@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import ybnichols
+from ybnichols.catalog import build_entry
 from ybnichols.cli import main
+from ybnichols.exact import CycloElement
 
 
 def run_cli(argv):
@@ -327,3 +329,30 @@ def test_options_of_other_subcommands_are_usage_errors(argv):
     code, err = run_cli_usage_error(argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("order", ["1000", "5000", "1000000000"])
+def test_dims_huge_cyclotomic_order_exits_at_once(order):
+    # phi(N) is checked where the order enters, before any coefficient tuple
+    # or structure tensor of that size is built
+    proc = run_cli_process(["dims", "z3-shift", f"--q=zeta{order}"])
+    assert proc.returncode == 2, proc.stderr
+    assert f"cyclotomic order {order} is too large" in proc.stderr
+
+
+def test_dims_coefficient_file_with_huge_common_order(tmp_path):
+    # every entry's order is modest, but their lcm 7 * 11 * 13 = 1001 is not
+    data = build_entry("z2-shift").system.to_json()
+    zetas = [CycloElement.zeta(n).to_json() for n in (7, 11, 13, 1)]
+    data["R"] = [zetas[:2], zetas[2:]]
+    path = tmp_path / "lcm.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli_process(["dims", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert "cyclotomic order 1001 is too large" in proc.stderr
+
+
+def test_dims_modest_cyclotomic_order_still_answers():
+    proc = run_cli_process(["dims", "z3-shift", "--q=zeta100", "--cap", "4", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dims"] == [1, 3, 6, 10, 15]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ybnichols.exact import (
+    PHI_LIMIT,
     BadPrime,
     CycloElement,
     PrimeFieldElement,
@@ -106,6 +107,19 @@ def test_to_order_embedding():
     assert CycloElement.zeta(2).to_order(6) == z6 ** 3
     with pytest.raises(ValueError):
         z3.to_order(4)
+
+
+def test_orders_beyond_the_phi_limit_are_refused():
+    # the limit is checked before any coefficient tuple is built, and a huge
+    # order is refused without factoring it
+    assert euler_phi(128) == PHI_LIMIT
+    assert len(CycloElement.zeta(128).coeffs) == PHI_LIMIT
+    for order in (256, 1000, 10 ** 9, 10 ** 30):
+        for build in (CycloElement.zeta, CycloElement.zero, lambda n: CycloElement(n, [])):
+            with pytest.raises(ValueError, match=f"cyclotomic order {order} is too large"):
+                build(order)
+    with pytest.raises(ValueError, match="cyclotomic order 256 is too large"):
+        CycloElement.one(2).to_order(256)
 
 
 def test_mixed_order_arithmetic_rejected():

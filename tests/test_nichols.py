@@ -14,6 +14,7 @@ from ybnichols.catalog import ConstraintViolation
 from ybnichols.linalg import ExactIntRows, ModRows, _max_abs, apply, mul_rows_elementwise, rank
 from ybnichols.nichols import (
     _Engine,
+    _relation_engine,
     OrbitRows,
     CapExceeded,
     CoefficientSystem,
@@ -242,6 +243,38 @@ def test_relation_schema_terms_vanish():
         entry = build_entry(name)
         for label, terms in theorem_relations(entry.system):
             assert check_relation(entry.system, terms), (name, label)
+
+
+def test_relation_checks_reuse_the_last_engine(monkeypatch):
+    # one engine serves every relation of a system; only the last one is kept
+    built = []
+    init = _Engine.__init__
+
+    def counting(self, cs):
+        built.append(cs)
+        init(self, cs)
+
+    monkeypatch.setattr(_Engine, "__init__", counting)
+    _relation_engine.cache_clear()
+    entries = {name: build_entry(name) for name in ("z3-shift", "z2-shift")}
+    order = ("z3-shift", "z2-shift", "z3-shift")
+    for name in order:
+        for _, terms in entries[name].relations:
+            assert check_relation(entries[name].system, terms)
+    assert built == [entries[name].system for name in order]
+    assert _relation_engine.cache_info().currsize == 1
+
+
+def test_relation_with_a_huge_common_order_is_refused():
+    # on z2-shift (order 2), zeta7 and zeta11 raise the order to 154 with
+    # phi = 60, which is checked; zeta7 and zeta13 raise it to 182 with
+    # phi = 72, which is refused before any table is coerced
+    cs = build_entry("z2-shift").system
+    element = [(cyclotomic_root(7), (0, 0)), (cyclotomic_root(11), (1, 1))]
+    assert not check_relation(cs, element)
+    element = [(cyclotomic_root(7), (0, 0)), (cyclotomic_root(13), (1, 1))]
+    with pytest.raises(ValueError, match="cyclotomic order 182 is too large"):
+        check_relation(cs, element)
 
 
 def test_degree2_relation_completeness():
@@ -700,6 +733,34 @@ def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
             mixed += {row.dtype == object for row in rows} == {True, False}
     assert mixed >= 4, mixed
     assert refused and max(refused) > 1
+
+
+def test_exact_step_matches_per_orbit_reference_on_sparse_seeds():
+    # from degree 7 on, most source words of the seeded orbits of w1 and w6
+    # carry no seed entry, and the walk visits only the others; the
+    # reference walks every source word
+    for name in ("w1", "w6"):
+        engine = _Engine(build_entry(name).system)
+        assert [k for k, _ in _checked_chain(engine, 4 ** 10)] == list(range(2, 11))
+
+
+def test_exact_walk_visits_only_words_with_an_entry(monkeypatch):
+    # exact_step(rows_9, 10) on w1: 6,048 of the 132,096 source words carry
+    # a seed entry, and each of the 9 mapped staircase terms sees only those
+    engine = _Engine(build_entry("w1").system)
+    rows = engine.identity_rows()
+    for k in range(2, 10):
+        rows, _ = engine.exact_step(rows, k)
+    mapped = []
+    c_arrays = _Engine._c_arrays
+
+    def counting(self, k, i, idx=None):
+        mapped.append(idx.size)
+        return c_arrays(self, k, i, idx)
+
+    monkeypatch.setattr(_Engine, "_c_arrays", counting)
+    assert engine.exact_step(rows, 10)[1] == 0
+    assert 0 < sum(mapped) <= 9 * 6048, sum(mapped)
 
 
 def _per_orbit_mod_step(engine, prev_vecs, k, p):
