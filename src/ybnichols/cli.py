@@ -3,13 +3,16 @@
 Commands: verify | orbits | dims | relations | phi | catalog.
 Inputs are catalog names or JSON files (a bare solution table, or a
 coefficient file with "solution", "cyclotomic_order" and "R" keys).
-Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 input error.
+Exit codes: 0 all checks pass, 1 mathematical mismatch, 2 input error,
+141 (128 + SIGPIPE, as a shell reports a pipe writer it stopped) when the
+reader of standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from .ybe import (
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 
 class InputError(Exception):
@@ -436,7 +440,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head -1`): send what is left in
+        # the buffer to devnull, so that the flush at exit does not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

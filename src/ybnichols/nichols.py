@@ -29,6 +29,22 @@ with one running product per seed entry, reduced mod p at every term.
 Elimination still runs orbit by orbit, in vectors as long as the orbit.
 Full-length rows are built only when a caller asks for the image itself.
 
+On the paper's class, one seed per orbit suffices.  Let the solution be
+involutive and the table satisfy the pairing R[i][j] R[a][b] = 1 for every
+pair with r(i, j) = (a, b) != (i, j).  Then
+(1 + c)(x_i x_j - R[i][j] x_a x_b) = (1 - R[i][j] R[a][b]) x_i x_j = 0, and
+since S_k factors through (1 + c_i) for each i, S_k(w) is a nonzero
+multiple of S_k(w_O) for every word w in an S_k-orbit O with least word
+w_O: each orbit's image has dimension at most one.  A degree-k orbit's
+words split into nodes (P, y), the words u y with u in a degree-(k-1)
+orbit P; its smallest node (P0, y0) holds w_O = w_P0 y0, and
+S_k(w_O) = T_k(S_{k-1}(w_P0) (x) y0), where T_k is the staircase.  A
+nonzero row of P0 is a multiple of S_{k-1}(w_P0), and P0 has no row exactly
+when S_{k-1}(w_P0) = 0.  So the one seed (row of P0) (x) y0 spans O's image,
+and O gets no seed when P0 has no row.  The same holds mod p, as the
+pairing survives specialization.  ``_Engine.rank_one`` decides this once per
+engine, on the first degree step, from the exact hypotheses.
+
 Degrees run exactly while the tensor space is small, then two-prime modular
 with exact escalation on disagreement, on a vanishing rank (a finiteness
 claim is only ever made with exact backing), or, when the finite-type
@@ -49,7 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -517,25 +533,50 @@ class _Engine:
             out.append(full)
         return out
 
+    @cached_property
+    def hypotheses(self) -> TheoremHypotheses | None:
+        """The dimension-theorem hypotheses of the system, or None when the
+        base solution is not involutive; computed on first read, so the
+        relation path never pays for them."""
+        try:
+            return theorem_hypotheses(self.cs)
+        except NotInvolutive:
+            return None
+
+    @cached_property
+    def rank_one(self) -> bool:
+        """Whether the symmetrizer sends every orbit to a space of dimension
+        at most one (involutive with the pairing), so that one seed per orbit
+        spans its image; see the module docstring."""
+        return self.hypotheses is not None and self.hypotheses.pairing_holds
+
     def _seed_blocks(self, prev_rows: OrbitRows, k: int):
         """Group the seeds (row (x) w_j) of degree k by the orbit they lie in.
 
         Yields (orbit, size, sources, blocks).  ``sources`` are the degree-k
         words the orbit's seeds live on; each block is (slice of sources,
         stacked rows), and its seeds are the rows placed on those words.
+        A seed lies on the node (orbit P of its row, letter j), in orbit
+        ``links[P m + j]``.  When ``rank_one`` holds, an orbit gets only the
+        seed on its smallest node, and none if that node's P has no row.
         """
         m = self.m
         below, here = self.orbits(k - 1), self.orbits(k)
+        heads = here.heads if self.rank_one else None
         by_prev: dict[int, list] = {}
         for row, orbit in zip(prev_rows, prev_rows.orbits):
             by_prev.setdefault(orbit, []).append(row)
         groups: dict[int, list] = {}
         for orbit, rows in by_prev.items():
+            if heads is not None and len(rows) > 1:
+                raise AssertionError(f"orbit {orbit} of degree {k - 1} kept {len(rows)} rows")
             stacked = np.stack(rows)
             base = below.words(orbit) * m
             for j in range(m):
-                src = base + j
-                groups.setdefault(int(here.label[src[0]]), []).append((src, stacked))
+                node = orbit * m + j
+                target = int(here.links[node])
+                if heads is None or heads[target] == node:
+                    groups.setdefault(target, []).append((base + j, stacked))
         for orbit in sorted(groups):
             sources = np.concatenate([src for src, _ in groups[orbit]])
             blocks = []
@@ -864,11 +905,9 @@ def graded_dims(
             primes = tuple(primes_for_order(cs.order, count=2))
         if mod_rows is None:
             mod_rows = {p: engine.specialize_rows(exact_rows, p) for p in primes}
-            try:
-                hyp = theorem_hypotheses(cs)
-                root_order = hyp.root_order if hyp.finite_type else None
-            except NotInvolutive:
-                pass
+            hyp = engine.hypotheses
+            if hyp is not None and hyp.finite_type:
+                root_order = hyp.root_order
         step_results = {p: engine.mod_step(mod_rows[p], k, p) for p in primes}
         mod_dims = tuple(step_results[p][1] for p in primes)
         agreed = len(set(mod_dims)) == 1

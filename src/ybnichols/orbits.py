@@ -510,6 +510,12 @@ class _Orbits:
         pos -= self.starts[self.label]
         return pos
 
+    @cached_property
+    def heads(self) -> np.ndarray:
+        """orbit -> its smallest node (orbit below * m + last letter), the
+        node that holds the orbit's least word; built on first read."""
+        return np.unique(self.links, return_index=True)[1]
+
     def words(self, orbit: int) -> np.ndarray:
         return self.order[self.starts[orbit] : self.starts[orbit + 1]]
 

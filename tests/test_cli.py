@@ -201,6 +201,26 @@ def test_catalog_command():
     assert rows[0]["name"] == "z2-shift"
 
 
+@pytest.mark.parametrize("argv", [["catalog", "--json"], ["catalog"], ["dims", "z2-shift"]])
+def test_closed_stdout_exits_without_traceback(argv):
+    # the reader is gone before the first write, as when `| head -1` has
+    # read its line: exit 141, with nothing on stderr
+    src = str(Path(ybnichols.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ybnichols.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 def test_alias_accepted():
     code, out, _ = run_cli(["phi", "w1-grana", "--json"])
     assert code == 0

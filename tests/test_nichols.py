@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -806,6 +808,115 @@ def test_batched_mod_step_matches_per_orbit_reference():
                     assert dim == len(expected)
                     steps += 1
     assert steps >= 350, steps
+
+
+def _full_seed_engine(cs):
+    """An engine that seeds every node of every orbit, as off the paper's
+    class."""
+    engine = _Engine(cs)
+    engine.rank_one = False
+    return engine
+
+
+def _involutive_systems(qs):
+    for name in catalog_names():
+        for q in qs:
+            try:
+                entry = build_entry(name, None if q is None else {"q": q})
+            except (ConstraintViolation, HexagonViolation):
+                continue
+            if entry.involutive:
+                yield entry.system
+
+
+def _compare_to_full_seeds(cs, max_words):
+    """Run the exact chain, and the modular chain at both primes of the
+    order, on a rank-one engine beside a full-seed engine while m^k <=
+    max_words.  Both keep the same orbits, the full-seed engine keeps at most
+    one row per orbit, and the rows agree up to a scalar.  Returns the number
+    of steps compared."""
+    fast, full = _Engine(cs), _full_seed_engine(cs)
+    assert fast.rank_one
+    start = fast.identity_rows()
+    chains = [(None, start)]
+    chains += [(p, fast.specialize_rows(start, p)) for p in primes_for_order(cs.order, count=2)]
+    steps = 0
+    for p, rows in chains:
+        ref, k = rows, 1
+        while fast.m ** (k + 1) <= max_words and len(ref):
+            k += 1
+            here = fast.orbits(k)
+            seeds = sum(len(r) for *_, blocks in fast._seed_blocks(rows, k) for _, r in blocks)
+            assert seeds <= here.count
+            if p is None:
+                rows, dim = fast.exact_step(rows, k)
+                ref, ref_dim = full.exact_step(ref, k)
+            else:
+                rows, dim = fast.mod_step(rows, k, p)
+                ref, ref_dim = full.mod_step(ref, k, p)
+            assert dim == ref_dim and rows.orbits == ref.orbits, (k, p)
+            assert len(set(ref.orbits)) == len(ref.orbits), (k, p)
+            for a, b, orbit in zip(rows, ref, ref.orbits):
+                size = int(here.starts[orbit + 1] - here.starts[orbit])
+                space = ExactIntRows(fast.ctx, size) if p is None else ModRows(p, size)
+                space.insert(a)
+                space.insert(b)
+                assert space.rank == 1, (k, p, orbit)
+            steps += 1
+    return steps
+
+
+def test_rank_one_seeds_match_full_seeds():
+    # on the paper's class (involutive, with the pairing) one seed per orbit
+    # spans what every seed spans, in exact and in modular steps
+    systems = _involutive_systems((None, "zeta3", "-1", "2"))
+    steps = sum(_compare_to_full_seeds(cs, 2 ** 14) for cs in systems)
+    assert steps >= 250, steps
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_rank_one_seeds_match_full_seeds_extended():
+    steps = sum(
+        _compare_to_full_seeds(cs, 2 ** 16) for cs in _involutive_systems(("zeta4", "3"))
+    )
+    assert steps >= 190, steps
+
+
+def _chain_dims(engine, top):
+    rows, dims, most = engine.identity_rows(), [1, engine.m], {}
+    for k in range(2, top + 1):
+        rows, dim = engine.exact_step(rows, k)
+        dims.append(dim)
+        most[k] = max(Counter(rows.orbits).values(), default=0)
+    return tuple(dims), most
+
+
+def test_off_class_tables_keep_every_seed():
+    # the constant table 2 is a braiding on any solution and these bases are
+    # involutive, but 2 * 2 != 1 breaks the pairing: the symmetrizer is
+    # injective, so each degree-4 orbit keeps as many rows as it has words
+    # (6 for m = 2), and one seed per orbit would lose them
+    for s in (SetSolution.cyclic_shift(2), SetSolution.cyclic_shift(3), SetSolution.flip(2)):
+        cs = validate_coefficients(s, [[2] * s.size for _ in range(s.size)])
+        engine = _Engine(cs)
+        assert engine.hypotheses is not None and not engine.hypotheses.pairing_holds
+        assert not engine.rank_one
+        dims, most = _chain_dims(engine, 5)
+        assert (dims, most) == _chain_dims(_full_seed_engine(cs), 5)
+        assert dims == tuple(s.size ** k for k in range(6))
+        assert graded_dims(cs, cap=5, mode="exact").dims == dims
+        assert most[4] == int(np.diff(engine.orbits(4).starts).max()) == {2: 6, 3: 12}[s.size]
+        forced = _Engine(cs)
+        forced.rank_one = True
+        lost = _chain_dims(forced, 5)[0]
+        assert all(a < b for a, b in zip(lost[3:], dims[3:])), lost
+    # the rack w1 is not involutive: no hypotheses, every seed
+    w1 = build_entry("w1").system
+    engine = _Engine(w1)
+    assert engine.hypotheses is None and not engine.rank_one
+    assert _chain_dims(engine, 7) == _chain_dims(_full_seed_engine(w1), 7)
 
 
 # sha256 prefix of graded_dims(...).to_json() per catalog entry at its
