@@ -49,6 +49,7 @@ from .ybe import (
     Diagonal,
     NotInvolutive,
     NotNondegenerate,
+    NotYangBaxter,
     PhiInvariant,
     SetSolution,
     TooLarge,

@@ -29,6 +29,8 @@ from .nichols import (
 from .orbits import orbit_census
 from .ybe import (
     NotInvolutive,
+    NotNondegenerate,
+    NotYangBaxter,
     SetSolution,
     TooLarge,
     decompose,
@@ -201,8 +203,8 @@ def cmd_orbits(args) -> int:
     solution, entry = _resolve_solution(args.target)
     try:
         census = orbit_census(args.n, solution, cap=args.cap, witnesses=args.witness)
-    except NotInvolutive as exc:
-        raise InputError(f"orbit census needs an involutive solution: {exc}") from exc
+    except (NotInvolutive, NotNondegenerate, NotYangBaxter) as exc:
+        raise InputError(f"orbit census refused: {exc}") from exc
     except TooLarge as exc:
         raise InputError(str(exc)) from exc
     payload = census.to_json()

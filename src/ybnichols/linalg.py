@@ -352,6 +352,44 @@ class ExactIntRows:
         return False
 
 
+def lone_rows(arrays, p: int | None = None) -> list:
+    """The row each array leaves as the only insert into its own empty row
+    space, or None for a zero array: ``ExactIntRows`` when ``p`` is None,
+    ``ModRows(p)`` otherwise.
+
+    Exactly, that row is the array over the gcd of its entries (sign kept);
+    mod p, it is the array mod p scaled so its first nonzero entry is 1.
+    Rows match ``insert`` bit for bit, in value and dtype, but the arrays of
+    one dtype share one concatenation, one gcd (or first-entry) reduction and
+    one division, instead of one elimination each.
+    """
+    out = [None] * len(arrays)
+    for dtype in {a.dtype for a in arrays}:
+        picks = [t for t, a in enumerate(arrays) if a.dtype == dtype]
+        lengths = np.array([arrays[t].size for t in picks], dtype=np.int64)
+        starts = np.cumsum(lengths) - lengths
+        flat = np.concatenate([arrays[t].reshape(-1) for t in picks])
+        if p is None:
+            content = np.gcd.reduceat(np.abs(flat), starts)
+            keep = content != 0
+            flat = flat // np.repeat(np.where(keep, content, 1), lengths)
+        else:
+            flat = np.mod(flat, p)
+            nz = np.flatnonzero(flat)
+            # the first nonzero entry of each array that has one
+            owner = np.searchsorted(starts, nz, side="right") - 1
+            segs, first = np.unique(owner, return_index=True)
+            keep = np.zeros(len(picks), dtype=bool)
+            keep[segs] = True
+            inverse = np.zeros(len(picks), dtype=np.int64)
+            inverse[segs] = [pow(int(v), p - 2, p) for v in flat[nz[first]].tolist()]
+            flat = flat * np.repeat(inverse, lengths) % p
+        for t, start, kept in zip(picks, starts.tolist(), keep.tolist()):
+            if kept:
+                out[t] = flat[start : start + arrays[t].size].reshape(arrays[t].shape)
+    return out
+
+
 class ModRows:
     """Echelon basis of vectors over F_p, pivot-normalized, numpy int64."""
 

@@ -23,11 +23,14 @@ of whole orbits, and only over the source words that carry a nonzero seed
 entry (on w1 at degree 10, 6,048 of the 132,096 words of the seeded
 orbits): the batch's seed rows are one flat list of entries, and each term
 is one gather, one cyclotomic product and one scatter-add.  A batch closes
-before its accumulators outgrow the largest single orbit's, and arithmetic
-turns object orbit by orbit.  Modular steps walk the same batches and words
-with one running product per seed entry, reduced mod p at every term.
-Elimination still runs orbit by orbit, in vectors as long as the orbit.
-Full-length rows are built only when a caller asks for the image itself.
+only when its accumulators would pass the larger of ``_BATCH_BUDGET``
+entries and the largest single orbit's, so a degree of many small orbits
+costs a few walks.  A batch that would leave int64 is bisected, so
+arithmetic turns object orbit by orbit.  Modular steps walk the same
+batches and words with one running product per seed entry, reduced mod p
+at every term.  Elimination runs orbit by orbit, in vectors as long as the
+orbit, except on the paper's class (below).  Full-length rows are built
+only when a caller asks for the image itself.
 
 On the paper's class, one seed per orbit suffices.  Let the solution be
 involutive and the table satisfy the pairing R[i][j] R[a][b] = 1 for every
@@ -43,7 +46,10 @@ nonzero row of P0 is a multiple of S_{k-1}(w_P0), and P0 has no row exactly
 when S_{k-1}(w_P0) = 0.  So the one seed (row of P0) (x) y0 spans O's image,
 and O gets no seed when P0 has no row.  The same holds mod p, as the
 pairing survives specialization.  ``_Engine.rank_one`` decides this once per
-engine, on the first degree step, from the exact hypotheses.
+engine, on the first degree step, from the exact hypotheses.  With one seed,
+an orbit's row is the primitive part of its image (mod p: the image scaled
+to lead with 1), or none when the image is zero: ``linalg.lone_rows`` takes
+these for a whole batch at once, with no elimination.
 
 Degrees run exactly while the tensor space is small, then two-prime modular
 with exact escalation on disagreement, on a vanishing rank (a finiteness
@@ -88,6 +94,7 @@ from .linalg import (
     _as_object,
     _max_abs,
     apply,
+    lone_rows,
     mul_rows_elementwise,
 )
 from .orbits import BraidOrbits, partitions, psi, word_index
@@ -99,6 +106,11 @@ from .ybe import (
     full_decomposition,
     verify_solution,
 )
+
+
+# a batch of orbits walks the staircase together until its accumulators
+# would pass this many entries (or the largest single orbit's, if larger)
+_BATCH_BUDGET = 2 ** 14
 
 
 class HexagonViolation(ValueError):
@@ -483,13 +495,21 @@ class OrbitRows(list):
         self.extend(space.rows)
         self.orbits += [orbit] * space.rank
 
+    def add_lone(self, orbits, rows) -> None:
+        """Append each orbit's row, skipping the orbits whose row is None."""
+        for orbit, row in zip(orbits, rows):
+            if row is not None:
+                self.append(row)
+                self.orbits.append(orbit)
+
 
 class _Engine:
     """Vectorized staircase terms and degree steps for one coefficient system.
 
     Every braiding c_i maps a word to one word times a scalar, so the
     symmetrizer is block-diagonal over the orbits of the braid group on the
-    words.  Basis rows are kept orbit-local and each step runs orbit by orbit.
+    words.  Basis rows are kept orbit-local, and each step walks batches of
+    whole orbits.
     """
 
     def __init__(self, cs: CoefficientSystem) -> None:
@@ -562,21 +582,39 @@ class _Engine:
         """
         m = self.m
         below, here = self.orbits(k - 1), self.orbits(k)
-        heads = here.heads if self.rank_one else None
+        sizes = np.diff(here.starts).tolist()
+        if self.rank_one:
+            # one gather over the smallest nodes: orbit -> (P, letter) -> row
+            row_of = np.full(below.count, -1, dtype=np.int64)
+            row_of[prev_rows.orbits] = np.arange(len(prev_rows))
+            if len(prev_rows) > np.count_nonzero(row_of >= 0):
+                raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
+            heads_below, letters = np.divmod(here.heads, m)
+            rows = row_of[heads_below]
+            seeded = np.flatnonzero(rows >= 0)
+            # the words of every seeded node (P, j), node after node, in one
+            # gather: those of P, below.order[starts[P] : starts[P + 1]], times m plus j
+            prev = heads_below[seeded]
+            lengths = np.diff(below.starts)[prev]
+            ends = np.cumsum(lengths)
+            index = np.repeat(below.starts[prev] - ends + lengths, lengths)
+            index += np.arange(index.size)
+            words = below.order[index] * m + np.repeat(letters[seeded], lengths)
+            for orbit, t, end, width in zip(
+                seeded.tolist(), rows[seeded].tolist(), ends.tolist(), lengths.tolist()
+            ):
+                sources = words[end - width : end]
+                yield orbit, sizes[orbit], sources, [(slice(0, width), prev_rows[t][None])]
+            return
         by_prev: dict[int, list] = {}
         for row, orbit in zip(prev_rows, prev_rows.orbits):
             by_prev.setdefault(orbit, []).append(row)
         groups: dict[int, list] = {}
         for orbit, rows in by_prev.items():
-            if heads is not None and len(rows) > 1:
-                raise AssertionError(f"orbit {orbit} of degree {k - 1} kept {len(rows)} rows")
             stacked = np.stack(rows)
             base = below.words(orbit) * m
             for j in range(m):
-                node = orbit * m + j
-                target = int(here.links[node])
-                if heads is None or heads[target] == node:
-                    groups.setdefault(target, []).append((base + j, stacked))
+                groups.setdefault(int(here.links[orbit * m + j]), []).append((base + j, stacked))
         for orbit in sorted(groups):
             sources = np.concatenate([src for src, _ in groups[orbit]])
             blocks = []
@@ -584,8 +622,7 @@ class _Engine:
             for src, stacked in groups[orbit]:
                 blocks.append((slice(offset, offset + src.size), stacked))
                 offset += src.size
-            size = int(here.starts[orbit + 1] - here.starts[orbit])
-            yield orbit, size, sources, blocks
+            yield orbit, sizes[orbit], sources, blocks
 
     # -- exact chain
 
@@ -622,10 +659,13 @@ class _Engine:
     def _batches(self, groups):
         """Split one degree's orbit groups (orbit, size, sources, blocks) into
         runs of consecutive orbits whose accumulators (seed rows x orbit size)
-        together stay within the largest single orbit's."""
+        together stay within the larger of the largest single orbit's and
+        ``_BATCH_BUDGET`` entries, so a degree of many small orbits costs a
+        few walks, not one per orbit.  ``_staircase`` bisects a batch whose
+        walk would leave int64."""
         groups = list(groups)
         weights = [size * sum(len(rows) for _, rows in blocks) for _, size, _, blocks in groups]
-        limit = max(weights, default=0)
+        limit = max(max(weights, default=0), _BATCH_BUDGET)
         batch, total = [], 0
         for group, weight in zip(groups, weights):
             if batch and total + weight > limit:
@@ -644,14 +684,16 @@ class _Engine:
         yields them.  Returns one (seed rows, size, phi) array per orbit,
         indexed by position in the orbit.  The orbits are walked together; an
         orbit's arithmetic turns object exactly where its own int64 bound
-        would be crossed, so a batch that would cross the bound is re-run one
-        orbit at a time.
+        would be crossed, so a batch that would cross the bound is bisected,
+        and an orbit turns object only when it is walked alone.
         """
-        if len(batch) > 1:
-            accs = self._staircase_walk(k, top, batch, promote=False)
-            if accs is not None:
-                return accs
-        return [self._staircase_walk(k, top, [group], promote=True)[0] for group in batch]
+        if len(batch) == 1:
+            return self._staircase_walk(k, top, batch, promote=True)
+        accs = self._staircase_walk(k, top, batch, promote=False)
+        if accs is not None:
+            return accs
+        half = len(batch) // 2
+        return self._staircase(k, top, batch[:half]) + self._staircase(k, top, batch[half:])
 
     def _entries(self, batch):
         """Flatten a batch's seed rows into entries, one per nonzero seed
@@ -700,12 +742,14 @@ class _Engine:
         plain scatter-add is exact.  The int64 bound takes each term's peak
         over the walked words only, which bounds every accumulated entry
         since a word without an entry adds nothing.  Returns None instead of
-        turning object unless ``promote``.
+        turning int64 orbits object unless ``promote``; a batch whose seeds
+        are all object already is walked in object arithmetic.
         """
         ctx = self.ctx
         here = self.orbits(k)
-        object_mode = any(rows.dtype == object for *_, blocks in batch for _, rows in blocks)
-        if object_mode and not promote:
+        dtypes = {rows.dtype == object for *_, blocks in batch for _, rows in blocks}
+        object_mode = True in dtypes
+        if len(dtypes) > 1 and not promote:
             return None
         words, src, base, vals, shapes = self._entries(batch)
         seed_max = 0 if object_mode else _max_abs(vals)
@@ -728,15 +772,22 @@ class _Engine:
             if scale != 1:
                 scal = scal * scale
             out[base + here.pos[cur][src]] += mul_rows_elementwise(vals, scal[src], ctx)
-        parts = np.split(out, np.cumsum(sizes)[:-1])
-        return [part.reshape(count, size, ctx.phi) for part, (count, size) in zip(parts, shapes)]
+        ends = np.cumsum(sizes).tolist()
+        return [
+            out[end - count * size : end].reshape(count, size, ctx.phi)
+            for end, (count, size) in zip(ends, shapes)
+        ]
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
         """One degree of the recursion: span of staircase images of
         (previous basis) (x) (generators).  Returns (basis rows, dim)."""
         out = OrbitRows()
         for batch in self._batches(self._seed_blocks(prev_rows, k)):
-            for (orbit, size, _, _), acc in zip(batch, self._staircase(k, k, batch)):
+            accs = self._staircase(k, k, batch)
+            if self.rank_one:  # one seed per orbit: its row is its image's primitive part
+                out.add_lone([orbit for orbit, *_ in batch], lone_rows([acc[0] for acc in accs]))
+                continue
+            for (orbit, size, _, _), acc in zip(batch, accs):
                 out.add_span(orbit, ExactIntRows(self.ctx, size), [acc])
         return out, len(out)
 
@@ -799,7 +850,11 @@ class _Engine:
                 cur, sidx = self._c_arrays(k, i, cur)
                 term = term * rmod[sidx] % p
                 acc[base + here.pos[cur]] += term
-            parts = np.split(acc, np.cumsum(sizes)[:-1])
+            ends = np.cumsum(sizes).tolist()
+            parts = [acc[end - width : end] for end, width in zip(ends, sizes)]
+            if self.rank_one:  # one seed per orbit: its image, scaled to lead with 1
+                out.add_lone([orbit for orbit, *_ in batch], lone_rows(parts, p))
+                continue
             for (orbit, *_), part, (count, size) in zip(batch, parts, shapes):
                 out.add_span(orbit, ModRows(p, size), [part.reshape(count, size)])
         return out, len(out)

@@ -26,6 +26,8 @@ import numpy as np
 from .ybe import (
     SOLUTION_CACHE_SIZE,
     NotInvolutive,
+    NotNondegenerate,
+    NotYangBaxter,
     SetSolution,
     TooLarge,
     diagonal,
@@ -145,11 +147,11 @@ class _View(NamedTuple):
 def _check_involutive(s: SetSolution) -> None:
     report = _cached_report(s)
     if not report.is_nondegenerate:
-        from .ybe import NotNondegenerate
-
         raise NotNondegenerate("the word action needs a non-degenerate solution")
     if not report.is_involutive:
         raise NotInvolutive("the word action needs an involutive solution")
+    if not report.is_ybe:
+        raise NotYangBaxter("the word action needs a solution of the braid equation")
 
 
 @lru_cache(maxsize=SOLUTION_CACHE_SIZE)

@@ -23,6 +23,10 @@ class NotNondegenerate(ValueError):
     """Operation requires a non-degenerate solution."""
 
 
+class NotYangBaxter(ValueError):
+    """Operation requires a table that satisfies the braid equation."""
+
+
 class TooLarge(ValueError):
     """Input exceeds the configured exhaustive-search bound."""
 
@@ -122,18 +126,32 @@ class SetSolution:
 
     @classmethod
     def from_json(cls, data: dict) -> "SetSolution":
+        """Read {"size": m, "r": table}; the size and every letter must be
+        JSON integers (not bools, not floats), else ValueError names it."""
         if not isinstance(data, dict) or "size" not in data or "r" not in data:
             raise ValueError('solution JSON needs keys "size" and "r"')
-        m = int(data["size"])
+        m = _json_int(data["size"], "size")
         rows = data["r"]
         if len(rows) != m:
             raise ValueError(f"expected {m} rows, got {len(rows)}")
         table = []
-        for row in rows:
+        for i, row in enumerate(rows):
             if len(row) != m:
                 raise ValueError("non-square solution table")
-            table.append([(int(e[0]), int(e[1])) for e in row])
+            pairs = []
+            for j, e in enumerate(row):
+                if not isinstance(e, (list, tuple)) or len(e) != 2:
+                    raise ValueError(f"entry r[{i}][{j}] = {e!r} is not a pair of letters")
+                pairs.append(tuple(_json_int(v, f"entry r[{i}][{j}] = {e!r}") for v in e))
+            table.append(pairs)
         return cls(table)
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but JSON true is no letter
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True)

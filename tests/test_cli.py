@@ -94,6 +94,41 @@ def test_orbits_huge_degree_exits_at_once():
     assert "2^99999999999 exceeds cap 10000000" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "table, reason",
+    [
+        # sigma_i is constant: degenerate (the braid equation holds)
+        ([[[0, 0]] * 3] * 3, "non-degenerate"),
+        # non-degenerate and involutive, but the braid equation fails
+        (
+            [
+                [[1, 1], [0, 1], [2, 1]],
+                [[2, 2], [0, 0], [1, 2]],
+                [[2, 0], [0, 2], [1, 0]],
+            ],
+            "braid equation",
+        ),
+    ],
+)
+def test_orbits_refuses_invalid_tables(tmp_path, table, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"size": 3, "r": table}))
+    proc = run_cli_process(["orbits", "-n", "3", str(path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: orbit census refused") and reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("size, letter", [(2.7, 1), (2, 1.5), (2, True)])
+def test_non_integer_solution_files_are_input_errors(tmp_path, size, letter):
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"size": size, "r": [[[letter, 0], [0, 1]], [[1, 0], [0, 1]]]}))
+    for command in (["verify", str(path)], ["orbits", "-n", "2", str(path)]):
+        code, out, err = run_cli(command)
+        assert code == 2 and not out, command
+        assert "not an integer" in err
+
+
 def test_orbits_one_point_solution_at_large_degree(tmp_path):
     # m = 1 has one word per degree, so only the cap on n bounds the degree;
     # orbits are built degree by degree without recursion

@@ -7,6 +7,7 @@ import pytest
 
 from ybnichols.exact import CycloElement, PrimeFieldElement, cyclotomic_root, specialize
 from ybnichols.linalg import (
+    _INT64_GUARD,
     CycloCtx,
     DimensionMismatch,
     ExactIntRows,
@@ -14,6 +15,7 @@ from ybnichols.linalg import (
     MonomialOperator,
     RowSpace,
     apply,
+    lone_rows,
     mul_rows_by_scalar,
     mul_rows_elementwise,
     rank,
@@ -328,3 +330,75 @@ def test_to_int_array_is_int64_exactly_below_the_guard():
     )
     assert den == 2 and nums.dtype == object
     assert nums.tolist() == [[2 ** 62, 0], [1, 0]]
+
+
+def _lone_arrays(rng, shape):
+    """int64 and object arrays of one shape: zero, negative, with a common
+    factor, near the int64 guard, and far beyond int64."""
+    count = int(np.prod(shape))
+
+    def ints(bound):
+        return [rng.randint(-bound, bound) for _ in range(count)]
+
+    def arr(values, dtype=np.int64):
+        return np.array(values, dtype=dtype).reshape(shape)
+
+    near = _INT64_GUARD - 1
+    cases = [
+        np.zeros(shape, dtype=np.int64),
+        arr(ints(5)),
+        -6 * arr(ints(4)),
+        arr([rng.choice((near, -near, 0, 7 * 2 ** 59)) for _ in range(count)]),
+        2 ** 40 * arr(ints(3)),
+    ]
+    cases += [a.astype(object) for a in cases]
+    cases += [
+        arr([v * 3 ** 50 for v in ints(9)], object),
+        arr([v * 2 ** 70 + (t == 0) for t, v in enumerate(ints(9))], object),
+    ]
+    rng.shuffle(cases)
+    return cases
+
+
+def _same_row(got, expected):
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_lone_rows_match_exact_insert(order):
+    # the batched primitive parts against one insert into an empty space,
+    # bit for bit, over a mix of dtypes and sizes in one call, and alone
+    rng = random.Random(order)
+    ctx = CycloCtx(order)
+    arrays = [a for size in (1, 3, 8) for a in _lone_arrays(rng, (size, ctx.phi))]
+    for arr, got in zip(arrays, lone_rows(arrays)):
+        space = ExactIntRows(ctx, arr.shape[0])
+        space.insert(arr)
+        expected = space.rows[0] if space.rank else None
+        _same_row(got, expected)
+        _same_row(lone_rows([arr])[0], expected)
+    assert any(got is None for got in lone_rows(arrays))
+
+
+@pytest.mark.parametrize("p", [2, 7, 2 ** 31 - 1])
+def test_lone_rows_match_mod_insert(p):
+    # mod-p accumulators hold sums of k terms below p, and negatives too
+    rng = random.Random(p)
+    arrays = []
+    for size in (1, 4, 9):
+        arrays.append(np.zeros(size, dtype=np.int64))
+        arrays.append(p * np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64))
+        for _ in range(4):
+            values = [rng.randint(-5 * p, 5 * p) for _ in range(size)]
+            arrays.append(np.array(values, dtype=np.int64))
+    rng.shuffle(arrays)
+    for arr, got in zip(arrays, lone_rows(arrays, p)):
+        space = ModRows(p, arr.size)
+        space.insert(arr)
+        expected = space.rows[0] if space.rank else None
+        _same_row(got, expected)
+        _same_row(lone_rows([arr], p)[0], expected)
+    assert lone_rows([]) == [] and lone_rows([], p) == []

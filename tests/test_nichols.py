@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from ybnichols.catalog import build_entry, catalog_names, parse_scalar
-from ybnichols.exact import CycloElement, cyclotomic_root, euler_phi, primes_for_order
+from ybnichols.exact import (
+    CycloElement,
+    cyclotomic_root,
+    euler_phi,
+    primes_for_order,
+    q_analogues,
+)
 from ybnichols.catalog import ConstraintViolation
 from ybnichols.linalg import ExactIntRows, ModRows, _max_abs, apply, mul_rows_elementwise, rank
 from ybnichols.nichols import (
@@ -41,8 +47,8 @@ from ybnichols.nichols import (
     validate_coefficients,
     word_index,
 )
-from ybnichols.orbits import BraidOrbits
-from ybnichols.ybe import SetSolution
+from ybnichols.orbits import BraidOrbits, classify, maximal_blocks
+from ybnichols.ybe import SetSolution, diagonal
 
 ONE2 = CycloElement.one(2)
 MINUS1 = CycloElement.zeta(2)
@@ -737,6 +743,59 @@ def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
     assert refused and max(refused) > 1
 
 
+def _recording_walks(monkeypatch):
+    """Record each staircase walk as (degree, orbits of the batch, seeds
+    object?, outputs object? or None for a refused walk)."""
+    walks = []
+    walk = _Engine._staircase_walk
+
+    def recording(self, k, top, batch, promote):
+        accs = walk(self, k, top, batch, promote)
+        seeds = [any(rows.dtype == object for _, rows in blocks) for *_, blocks in batch]
+        outs = None if accs is None else [acc.dtype == object for acc in accs]
+        walks.append((k, [orbit for orbit, *_ in batch], seeds, outs))
+        return accs
+
+    monkeypatch.setattr(_Engine, "_staircase_walk", recording)
+    return walks
+
+
+def test_growth_degrees_walk_in_few_batches(monkeypatch):
+    # a batch closes at 2^14 accumulator entries or the largest orbit's, so
+    # the 28 degree steps of the q = 2 growth cases take 33 staircase walks;
+    # closing at the largest orbit's alone took 279
+    walks = _recording_walks(monkeypatch)
+    for name, cap in (("z2-shift", 14), ("z3-shift", 9), ("z4-shift1", 8)):
+        cs = build_entry(name, {"q": "2"}).system
+        m = cs.size
+        g = graded_dims(cs, cap=cap, mode="exact", exact_cap=m ** cap)
+        assert g.dims == tuple(math.comb(k + m - 1, m - 1) for k in range(cap + 1))
+    assert len(walks) <= 33, len(walks)
+
+
+def test_bisected_batches_promote_only_their_own_orbits(monkeypatch):
+    # q = 1000003: a degree's orbits cross int64 at different degrees, so
+    # whole batches are refused and bisected.  An orbit with int64 seeds
+    # turns object only when walked alone, and the rows match the per-orbit
+    # reference bit for bit
+    walks = _recording_walks(monkeypatch)
+    engine = _Engine(build_entry("z3-shift", {"q": "1000003"}).system)
+    mixed = 0
+    for _, rows in _checked_chain(engine, 3 ** 7):
+        mixed += {row.dtype == object for row in rows} == {True, False}
+    assert mixed >= 2, mixed
+    for (k, orbits, seeds, outs), after in zip(walks, walks[1:]):
+        if outs is not None and len(orbits) > 1:
+            assert outs == seeds, (k, orbits)
+        if outs is None:  # bisected: the first half walks next
+            assert after[:2] == (k, orbits[: len(orbits) // 2]), (k, orbits, after)
+    # a refused batch, bisected, left some of its orbits int64 and promoted
+    # others on their own walks
+    promoted = {(k, o[0]) for k, o, seeds, outs in walks if seeds == [False] and outs == [True]}
+    refused = [{(k, o) for o in orbits} for k, orbits, _, outs in walks if outs is None]
+    assert any(0 < len(batch & promoted) < len(batch) for batch in refused)
+
+
 def test_exact_step_matches_per_orbit_reference_on_sparse_seeds():
     # from degree 7 on, most source words of the seeded orbits of w1 and w6
     # carry no seed entry, and the walk visits only the others; the
@@ -882,6 +941,55 @@ def test_rank_one_seeds_match_full_seeds_extended():
         _compare_to_full_seeds(cs, 2 ** 16) for cs in _involutive_systems(("zeta4", "3"))
     )
     assert steps >= 190, steps
+
+
+def _witness_sweep(qs, max_words):
+    """Over the involutive catalog entries at the given q, every orbit of
+    every degree with m^k <= max_words: does the exact chain keep a row on
+    it exactly when the witness coefficient, the product of [l]_{q_a}! over
+    the maximal blocks (l, a) of its classify witness, is nonzero?  Here
+    q_a = R[D(a)][a].  Returns (orbits checked, orbits with coefficient 0,
+    mismatches)."""
+    checked = vanishing = mismatches = 0
+    for cs in _involutive_systems(qs):
+        s, m = cs.solution, cs.size
+        D = diagonal(s)
+        engine = _Engine(cs)
+        rows, k = engine.identity_rows(), 1
+        while True:
+            here = engine.orbits(k)
+            kept = set(rows.orbits)
+            least = here.order[here.starts[:-1]]
+            letters = least[:, None] // m ** np.arange(k - 1, -1, -1) % m
+            for orbit, word in enumerate(map(tuple, letters.tolist())):
+                coeff = CycloElement.one(cs.order)
+                for length, a in maximal_blocks(classify(word, s).witness, s):
+                    coeff = coeff * q_analogues(length, cs.entry(D(a), a))[1]
+                checked += 1
+                vanishing += not coeff
+                mismatches += (orbit in kept) != bool(coeff)
+            if m ** (k + 1) > max_words:
+                break
+            k += 1
+            rows, _ = engine.exact_step(rows, k)
+    return checked, vanishing, mismatches
+
+
+def test_witness_coefficient_decides_kept_rows():
+    # the identity the README states as checked on the catalog: an orbit
+    # keeps a row iff its witness coefficient is nonzero
+    checked, vanishing, mismatches = _witness_sweep((None, "zeta3", "-1", "2"), 2 ** 12)
+    assert mismatches == 0
+    assert checked >= 2700 and vanishing >= 1700, (checked, vanishing)
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_witness_coefficient_decides_kept_rows_extended():
+    checked, _, mismatches = _witness_sweep((None, "zeta3", "-1", "2", "zeta4", "3"), 2 ** 14)
+    assert mismatches == 0
+    assert checked >= 5900, checked
 
 
 def _chain_dims(engine, top):

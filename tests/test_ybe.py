@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -153,6 +154,26 @@ def test_json_round_trip_and_errors():
         SetSolution.from_json({"size": 2, "r": [[[0, 0]]]})
     with pytest.raises(ValueError):
         SetSolution([[(0, 3), (0, 0)], [(1, 1), (1, 0)]])
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"size": 2.7, "r": [[[0, 0], [1, 1]], [[0, 0], [1, 1]]]}, "size"),
+        ({"size": True, "r": [[[0, 0]]]}, "size"),
+        ({"size": "2", "r": [[[0, 0], [1, 1]], [[0, 0], [1, 1]]]}, "size"),
+        ({"size": 2, "r": [[[1, 0], [0, 1.5]], [[1, 0], [0, 1]]]}, "r[0][1]"),
+        ({"size": 2, "r": [[[1, 0], [0, 1]], [[True, 0], [0, 1]]]}, "r[1][0]"),
+        ({"size": 2, "r": [[[1, 0], [0, 1]], [[1, 0], [0, 1.0]]]}, "r[1][1]"),
+        ({"size": 2, "r": [[[1, 0], [0, 1]], [[1, 0], [0, 1, 1]]]}, "r[1][1]"),
+        ({"size": 2, "r": [[[1, 0], [0, 1]], [[1, 0], 3]]}, "r[1][1]"),
+    ],
+)
+def test_from_json_accepts_only_integers(data, named):
+    # int() would truncate 2.7 and 1.5 and read true as 1, so verify would
+    # report on a table other than the file's
+    with pytest.raises(ValueError, match=re.escape(named)):
+        SetSolution.from_json(data)
 
 
 def test_verify_threads_agree():
