@@ -15,20 +15,33 @@ permutation passes.
 Every c_i sends a word to one word times a scalar, so the symmetrizer is
 block-diagonal over the orbits of the braid group B_k on the words X^k (for
 an involutive solution, the S_k-orbits counted by partitions, of multinomial
-sizes).  ``orbits.BraidOrbits`` labels them, the same labeller the orbit
+sizes).  ``orbits.BraidOrbits`` finds them, the same labeller the orbit
 census uses, and c_i images of words are one gather of its per-pair index
-shift.  Every basis row lives on one orbit, so each seed u (x) w_j lies in
-exactly one degree-k orbit.  A step walks the staircase terms once per batch
-of whole orbits, and only over the source words that carry a nonzero seed
-entry (on w1 at degree 10, 6,048 of the 132,096 words of the seeded
-orbits): the batch's seed rows are one flat list of entries, and each term
-is one gather, one cyclotomic product and one scatter-add.  A batch closes
+shift.  An orbit lists its words node-major: node (P, y) holds the words
+u y with u in the degree-(k-1) orbit P, and a row is a vector over its
+orbit's words in that order.  Every basis row lives on one orbit, so each
+seed u (x) w_j lies in exactly one degree-k orbit, on the node (P, j) of
+u's orbit P.  A step walks the staircase terms once per batch of whole
+orbits, and only over the source words that carry a nonzero seed entry
+(on w1 at degree 10, 6,048 of the 132,096 words of the seeded orbits): the
+batch's seed rows are one flat list of entries, and each term is one
+gather, one cyclotomic product and one scatter-add.
+
+The walk reads the positions of its words within their orbits from the
+degree below, by T_k = id + (T_{k-1} (x) id) c_{k-1}.  A seed block sits on
+one node, so at the identity term its words' positions are the node's
+offset plus their index in the block.  After c_{k-1} a word u y is some
+u' y', and every later term moves only u' within its degree-(k-1) orbit P',
+so the word stays on the node (P', y') and its position is that node's
+offset plus the position of u' within P'.  A degree-k step therefore reads
+word-length arrays of degree k-1 only, and the top degree of a run (w1 at
+degree 10: 1,048,576 words) never builds any.  A batch closes
 only when its accumulators would pass the larger of ``_BATCH_BUDGET``
 entries and the largest single orbit's, so a degree of many small orbits
 costs a few walks.  A batch that would leave int64 is bisected, so
 arithmetic turns object orbit by orbit.  Modular steps walk the same
-batches and words with one running product per seed entry, reduced mod p
-at every term.  Elimination runs orbit by orbit, in vectors as long as the
+batches and words with one running product per word, reduced mod p at
+every term.  Elimination runs orbit by orbit, in vectors as long as the
 orbit, except on the paper's class (below).  Full-length rows are built
 only when a caller asks for the image itself.
 
@@ -478,8 +491,10 @@ def _relation_rows(cs: CoefficientSystem, element):
 class OrbitRows(list):
     """Basis rows of one degree, each local to one braid-group orbit.
 
-    Row t is a vector on the words of orbit ``orbits[t]``, in the order
-    those words have in the orbit's part of ``orbits._Orbits.order``.
+    Row t is a vector on the words of orbit ``orbits[t]`` in node-major
+    order (``orbits._Orbits``): the orbit's nodes (P, y) in ascending id,
+    and within a node the words u y in the order the orbit P lists u.  A
+    word's index there is its ``pos``.
     """
 
     def __init__(self, rows=(), orbits=()) -> None:
@@ -540,7 +555,8 @@ class _Engine:
         low = m ** (k - i - 1)
         if idx is None:
             idx = np.arange(m ** k, dtype=np.int64)
-        pair = idx // low % (m * m)
+        high = idx // low
+        pair = high - high // (m * m) * (m * m)  # high % m^2; numpy's % costs twice this
         return idx + self.braid.pair_shift[pair] * low, pair
 
     def expand(self, rows: OrbitRows, k: int) -> list[np.ndarray]:
@@ -577,7 +593,8 @@ class _Engine:
         words the orbit's seeds live on; each block is (slice of sources,
         stacked rows), and its seeds are the rows placed on those words.
         A seed lies on the node (orbit P of its row, letter j), in orbit
-        ``links[P m + j]``.  When ``rank_one`` holds, an orbit gets only the
+        ``links[P m + j]``, and a block holds that node's words in orbit
+        order.  When ``rank_one`` holds, an orbit gets only the
         seed on its smallest node, and none if that node's P has no row.
         """
         m = self.m
@@ -589,17 +606,10 @@ class _Engine:
             row_of[prev_rows.orbits] = np.arange(len(prev_rows))
             if len(prev_rows) > np.count_nonzero(row_of >= 0):
                 raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
-            heads_below, letters = np.divmod(here.heads, m)
-            rows = row_of[heads_below]
+            rows = row_of[here.heads // m]
             seeded = np.flatnonzero(rows >= 0)
-            # the words of every seeded node (P, j), node after node, in one
-            # gather: those of P, below.order[starts[P] : starts[P + 1]], times m plus j
-            prev = heads_below[seeded]
-            lengths = np.diff(below.starts)[prev]
+            words, lengths = here.node_words(here.heads[seeded])
             ends = np.cumsum(lengths)
-            index = np.repeat(below.starts[prev] - ends + lengths, lengths)
-            index += np.arange(index.size)
-            words = below.order[index] * m + np.repeat(letters[seeded], lengths)
             for orbit, t, end, width in zip(
                 seeded.tolist(), rows[seeded].tolist(), ends.tolist(), lengths.tolist()
             ):
@@ -634,21 +644,60 @@ class _Engine:
             rows.append(arr)
         return OrbitRows(rows, range(self.m))
 
+    def _images(self, k: int, top: int, words):
+        """Yield (image words, pair indices) of each term of the staircase
+        T_top = id + c_{top-1} + ... + c_1 ... c_{top-1} on the degree-k
+        words; the identity term has no pair indices."""
+        cur = words
+        yield cur, None
+        for i in range(top - 1, 0, -1):
+            cur, sidx = self._c_arrays(k, i, cur)
+            yield cur, sidx
+
+    def _located(self, k: int, top: int, start, terms):
+        """Pair each term of a staircase walk (a tuple led by its image
+        words, as ``_images`` and ``_terms_exact`` yield) with the positions
+        of those words within their degree-k orbits; ``start`` holds the
+        identity term's.
+
+        T_top = id + (T_{top-1} (x) id) c_{top-1} on the first top letters.
+        After c_{top-1}, a walked word a b (a of top letters) is u y b, and
+        every later term moves only u, within its degree-(top-1) orbit P, so
+        the word stays on the node (P, y) of degree top.  Its position is
+        then offset + (position of u within P), where the offset is the
+        node's plus, when top < k, start minus the position of a within its
+        own orbit (which T_top keeps), and stays fixed for the rest of the
+        walk.  So a step (top = k) reads the arrays of degree k-1 only.
+        """
+        terms = iter(terms)
+        first = next(terms)
+        yield first, start
+        m, tail = self.m, self.m ** (k - top)  # tail: the letters past the staircase
+        here, below = self.orbits(top), self.orbits(top - 1)
+        offset = None
+        for term in terms:
+            prefix = term[0] // (tail * m)
+            if offset is None:  # just after c_{top-1}: the node is fixed from here on
+                word = term[0] if top == k else term[0] // tail  # its first top letters
+                offset = here.offsets[below.label[prefix] * m + word - prefix * m]
+                if top < k:
+                    offset += start - here.pos[first[0] // tail]
+            yield term, offset + below.pos[prefix]
+
     def _terms_exact(self, k: int, top: int, src, object_mode: bool):
         """Yield (image words, scalars, denominator, peak) of each term of the
-        staircase T_top = id + c_{top-1} + ... + c_1 ... c_{top-1} on the
-        degree-k source words.  ``peak`` is the largest absolute scalar while
-        the scalars are int64, else None.  The scalars turn object before a
-        product could leave int64."""
+        staircase T_top on the degree-k source words.  ``peak`` is the
+        largest absolute scalar while the scalars are int64, else None.  The
+        scalars turn object before a product could leave int64."""
         ctx = self.ctx
-        cur = src
+        terms = self._images(k, top, src)
+        cur, _ = next(terms)
         scal = np.zeros((src.size, ctx.phi), dtype=object if object_mode else np.int64)
         scal[:, 0] = 1
         den = 1
         peak = None if object_mode else _max_abs(scal)
         yield cur, scal, den, peak
-        for i in range(top - 1, 0, -1):
-            cur, sidx = self._c_arrays(k, i, cur)
+        for cur, sidx in terms:
             if peak is not None and peak * self.r_int_max * ctx.mul_bound >= _INT64_GUARD:
                 scal = _as_object(scal)
             scal = mul_rows_elementwise(scal, self.r_int[sidx].astype(scal.dtype, copy=False), ctx)
@@ -695,12 +744,18 @@ class _Engine:
         half = len(batch) // 2
         return self._staircase(k, top, batch[:half]) + self._staircase(k, top, batch[half:])
 
-    def _entries(self, batch):
+    def _entries(self, k: int, batch):
         """Flatten a batch's seed rows into entries, one per nonzero seed
-        coefficient.  Returns (the source words that carry an entry, entry ->
-        index into those words, entry -> offset in the output, entry values,
-        (seed rows, size) per orbit); the output holds one segment of the
-        orbit's size per seed, orbit after orbit."""
+        coefficient.  Returns (the source words that carry an entry, their
+        positions within their degree-k orbits, entry -> index into those
+        words (a full slice when that is the identity), entry -> offset in
+        the output, entry values, (seed rows, size) per orbit); the output
+        holds one segment of the orbit's size per seed, orbit after orbit.
+
+        A block's source words are a node's words, or a whole orbit's, in
+        orbit order, so they start at the first word of a node and sit at
+        that node's offset plus their index in the block: one lookup per
+        block, in the labels of degree k-1."""
         words, vals, shapes, spans = [], [], [], []
         n_src = n_out = 0
         for _, size, sources, blocks in batch:
@@ -723,15 +778,22 @@ class _Engine:
         vals = np.concatenate(vals)
         nonzero = np.flatnonzero((vals != 0).any(axis=1))
         block = np.searchsorted(ends, nonzero, side="right")
-        first_src, first_out, width, stride = np.array(spans, dtype=np.int64)[block].T
+        spans = np.array(spans, dtype=np.int64)
+        first_src, first_out, width, stride = spans[block].T
         row, col = np.divmod(nonzero - (ends - lengths)[block], width)
         src, base = first_src + col, first_out + row * stride
         words = np.concatenate(words)
+        prefix, letter = np.divmod(words[spans[:, 0]], self.m)
+        lead = self.orbits(k).offsets[self.orbits(k - 1).label[prefix] * self.m + letter]
         if nonzero.size < len(vals):  # some source words may carry no entry
             used = np.zeros(words.size, dtype=bool)
             used[src] = True
             words, src = words[used], (np.cumsum(used) - 1)[src]
-        return words, src, base, vals[nonzero], shapes
+        at = np.empty(words.size, dtype=np.int64)
+        at[src] = lead[block] + col
+        if src.size == words.size and (src[1:] > src[:-1]).all():
+            src = slice(None)  # one entry per word, in order (one seed per orbit): no gathers
+        return words, at, src, base, vals[nonzero], shapes
 
     def _staircase_walk(self, k: int, top: int, batch, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
@@ -746,18 +808,18 @@ class _Engine:
         are all object already is walked in object arithmetic.
         """
         ctx = self.ctx
-        here = self.orbits(k)
         dtypes = {rows.dtype == object for *_, blocks in batch for _, rows in blocks}
         object_mode = True in dtypes
         if len(dtypes) > 1 and not promote:
             return None
-        words, src, base, vals, shapes = self._entries(batch)
+        words, start, src, base, vals, shapes = self._entries(k, batch)
         seed_max = 0 if object_mode else _max_abs(vals)
         sizes = [count * size for count, size in shapes]
         out = np.zeros((sum(sizes), ctx.phi), dtype=object if object_mode else np.int64)
         total_den = self.r_den ** (top - 1)
         bound = 0  # bounds every accumulated entry while in int64
-        for cur, scal, den, peak in self._terms_exact(k, top, words, object_mode):
+        terms = self._terms_exact(k, top, words, object_mode)
+        for (_, scal, den, peak), at in self._located(k, top, start, terms):
             scale = total_den // den
             if not object_mode:
                 if peak is not None:
@@ -771,7 +833,7 @@ class _Engine:
                 scal = _as_object(scal)
             if scale != 1:
                 scal = scal * scale
-            out[base + here.pos[cur][src]] += mul_rows_elementwise(vals, scal[src], ctx)
+            out[base + at[src]] += mul_rows_elementwise(vals, scal[src], ctx)
         ends = np.cumsum(sizes).tolist()
         return [
             out[end - count * size : end].reshape(count, size, ctx.phi)
@@ -834,22 +896,26 @@ class _Engine:
         return OrbitRows(out, rows.orbits)
 
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
-        """``exact_step`` over F_p, on the same batches.  The walk carries one
-        running product per seed entry, reduced mod p at every term, so the k
-        terms sum below k * p < 2^63; ``ModRows`` reduces each row on insert."""
-        here = self.orbits(k)
+        """``exact_step`` over F_p, on the same batches and the same walk over
+        the source words that carry an entry: one running product per word,
+        reduced mod p at every term, times each entry's value mod p, so the
+        k terms sum below k * p < 2^63; ``ModRows`` reduces each row on
+        insert."""
         rmod = self.r_mod(p)
         out = OrbitRows()
         for batch in self._batches(self._seed_blocks(prev_vecs, k)):
-            words, src, base, vals, shapes = self._entries(batch)
+            words, start, src, base, vals, shapes = self._entries(k, batch)
             sizes = [count * size for count, size in shapes]
             acc = np.zeros(sum(sizes), dtype=np.int64)
-            cur, term = words[src], vals[:, 0]
-            acc[base + here.pos[cur]] += term
-            for i in range(k - 1, 0, -1):
-                cur, sidx = self._c_arrays(k, i, cur)
-                term = term * rmod[sidx] % p
-                acc[base + here.pos[cur]] += term
+            vals = vals[:, 0]
+            scal = np.ones(words.size, dtype=np.int64)
+            for (_, sidx), at in self._located(k, k, start, self._images(k, k, words)):
+                if sidx is None:
+                    term = vals
+                else:
+                    scal = scal * rmod[sidx] % p
+                    term = vals * scal[src] % p
+                acc[base + at[src]] += term
             ends = np.cumsum(sizes).tolist()
             parts = [acc[end - width : end] for end, width in zip(ends, sizes)]
             if self.rank_one:  # one seed per orbit: its image, scaled to lead with 1

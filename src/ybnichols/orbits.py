@@ -11,6 +11,14 @@ One labeller, ``BraidOrbits``, finds the orbits of the braid group B_k on X^k
 (the S_k-orbits, for an involutive solution) for the census and the Nichols
 engine alike.  It builds them degree by degree from an orbit graph with one
 edge per (degree-(k-2) orbit, letter pair), with no pass over the words.
+An orbit lists its words node-major: node (P, y) holds the words u y with u
+in the degree-(k-1) orbit P, nodes come in ascending id P m + y, and within
+a node the words follow P's order.  Each degree keeps its graph, orbit
+starts, node offsets and least words; a word's orbit (``label``), its
+position within it (``pos``) and the words in orbit order (``order``) are
+built from those of the degree below when first read, so the census reads
+each representative and size off the graph and never holds an array over
+all m^n words.
 """
 
 from __future__ import annotations
@@ -490,36 +498,111 @@ def word_index(word, m: int) -> int:
     return code
 
 
-@dataclass(frozen=True)
 class _Orbits:
-    """The orbits of the braid group B_k on the degree-k words."""
+    """The orbits of the braid group B_k on the degree-k words.
 
-    label: np.ndarray  # word -> orbit id, ascending with the orbit's least word
-    order: np.ndarray  # words grouped by orbit, ascending within each orbit
-    starts: np.ndarray  # orbit o holds order[starts[o]:starts[o + 1]]
-    links: np.ndarray  # node (orbit below) * m + (last letter) -> orbit id
+    Node (P, y), with id P m + y, is the set of words u y with u in the
+    degree-(k-1) orbit P; c_1 .. c_{k-2} keep a word in its node.  Each orbit
+    lists its words node-major: its nodes in ascending id, and within a node
+    the words u y in the order P lists u.  Only the orbit graph is built
+    eagerly; the word-length arrays ``label``, ``pos`` and ``order`` are
+    built from those of the degree below on first read, so a caller that
+    never reads them (the census, or the top degree of a Nichols step) never
+    holds an array over all m^k words.
+    """
+
+    def __init__(self, below, m: int, links, starts, offsets, heads, least) -> None:
+        self.below = below  # the degree-(k-1) orbits, None at degree 0
+        self.m = m
+        self.links = links  # node -> orbit id
+        self.starts = starts  # orbit o holds positions starts[o] .. starts[o + 1] - 1
+        self.offsets = offsets  # node -> position of its first word within its orbit
+        self.heads = heads  # orbit -> its smallest node, which holds its least word
+        self.least = least  # orbit -> its least word, ascending with the orbit id
 
     @property
     def count(self) -> int:
         return len(self.starts) - 1
 
-    @cached_property
-    def pos(self) -> np.ndarray:
-        """word -> its index within its orbit's part of order; built on first
-        read, as the census never reads it."""
-        pos = np.empty_like(self.order)
-        pos[self.order] = np.arange(self.order.size)
-        pos -= self.starts[self.label]
-        return pos
+    def _build_below(self, name: str) -> None:
+        """Build the derived array ``name`` at every lower degree that lacks
+        it, from the bottom up, so that no read recurses degree by degree."""
+        missing = []
+        degree = self.below
+        while name not in vars(degree):
+            missing.append(degree)
+            degree = degree.below
+        for degree in reversed(missing):
+            getattr(degree, name)
 
     @cached_property
-    def heads(self) -> np.ndarray:
-        """orbit -> its smallest node (orbit below * m + last letter), the
-        node that holds the orbit's least word; built on first read."""
-        return np.unique(self.links, return_index=True)[1]
+    def label(self) -> np.ndarray:
+        """word -> orbit id: the word u y lies in the orbit of node (label of u, y)."""
+        self._build_below("label")
+        return np.take(self.links.reshape(-1, self.m), self.below.label, axis=0).ravel()
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """word -> its index within its orbit: the word u y sits at its
+        node's offset plus the index of u within the orbit below."""
+        self._build_below("pos")
+        pos = np.take(self.offsets.reshape(-1, self.m), self.below.label, axis=0)
+        pos += self.below.pos[:, None]
+        return pos.ravel()
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The words orbit after orbit, node-major within each orbit: one
+        gather of the words of every node's orbit below, node after node."""
+        self._build_below("order")
+        return self.node_words(np.argsort(self.links, kind="stable"))[0]
+
+    def node_words(self, nodes):
+        """The words of the given nodes, node after node, each in orbit
+        order, and the number of words per node: those of node (P, y) are
+        the words of P below, times m plus y, so all come from one gather."""
+        below, m = self.below, self.m
+        prev, letters = np.divmod(nodes, m)
+        lengths = np.diff(below.starts)[prev]
+        ends = np.cumsum(lengths)
+        index = np.repeat(below.starts[prev] - ends + lengths, lengths)
+        index += np.arange(index.size)
+        words = below.order[index]
+        words *= m
+        words += np.repeat(letters, lengths)
+        return words, lengths
 
     def words(self, orbit: int) -> np.ndarray:
         return self.order[self.starts[orbit] : self.starts[orbit + 1]]
+
+
+def _degree_zero() -> _Orbits:
+    """The one empty word, in one orbit of one node."""
+    zero = np.zeros(1, dtype=np.int64)
+    base = _Orbits(None, 1, zero, np.array([0, 1]), zero, zero, zero)
+    vars(base).update(label=zero, pos=zero, order=zero)
+    return base
+
+
+def _graph(below: _Orbits, m: int, links) -> _Orbits:
+    """The orbits whose nodes (orbit of ``below``, letter) the array
+    ``links`` sends to orbit ids that ascend with each orbit's smallest node.
+
+    Sorting the nodes by orbit (stably, so ascending within each orbit) and
+    summing their sizes, those of the orbits below, gives every orbit's
+    start and every node's offset within its orbit."""
+    nodes = np.argsort(links, kind="stable")
+    per_orbit = np.bincount(links)
+    first = np.cumsum(per_orbit) - per_orbit  # each orbit's head, in node order
+    sizes = np.diff(below.starts)[nodes // m]
+    placed = np.cumsum(sizes) - sizes  # each node's first position, degree-wide
+    starts = np.append(placed[first], placed[-1] + sizes[-1])
+    offsets = np.empty_like(placed)
+    offsets[nodes] = placed - np.repeat(starts[:-1], per_orbit)
+    heads = nodes[first]
+    prev, letter = np.divmod(heads, m)
+    least = below.least[prev] * m + letter
+    return _Orbits(below, m, links, starts, offsets, heads, least)
 
 
 def _components(a, b, count: int) -> np.ndarray:
@@ -572,16 +655,21 @@ class BraidOrbits:
         (links[Q m + x], y) and (links[Q m + sigma_x(y)], tau_y(x)), with
         ``links`` of degree k-1, so the edges come from (Q, x, y), not words.
         Node (Q, y) holds the words of Q followed by y, so, by induction on
-        k, the smallest node of an orbit holds its least word and orbit ids
-        ascend with the least word.  Missing degrees are built bottom-up.
+        k, the smallest node of an orbit holds its least word, orbit ids
+        ascend with the least word, and node-major order lists the least word
+        first.  Missing degrees are built bottom-up, with no pass over the
+        words: only the graph, the orbit starts, the node offsets and the
+        least words (see ``_Orbits``).
         """
         m = self.m
+        if not self._orbits:
+            self._orbits.append(_degree_zero())
         while len(self._orbits) <= k:
             d = len(self._orbits)
-            if d <= 1:
-                label = links = np.arange(m ** d, dtype=np.int64)
+            below = self._orbits[d - 1]
+            if d == 1:
+                links = np.arange(m, dtype=np.int64)
             else:
-                below = self._orbits[d - 1]
                 triples = self._orbits[d - 2].count * m * m
                 Q, pair = np.divmod(np.arange(triples, dtype=np.int64), m * m)
                 x, y = np.divmod(pair, m)
@@ -589,12 +677,7 @@ class BraidOrbits:
                 a = below.links[Q * m + x] * m + y
                 b = below.links[Q * m + sx] * m + ty
                 links = _components(a, b, below.count * m)
-                label = links.reshape(below.count, m)[below.label].ravel()
-            sizes = np.bincount(label)
-            # a stable sort of keys of at most 16 bits is a radix sort in numpy
-            order = np.argsort(label.astype(np.min_scalar_type(sizes.size - 1)), kind="stable")
-            starts = np.concatenate(([0], np.cumsum(sizes)))
-            self._orbits.append(_Orbits(label, order, starts, links))
+            self._orbits.append(_graph(below, m, links))
         return self._orbits[k]
 
 
@@ -667,9 +750,8 @@ def orbit_census(
         raise TooLarge(f"{m}^{n} = {total} exceeds cap {cap}")
     if n > cap:  # reachable only for m = 1, where every degree has one word
         raise TooLarge(f"degree {n} exceeds cap {cap}")
-    here = BraidOrbits(s).orbits(n)
-    least = here.order[here.starts[:-1]]  # ascending, as orbit ids follow the least word
-    letters = least[:, None] // m ** np.arange(n - 1, -1, -1) % m
+    here = BraidOrbits(s).orbits(n)  # the orbit graph only: no array over the m^n words
+    letters = here.least[:, None] // m ** np.arange(n - 1, -1, -1) % m
     summaries = []
     for rep, size in zip(map(tuple, letters.tolist()), np.diff(here.starts).tolist()):
         result = classify(rep, s)

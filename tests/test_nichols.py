@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -408,6 +409,56 @@ def test_braid_orbit_counts():
     ]
 
 
+def test_staircase_positions_match_derived_pos():
+    # the walk reads each term's positions from the degree below (and, for
+    # T_top with top < k, from degree top); they must be the derived pos of
+    # degree k at the walked words, for every term of every staircase
+    terms = 0
+    for name in catalog_names():
+        engine = _Engine(build_entry(name).system)
+        for k in range(2, 7):
+            here = engine.orbits(k)
+            words = np.arange(engine.m ** k, dtype=np.int64)
+            for top in range(2, k + 1):
+                walk = engine._located(k, top, here.pos[words], engine._images(k, top, words))
+                for (cur, _), at in walk:
+                    assert np.array_equal(at, here.pos[cur]), (name, k, top)
+                    terms += 1
+    assert terms == len(catalog_names()) * sum(t for k in range(2, 7) for t in range(2, k + 1))
+
+
+def test_top_degree_builds_no_word_arrays(monkeypatch):
+    # w1 vanishes at degree 10: its steps read the word arrays of degree 9,
+    # and degree 10 keeps only its orbit graph
+    engines = []
+    init = _Engine.__init__
+
+    def recording(self, cs):
+        init(self, cs)
+        engines.append(self)
+
+    monkeypatch.setattr(_Engine, "__init__", recording)
+    g = graded_dims(build_entry("w1").system, cap=16)
+    assert g.terminated == "zero" and len(g.dims) == 11
+    (engine,) = engines
+    assert not {"label", "order", "pos"} & set(vars(engine.orbits(10)))
+    assert {"label", "pos"} <= set(vars(engine.orbits(9)))
+
+
+def test_graded_dims_w1_peak_memory():
+    # about 43 MiB while degree 10 built its label, order and pos over all
+    # 4^10 words; about 13 MiB with the arrays of degree 9 only
+    cs = build_entry("w1").system
+    graded_dims(cs, cap=16)
+    tracemalloc.start()
+    try:
+        assert graded_dims(cs, cap=16).total == 72
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak / 2 ** 20
+
+
 def test_c_arrays_match_reference_braiding_ops():
     rng = np.random.default_rng(7)
     for name in catalog_names():
@@ -426,15 +477,13 @@ def test_c_arrays_match_reference_braiding_ops():
                     assert scalars == [op.scalar[w] for w in words.tolist()], (name, k, i)
 
 
-def _reference_orbits(solution, k):
-    """(label, order, starts, pos) of the B_k-orbits on the degree-k words,
-    from the words alone.
+def _reference_labels(solution, k):
+    """The orbit id of every degree-k word, from the words alone.
 
     Every word starts labelled by itself; the smaller label wins across every
     c_i word edge, in both directions, and a word takes the label of its
     label, until nothing changes.  Each word then carries the smallest word
-    of its orbit.  Orbit ids follow the smallest words, and words ascend
-    within each orbit.
+    of its orbit, and orbit ids follow the smallest words.
     """
     m = solution.size
     words = np.arange(m ** k, dtype=np.int64)
@@ -454,8 +503,27 @@ def _reference_orbits(solution, k):
         least = least[least]
         if (least == before).all():
             break
-    label = np.unique(least, return_inverse=True)[1]
-    order = np.argsort(label, kind="stable")
+    return np.unique(least, return_inverse=True)[1]
+
+
+def _reference_orbits(solution, k):
+    """(label, order, starts, pos) of the B_k-orbits on the degree-k words,
+    from the words alone.
+
+    Words are listed orbit after orbit, node-major within each orbit: by the
+    orbit of the first k-1 letters, then the last letter, then, within
+    that, by the orbit of the first k-2 letters and the letter after them,
+    and so on, with every prefix labelled by ``_reference_labels`` of its
+    own degree.
+    """
+    m = solution.size
+    words = np.arange(m ** k, dtype=np.int64)
+    label = _reference_labels(solution, k)
+    keys = [label]
+    for j in range(k - 1, 0, -1):
+        prefix = _reference_labels(solution, j)[words // m ** (k - j)]
+        keys += [prefix, words // m ** (k - j - 1) % m]
+    order = np.lexsort(keys[::-1])
     starts = np.concatenate(([0], np.cumsum(np.bincount(label))))
     pos = np.empty_like(order)
     pos[order] = np.arange(order.size) - starts[label[order]]

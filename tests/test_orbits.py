@@ -646,10 +646,22 @@ def test_lazy_pos_equals_eager_formula():
             assert np.array_equal(pos[orbs.words(o)], np.arange(len(orbs.words(o))))
 
 
-def test_census_leaves_pos_unbuilt(monkeypatch):
-    def unread(self):
-        raise AssertionError("orbit_census read pos")
+def test_derived_arrays_at_large_degree_without_recursion():
+    # each derived array is built from the degree below, bottom-up in a
+    # loop: reading it first at degree 3000 must not recurse per degree
+    orbs = BraidOrbits(SetSolution.flip(1)).orbits(3000)
+    assert orbs.count == 1 and orbs.least.tolist() == [0]
+    for name in ("label", "pos", "order"):
+        assert getattr(orbs, name).tolist() == [0], name
 
-    monkeypatch.setattr(orbits_module._Orbits, "pos", property(unread))
+
+def test_census_leaves_pos_unbuilt(monkeypatch):
+    # the census reads the orbit graph only: no array over the m^n words
+    for array in ("label", "order", "pos"):
+
+        def unread(self, array=array):
+            raise AssertionError(f"orbit_census read {array}")
+
+        monkeypatch.setattr(orbits_module._Orbits, array, property(unread))
     for name, n, s in _census_cases():
         orbit_census(n, s, witnesses=True)
