@@ -13,7 +13,7 @@ from .exact import (
     q_analogues,
     specialize,
 )
-from .linalg import DimensionMismatch, MonomialOperator, RowSpace, apply, rank, rowspace_insert
+from .linalg import DimensionMismatch, MonomialOperator, RowSpace, apply, rank
 from .nichols import (
     CapExceeded,
     CoefficientSystem,

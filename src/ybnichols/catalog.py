@@ -23,7 +23,7 @@ from functools import reduce
 from .exact import CycloElement
 from .nichols import CoefficientSystem, validate_coefficients
 from .orbits import psi
-from .ybe import SetSolution
+from .ybe import SetSolution, cached_report
 
 
 class UnknownName(KeyError):
@@ -84,6 +84,26 @@ def _q_order(q: CycloElement) -> int | None:
     return n if n is not None and n >= 2 else None
 
 
+def _psi_relations(P, s) -> list:
+    """One relation Psi_n(i) per generator when q has finite order n >= 2."""
+    n = _q_order(P["q"])
+    one = P["q"] ** 0
+    words = [psi(n, i, s) for i in range(s.size)] if n else []
+    return [(_word_label(word), ((one, word),)) for word in words]
+
+
+def _nm_expected(m: int):
+    """The expected total n^m of an m-point entry with q of order n."""
+
+    def expected(P):
+        n = _q_order(P["q"])
+        if n is None:
+            return None, f"q has infinite order: polynomial growth of degree {m - 1}"
+        return n ** m, f"n^m with n={n}, m={m}"
+
+    return expected
+
+
 class _Spec:
     """One catalog family: solution + parametrized coefficient table."""
 
@@ -135,9 +155,7 @@ def build_entry(name: str, overrides=None) -> CatalogEntry:
     solution = spec.solution_builder()
     table = spec.table_builder(params)
     system = validate_coefficients(solution, table)
-    from .ybe import verify_solution
-
-    involutive = verify_solution(solution).is_involutive
+    involutive = cached_report(solution).is_involutive
     point_ok = all(check(params) for _, check in spec.point_constraints)
     expected_total, expected_note = (
         spec.expected_builder(params) if point_ok else (None, "off the documented point")
@@ -168,22 +186,10 @@ def _z2_table(P):
 def _z2_relations(P, s):
     a, e, q = P["a"], P["e"], P["q"]
     one = q ** 0
-    rels = [
+    return [
         ("w0^2 - a w1^2", ((one, (0, 0)), (-a, (1, 1)))),
         ("w1^2 - e w0^2", ((one, (1, 1)), (-e, (0, 0)))),
-    ]
-    n = _q_order(q)
-    if n:
-        for word in (psi(n, i, s) for i in range(s.size)):
-            rels.append((_word_label(word), ((one, word),)))
-    return rels
-
-
-def _z2_expected(P):
-    n = _q_order(P["q"])
-    if n is None:
-        return None, "q has infinite order: polynomial growth of degree 1"
-    return n ** 2, f"n^m with n={n}, m=2"
+    ] + _psi_relations(P, s)
 
 
 def _z3_table(P):
@@ -198,23 +204,11 @@ def _z3_table(P):
 def _z3_relations(P, s):
     a, d, e, q = P["a"], P["d"], P["e"], P["q"]
     one = q ** 0
-    rels = [
+    return [
         ("w0^2 - a w2 w1", ((one, (0, 0)), (-a, (2, 1)))),
         ("w0 w2 - d w1^2", ((one, (0, 2)), (-d, (1, 1)))),
         ("w1 w0 - e w2^2", ((one, (1, 0)), (-e, (2, 2)))),
-    ]
-    n = _q_order(q)
-    if n:
-        for word in (psi(n, i, s) for i in range(s.size)):
-            rels.append((_word_label(word), ((one, word),)))
-    return rels
-
-
-def _z3_expected(P):
-    n = _q_order(P["q"])
-    if n is None:
-        return None, "q has infinite order: polynomial growth of degree 2"
-    return n ** 3, f"n^m with n={n}, m=3"
+    ] + _psi_relations(P, s)
 
 
 def _z4s1_table(P):
@@ -232,26 +226,14 @@ def _z4s1_relations(P, s):
     q = P["q"]
     x1, x2, x3, x4, x6 = P["x1"], P["x2"], P["x3"], P["x4"], P["x6"]
     one = q ** 0
-    rels = [
+    return [
         ("w0^2 - x1 w3 w1", ((one, (0, 0)), (-x1, (3, 1)))),
         ("w0 w2 - x2 w1^2", ((one, (0, 2)), (-x2, (1, 1)))),
         ("w0 w3 - x3 w2 w1", ((one, (0, 3)), (-x3, (2, 1)))),
         ("w1 w0 - x4 w3 w2", ((one, (1, 0)), (-x4, (3, 2)))),
         ("w1 w3 - x6 w2^2", ((one, (1, 3)), (-x6, (2, 2)))),
         ("w2 w0 - (x2 x4 / x3) w3^2", ((one, (2, 0)), (-(P["x2"] * x4 / x3), (3, 3)))),
-    ]
-    n = _q_order(q)
-    if n:
-        for word in (psi(n, i, s) for i in range(s.size)):
-            rels.append((_word_label(word), ((one, word),)))
-    return rels
-
-
-def _z4s1_expected(P):
-    n = _q_order(P["q"])
-    if n is None:
-        return None, "q has infinite order: polynomial growth of degree 3"
-    return n ** 4, f"n^m with n={n}, m=4"
+    ] + _psi_relations(P, s)
 
 
 def _z4s2_table(P):
@@ -325,7 +307,7 @@ def _x4_relations(P, s):
     q = P["q"]
     x2, x3, x4, x5, x6 = P["x2"], P["x3"], P["x4"], P["x5"], P["x6"]
     one = q ** 0
-    rels = [
+    return [
         ("w0 w1 - x2 w1 w3", ((one, (0, 1)), (-x2, (1, 3)))),
         ("w0 w2 - x3 w3 w1", ((one, (0, 2)), (-x3, (3, 1)))),
         ("w0 w3 - x4 w2^2", ((one, (0, 3)), (-x4, (2, 2)))),
@@ -335,19 +317,7 @@ def _x4_relations(P, s):
             "w2 w0 - (x5^2/(x2 x4 x6)) w3 w2",
             ((one, (2, 0)), (-(x5 * x5 / (x2 * x4 * x6)), (3, 2))),
         ),
-    ]
-    n = _q_order(q)
-    if n:
-        for word in (psi(n, i, s) for i in range(s.size)):
-            rels.append((_word_label(word), ((one, word),)))
-    return rels
-
-
-def _x4_expected(P):
-    n = _q_order(P["q"])
-    if n is None:
-        return None, "q has infinite order: polynomial growth of degree 3"
-    return n ** 4, f"n^m with n={n}, m=4"
+    ] + _psi_relations(P, s)
 
 
 # -- the eight 72-dimensional rack-type braidings
@@ -886,7 +856,7 @@ def _specs() -> dict:
         family_constraints=[],
         point_constraints=[("a e = 1", lambda P: _is_one(P["a"] * P["e"]))],
         relations_builder=_z2_relations,
-        expected_builder=_z2_expected,
+        expected_builder=_nm_expected(2),
     )
     specs["z3-shift"] = _Spec(
         name="z3-shift",
@@ -897,7 +867,7 @@ def _specs() -> dict:
         family_constraints=[],
         point_constraints=[("d f = 1", lambda P: _is_one(P["d"] * P["f"]))],
         relations_builder=_z3_relations,
-        expected_builder=_z3_expected,
+        expected_builder=_nm_expected(3),
     )
     specs["z4-shift1"] = _Spec(
         name="z4-shift1",
@@ -914,7 +884,7 @@ def _specs() -> dict:
             ),
         ],
         relations_builder=_z4s1_relations,
-        expected_builder=_z4s1_expected,
+        expected_builder=_nm_expected(4),
     )
     specs["z4-shift2"] = _Spec(
         name="z4-shift2",
@@ -963,7 +933,7 @@ def _specs() -> dict:
             ),
         ],
         relations_builder=_x4_relations,
-        expected_builder=_x4_expected,
+        expected_builder=_nm_expected(4),
     )
 
     w_specs = [

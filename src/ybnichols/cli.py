@@ -151,7 +151,7 @@ def _resolve_system(target: str, args) -> tuple[CoefficientSystem, cat.CatalogEn
 
 def cmd_verify(args) -> int:
     solution, entry = _resolve_solution(args.target)
-    report = verify_solution(solution, threads=args.threads)
+    report = verify_solution(solution)
     payload = {
         "name": entry.name if entry else args.target,
         "size": solution.size,
@@ -386,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a solution table and report its invariants")
     p.add_argument("target", help="catalog name or solution JSON file")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted for compatibility; the check runs in one vectorized pass")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

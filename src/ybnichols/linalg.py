@@ -144,12 +144,6 @@ class RowSpace:
         return False
 
 
-def rowspace_insert(rs: RowSpace, v):
-    """Functional-style wrapper: returns (rs, absorbed).  Mutates rs."""
-    absorbed = rs.insert(v)
-    return rs, absorbed
-
-
 def rank(rows) -> int:
     """Rank of the span of the given dense vectors, field-exact."""
     rows = list(rows)

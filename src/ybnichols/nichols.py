@@ -28,9 +28,10 @@ batch's seed rows are one flat list of entries, and each term is one
 gather, one cyclotomic product and one scatter-add.
 
 The walk reads the positions of its words within their orbits from the
-degree below, by T_k = id + (T_{k-1} (x) id) c_{k-1}.  A seed block sits on
-one node, so at the identity term its words' positions are the node's
-offset plus their index in the block.  After c_{k-1} a word u y is some
+degree below, by T_k = id + (T_{k-1} (x) id) c_{k-1}.  Every seed block is
+a node (P, y) with rows on P: its words are one gather of P's words below,
+and at the identity term their positions are the node's offset plus their
+index in the block.  After c_{k-1} a word u y is some
 u' y', and every later term moves only u' within its degree-(k-1) orbit P',
 so the word stays on the node (P', y') and its position is that node's
 offset plus the position of u' within P'.  A degree-k step therefore reads
@@ -70,13 +71,17 @@ claim is only ever made with exact backing), or, when the finite-type
 hypotheses hold, on a mismatch with the dimension they predict.
 Escalation continues the exact chain from the last exact degree.
 
-Relation checks run on the same engine.  The full degree-k symmetrizer is
-T_2, then T_3, ..., then T_k, where T_j is the staircase on the first j
-letters; ``check_relation`` and ``relation_image`` apply it in integers to
-the orbits the element touches only, with the batched staircase walk of
-the degree steps.  ``braiding_ops`` and ``symmetrizer_apply`` (dense
-CycloElement vectors over all m^k words) are the reference oracle the tests
-compare against; no relation path calls them.
+Relation checks run on the same engine, with the walks of the degree
+steps.  ``check_relation`` and ``relation_image`` build
+S_j = T_j (S_{j-1} (x) id) for j = 2, ..., k in integers, on the orbits the
+element reaches only: split by the tail of its last k-j+1 letters, the
+image so far is a sum of rows on degree-(j-1) orbits P, and a row with tail
+y t seeds the node (P, y) of degree j, tagged with t.  The seeds of one tail
+and one degree-j orbit walk T_j together and sum to that orbit's row.  So a
+check, like a step, reads the word arrays of the degree below only.
+``braiding_ops`` and ``symmetrizer_apply`` (dense CycloElement vectors over
+all m^k words) are the reference oracle the tests compare against; no
+relation path calls them.
 """
 
 from __future__ import annotations
@@ -85,6 +90,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,9 +122,9 @@ from .ybe import (
     NotInvolutive,
     SetSolution,
     braid_walk,
+    cached_report,
     diagonal,
     full_decomposition,
-    verify_solution,
 )
 
 
@@ -239,7 +246,7 @@ def validate_coefficients(s: SetSolution, R) -> CoefficientSystem:
     Yang-Baxter solutions with bijective r.
     """
     m = s.size
-    report = verify_solution(s)
+    report = cached_report(s)
     if not report.valid:
         raise ValueError("base table is not a non-degenerate Yang-Baxter solution")
     if len({s.r(i, j) for i in range(m) for j in range(m)}) != m * m:
@@ -426,11 +433,11 @@ def relation_image(cs: CoefficientSystem, element) -> list:
     if found is None:
         return []
     engine, k, den, blocks = found
-    ctx = engine.ctx
+    ctx, here = engine.ctx, engine.orbits(k)
     image = [CycloElement.zero(ctx.order)] * (engine.m ** k)
-    for words, rows in blocks:
-        for word, row in zip(words.tolist(), rows):
-            image[word] = ctx.to_element(row, den)
+    for orbit, row in blocks:
+        for word, entry in zip(here.words(orbit).tolist(), row):
+            image[word] = ctx.to_element(entry, den)
     return image
 
 
@@ -440,7 +447,7 @@ def check_relation(cs: CoefficientSystem, element) -> bool:
     if found is None:
         return True
     *_, blocks = found
-    return not any((rows != 0).any() for _, rows in blocks)
+    return not any((row != 0).any() for _, row in blocks)
 
 
 @lru_cache(maxsize=1)
@@ -451,7 +458,7 @@ def _relation_engine(cs: CoefficientSystem) -> "_Engine":
 
 
 def _relation_rows(cs: CoefficientSystem, element):
-    """The symmetrizer image of an element on the orbits it touches, in
+    """The symmetrizer image of an element on the orbits it reaches, in
     integers: (engine, degree, denominator, blocks) as returned by
     ``_Engine.symmetrize`` with the element's own denominator folded in, or
     None for the empty element."""
@@ -486,6 +493,16 @@ def _relation_rows(cs: CoefficientSystem, element):
 
 # ---------------------------------------------------------------------------
 # fast symmetrizer chain
+
+
+def _summed(acc) -> np.ndarray:
+    """The sum of a walk's output rows, in object arithmetic where the int64
+    sum could overflow."""
+    if len(acc) == 1:
+        return acc[0]
+    if acc.dtype != object and _max_abs(acc) * len(acc) >= _INT64_GUARD:
+        acc = _as_object(acc)
+    return acc.sum(axis=0)
 
 
 class OrbitRows(list):
@@ -589,50 +606,32 @@ class _Engine:
     def _seed_blocks(self, prev_rows: OrbitRows, k: int):
         """Group the seeds (row (x) w_j) of degree k by the orbit they lie in.
 
-        Yields (orbit, size, sources, blocks).  ``sources`` are the degree-k
-        words the orbit's seeds live on; each block is (slice of sources,
-        stacked rows), and its seeds are the rows placed on those words.
-        A seed lies on the node (orbit P of its row, letter j), in orbit
-        ``links[P m + j]``, and a block holds that node's words in orbit
-        order.  When ``rank_one`` holds, an orbit gets only the
-        seed on its smallest node, and none if that node's P has no row.
+        Yields (orbit, size, blocks), orbit by orbit in ascending id; each
+        block is (node, stacked rows).  A row on the degree-(k-1) orbit P
+        seeds the node (P, j), with id P m + j, in orbit ``links[P m + j]``,
+        as a vector over the node's words in orbit order.  Every node of a
+        seeded P gets P's rows, in ascending node id within each orbit; when
+        ``rank_one`` holds, only the smallest node of each orbit does, and
+        an orbit whose smallest node's P has no row gets none.
         """
         m = self.m
-        below, here = self.orbits(k - 1), self.orbits(k)
-        sizes = np.diff(here.starts).tolist()
-        if self.rank_one:
-            # one gather over the smallest nodes: orbit -> (P, letter) -> row
-            row_of = np.full(below.count, -1, dtype=np.int64)
-            row_of[prev_rows.orbits] = np.arange(len(prev_rows))
-            if len(prev_rows) > np.count_nonzero(row_of >= 0):
-                raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
-            rows = row_of[here.heads // m]
-            seeded = np.flatnonzero(rows >= 0)
-            words, lengths = here.node_words(here.heads[seeded])
-            ends = np.cumsum(lengths)
-            for orbit, t, end, width in zip(
-                seeded.tolist(), rows[seeded].tolist(), ends.tolist(), lengths.tolist()
-            ):
-                sources = words[end - width : end]
-                yield orbit, sizes[orbit], sources, [(slice(0, width), prev_rows[t][None])]
-            return
-        by_prev: dict[int, list] = {}
+        here = self.orbits(k)
+        rows_of: dict[int, list] = {}
         for row, orbit in zip(prev_rows, prev_rows.orbits):
-            by_prev.setdefault(orbit, []).append(row)
-        groups: dict[int, list] = {}
-        for orbit, rows in by_prev.items():
-            stacked = np.stack(rows)
-            base = below.words(orbit) * m
-            for j in range(m):
-                groups.setdefault(int(here.links[orbit * m + j]), []).append((base + j, stacked))
-        for orbit in sorted(groups):
-            sources = np.concatenate([src for src, _ in groups[orbit]])
-            blocks = []
-            offset = 0
-            for src, stacked in groups[orbit]:
-                blocks.append((slice(offset, offset + src.size), stacked))
-                offset += src.size
-            yield orbit, sizes[orbit], sources, blocks
+            rows_of.setdefault(orbit, []).append(row)
+        stacked = {orbit: np.stack(rows) for orbit, rows in rows_of.items()}
+        if self.rank_one:
+            if len(prev_rows) > len(stacked):
+                raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
+            has_row = np.zeros(self.orbits(k - 1).count, dtype=bool)
+            has_row[list(stacked)] = True
+            nodes = here.heads[has_row[here.heads // m]]
+        else:
+            nodes = (np.array(sorted(stacked), dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
+            nodes = nodes[np.argsort(here.links[nodes], kind="stable")]
+        sizes = here.sizes.tolist()
+        for orbit, group in groupby(zip(here.links[nodes].tolist(), nodes.tolist()), itemgetter(0)):
+            yield orbit, sizes[orbit], [(node, stacked[node // m]) for _, node in group]
 
     # -- exact chain
 
@@ -644,53 +643,45 @@ class _Engine:
             rows.append(arr)
         return OrbitRows(rows, range(self.m))
 
-    def _images(self, k: int, top: int, words):
+    def _images(self, k: int, words):
         """Yield (image words, pair indices) of each term of the staircase
-        T_top = id + c_{top-1} + ... + c_1 ... c_{top-1} on the degree-k
-        words; the identity term has no pair indices."""
+        T_k = id + c_{k-1} + ... + c_1 ... c_{k-1} on the degree-k words;
+        the identity term has no pair indices."""
         cur = words
         yield cur, None
-        for i in range(top - 1, 0, -1):
+        for i in range(k - 1, 0, -1):
             cur, sidx = self._c_arrays(k, i, cur)
             yield cur, sidx
 
-    def _located(self, k: int, top: int, start, terms):
+    def _located(self, k: int, start, terms):
         """Pair each term of a staircase walk (a tuple led by its image
         words, as ``_images`` and ``_terms_exact`` yield) with the positions
         of those words within their degree-k orbits; ``start`` holds the
         identity term's.
 
-        T_top = id + (T_{top-1} (x) id) c_{top-1} on the first top letters.
-        After c_{top-1}, a walked word a b (a of top letters) is u y b, and
-        every later term moves only u, within its degree-(top-1) orbit P, so
-        the word stays on the node (P, y) of degree top.  Its position is
-        then offset + (position of u within P), where the offset is the
-        node's plus, when top < k, start minus the position of a within its
-        own orbit (which T_top keeps), and stays fixed for the rest of the
-        walk.  So a step (top = k) reads the arrays of degree k-1 only.
+        T_k = id + (T_{k-1} (x) id) c_{k-1}.  After c_{k-1}, a walked word
+        is u y, and every later term moves only u, within its degree-(k-1)
+        orbit P, so the word stays on the node (P, y).  Its position is then
+        the node's offset, fixed for the rest of the walk, plus the position
+        of u within P: a walk reads the arrays of degree k-1 only.
         """
         terms = iter(terms)
-        first = next(terms)
-        yield first, start
-        m, tail = self.m, self.m ** (k - top)  # tail: the letters past the staircase
-        here, below = self.orbits(top), self.orbits(top - 1)
+        yield next(terms), start
+        m, here, below = self.m, self.orbits(k), self.orbits(k - 1)
         offset = None
         for term in terms:
-            prefix = term[0] // (tail * m)
-            if offset is None:  # just after c_{top-1}: the node is fixed from here on
-                word = term[0] if top == k else term[0] // tail  # its first top letters
-                offset = here.offsets[below.label[prefix] * m + word - prefix * m]
-                if top < k:
-                    offset += start - here.pos[first[0] // tail]
+            prefix = term[0] // m
+            if offset is None:  # just after c_{k-1}: the node is fixed from here on
+                offset = here.offsets[below.label[prefix] * m + term[0] - prefix * m]
             yield term, offset + below.pos[prefix]
 
-    def _terms_exact(self, k: int, top: int, src, object_mode: bool):
+    def _terms_exact(self, k: int, src, object_mode: bool):
         """Yield (image words, scalars, denominator, peak) of each term of the
-        staircase T_top on the degree-k source words.  ``peak`` is the
-        largest absolute scalar while the scalars are int64, else None.  The
-        scalars turn object before a product could leave int64."""
+        staircase T_k on the degree-k source words.  ``peak`` is the largest
+        absolute scalar while the scalars are int64, else None.  The scalars
+        turn object before a product could leave int64."""
         ctx = self.ctx
-        terms = self._images(k, top, src)
+        terms = self._images(k, src)
         cur, _ = next(terms)
         scal = np.zeros((src.size, ctx.phi), dtype=object if object_mode else np.int64)
         scal[:, 0] = 1
@@ -706,14 +697,14 @@ class _Engine:
             yield cur, scal, den, peak
 
     def _batches(self, groups):
-        """Split one degree's orbit groups (orbit, size, sources, blocks) into
-        runs of consecutive orbits whose accumulators (seed rows x orbit size)
-        together stay within the larger of the largest single orbit's and
+        """Split one degree's orbit groups (orbit, size, blocks) into runs of
+        consecutive groups whose accumulators (seed rows x orbit size)
+        together stay within the larger of the largest single group's and
         ``_BATCH_BUDGET`` entries, so a degree of many small orbits costs a
         few walks, not one per orbit.  ``_staircase`` bisects a batch whose
         walk would leave int64."""
         groups = list(groups)
-        weights = [size * sum(len(rows) for _, rows in blocks) for _, size, _, blocks in groups]
+        weights = [size * sum(len(rows) for _, rows in blocks) for _, size, blocks in groups]
         limit = max(max(weights, default=0), _BATCH_BUDGET)
         batch, total = [], 0
         for group, weight in zip(groups, weights):
@@ -725,52 +716,51 @@ class _Engine:
         if batch:
             yield batch
 
-    def _staircase(self, k: int, top: int, batch):
-        """T_top applied to the seed rows of a batch of whole degree-k orbits,
-        scaled by r_den^(top-1) to integers.
+    def _staircase(self, k: int, batch):
+        """T_k applied to the seed rows of a batch of degree-k orbit groups,
+        scaled by r_den^(k-1) to integers.
 
-        ``batch`` holds (orbit, size, sources, blocks) as ``_seed_blocks``
-        yields them.  Returns one (seed rows, size, phi) array per orbit,
-        indexed by position in the orbit.  The orbits are walked together; an
-        orbit's arithmetic turns object exactly where its own int64 bound
-        would be crossed, so a batch that would cross the bound is bisected,
-        and an orbit turns object only when it is walked alone.
+        ``batch`` holds (orbit, size, blocks) as ``_seed_blocks`` yields
+        them.  Returns one (seed rows, size, phi) array per group, indexed by
+        position in the orbit.  The groups are walked together; an orbit's
+        arithmetic turns object exactly where its own int64 bound would be
+        crossed, so a batch that would cross the bound is bisected, and an
+        orbit turns object only when it is walked alone.
         """
         if len(batch) == 1:
-            return self._staircase_walk(k, top, batch, promote=True)
-        accs = self._staircase_walk(k, top, batch, promote=False)
+            return self._staircase_walk(k, batch, promote=True)
+        accs = self._staircase_walk(k, batch, promote=False)
         if accs is not None:
             return accs
         half = len(batch) // 2
-        return self._staircase(k, top, batch[:half]) + self._staircase(k, top, batch[half:])
+        return self._staircase(k, batch[:half]) + self._staircase(k, batch[half:])
 
     def _entries(self, k: int, batch):
         """Flatten a batch's seed rows into entries, one per nonzero seed
         coefficient.  Returns (the source words that carry an entry, their
         positions within their degree-k orbits, entry -> index into those
         words (a full slice when that is the identity), entry -> offset in
-        the output, entry values, (seed rows, size) per orbit); the output
-        holds one segment of the orbit's size per seed, orbit after orbit.
+        the output, entry values, (seed rows, size) per group); the output
+        holds one segment of the orbit's size per seed, group after group.
 
-        A block's source words are a node's words, or a whole orbit's, in
-        orbit order, so they start at the first word of a node and sit at
-        that node's offset plus their index in the block: one lookup per
-        block, in the labels of degree k-1."""
-        words, vals, shapes, spans = [], [], [], []
-        n_src = n_out = 0
-        for _, size, sources, blocks in batch:
+        The source words of all blocks are one ``node_words`` gather.  A
+        block's words are its node's, in orbit order, so they sit at the
+        node's offset plus their index in the block."""
+        here = self.orbits(k)
+        nodes, vals, shapes, spans = [], [], [], []
+        n_out = 0
+        for _, size, blocks in batch:
             count = 0
-            for sl, rows in blocks:
-                width = sl.stop - sl.start
-                # first source index, first output offset, width, output stride
-                spans.append((n_src + sl.start, n_out + count * size, width, size))
+            for node, rows in blocks:
+                nodes.append(node)
+                spans.append((n_out + count * size, size))  # first output offset, stride
                 # (phi,) per entry for exact rows, (1,) for mod-p rows
-                vals.append(rows.reshape(len(rows) * width, -1))
+                vals.append(rows.reshape(rows.shape[0] * rows.shape[1], -1))
                 count += len(rows)
-            words.append(sources)
             shapes.append((count, size))
-            n_src += sources.size
             n_out += count * size
+        nodes = np.array(nodes, dtype=np.int64)
+        words, width = here.node_words(nodes)
         # entry e of a block is its row e // width on its source word e % width;
         # only the nonzero entries get indices
         lengths = np.array([len(v) for v in vals])
@@ -778,24 +768,20 @@ class _Engine:
         vals = np.concatenate(vals)
         nonzero = np.flatnonzero((vals != 0).any(axis=1))
         block = np.searchsorted(ends, nonzero, side="right")
-        spans = np.array(spans, dtype=np.int64)
-        first_src, first_out, width, stride = spans[block].T
-        row, col = np.divmod(nonzero - (ends - lengths)[block], width)
-        src, base = first_src + col, first_out + row * stride
-        words = np.concatenate(words)
-        prefix, letter = np.divmod(words[spans[:, 0]], self.m)
-        lead = self.orbits(k).offsets[self.orbits(k - 1).label[prefix] * self.m + letter]
+        row, col = np.divmod(nonzero - (ends - lengths)[block], width[block])
+        first_out, stride = np.array(spans, dtype=np.int64)[block].T
+        src, base = (np.cumsum(width) - width)[block] + col, first_out + row * stride
         if nonzero.size < len(vals):  # some source words may carry no entry
             used = np.zeros(words.size, dtype=bool)
             used[src] = True
             words, src = words[used], (np.cumsum(used) - 1)[src]
         at = np.empty(words.size, dtype=np.int64)
-        at[src] = lead[block] + col
+        at[src] = here.offsets[nodes][block] + col
         if src.size == words.size and (src[1:] > src[:-1]).all():
             src = slice(None)  # one entry per word, in order (one seed per orbit): no gathers
         return words, at, src, base, vals[nonzero], shapes
 
-    def _staircase_walk(self, k: int, top: int, batch, promote: bool):
+    def _staircase_walk(self, k: int, batch, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
         source words that carry one.
 
@@ -816,10 +802,10 @@ class _Engine:
         seed_max = 0 if object_mode else _max_abs(vals)
         sizes = [count * size for count, size in shapes]
         out = np.zeros((sum(sizes), ctx.phi), dtype=object if object_mode else np.int64)
-        total_den = self.r_den ** (top - 1)
+        total_den = self.r_den ** (k - 1)
         bound = 0  # bounds every accumulated entry while in int64
-        terms = self._terms_exact(k, top, words, object_mode)
-        for (_, scal, den, peak), at in self._located(k, top, start, terms):
+        terms = self._terms_exact(k, words, object_mode)
+        for (_, scal, den, peak), at in self._located(k, start, terms):
             scale = total_den // den
             if not object_mode:
                 if peak is not None:
@@ -845,41 +831,46 @@ class _Engine:
         (previous basis) (x) (generators).  Returns (basis rows, dim)."""
         out = OrbitRows()
         for batch in self._batches(self._seed_blocks(prev_rows, k)):
-            accs = self._staircase(k, k, batch)
+            accs = self._staircase(k, batch)
             if self.rank_one:  # one seed per orbit: its row is its image's primitive part
                 out.add_lone([orbit for orbit, *_ in batch], lone_rows([acc[0] for acc in accs]))
                 continue
-            for (orbit, size, _, _), acc in zip(batch, accs):
+            for (orbit, size, _), acc in zip(batch, accs):
                 out.add_span(orbit, ExactIntRows(self.ctx, size), [acc])
         return out, len(out)
 
     def symmetrize(self, k: int, words, coeffs):
         """The full degree-k symmetrizer of sum_t coeffs[t] * words[t] on the
-        orbits those words touch: T_2, then T_3, ..., then T_k, where T_j is
-        the staircase on the first j letters.
+        orbits those words touch, by S_j = T_j (S_{j-1} (x) id) for
+        j = 2, ..., k.
 
         ``words`` are distinct degree-k word indices and ``coeffs`` their
-        (n, phi) integer power-basis vectors (int64 or object).  Returns
-        (den, blocks): each block is (orbit words, integer rows) and the
-        image is rows / den, with den = r_den^(k(k-1)/2).
+        (n, phi) integer power-basis vectors (int64 or object).  Before
+        degree j the element is a sum of pieces v (x) t: a tail t of its last
+        k-j+1 letters and a row v on one degree-(j-1) orbit P.  With t = y t',
+        the piece seeds the node (P, y) of degree j, tagged with t'; the
+        seeds of one tail and one degree-j orbit walk T_j together and sum to
+        that orbit's row.  The orbits of degree 0 and 1 are single words.
+        Returns (den, blocks): each block is (degree-k orbit, integer row)
+        and the image is row / den, with den = r_den^(k(k-1)/2).
         """
-        here = self.orbits(k)
-        labels = here.label[words]
-        groups = []
-        for orbit in np.unique(labels).tolist():
-            src = here.words(orbit)
-            mine = labels == orbit
-            vec = np.zeros((1, src.size, self.ctx.phi), dtype=coeffs.dtype)
-            vec[0, here.pos[words[mine]]] = coeffs[mine]
-            groups.append((orbit, src.size, src, [(slice(0, src.size), vec)]))
+        m, first = self.m, min(k, 1)
+        heads, tails = np.divmod(words, m ** (k - first))
+        orbits = self.orbits(first).label[heads]
+        pieces = list(zip(tails.tolist(), orbits.tolist(), coeffs[:, None]))
         for j in range(2, k + 1):
-            accs = [acc for batch in self._batches(groups) for acc in self._staircase(k, j, batch)]
-            groups = [
-                (orbit, size, src, [(slice(0, size), acc)])
-                for (orbit, size, src, _), acc in zip(groups, accs)
-            ]
+            here, span = self.orbits(j), m ** (k - j)
+            groups: dict[tuple, list] = {}
+            for tail, orbit, row in pieces:
+                letter, rest = divmod(tail, span)
+                node = orbit * m + letter
+                groups.setdefault((rest, int(here.links[node])), []).append((node, row[None]))
+            keys = sorted(groups)
+            batch = [(orbit, int(here.sizes[orbit]), groups[rest, orbit]) for rest, orbit in keys]
+            accs = [acc for part in self._batches(batch) for acc in self._staircase(j, part)]
+            pieces = [(rest, orbit, _summed(acc)) for (rest, orbit), acc in zip(keys, accs)]
         den = self.r_den ** (k * (k - 1) // 2)
-        return den, [(src, blocks[0][1][0]) for _, _, src, blocks in groups]
+        return den, [(orbit, row) for _, orbit, row in pieces]
 
     def specialize_rows(self, rows: OrbitRows, p: int) -> OrbitRows:
         """Mod-p images of exact basis rows (rows are primitive integers)."""
@@ -909,7 +900,7 @@ class _Engine:
             acc = np.zeros(sum(sizes), dtype=np.int64)
             vals = vals[:, 0]
             scal = np.ones(words.size, dtype=np.int64)
-            for (_, sidx), at in self._located(k, k, start, self._images(k, k, words)):
+            for (_, sidx), at in self._located(k, start, self._images(k, words)):
                 if sidx is None:
                     term = vals
                 else:

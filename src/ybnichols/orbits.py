@@ -38,8 +38,9 @@ from .ybe import (
     NotYangBaxter,
     SetSolution,
     TooLarge,
+    cached_report,
     diagonal,
-    verify_solution,
+    verify_solution,  # noqa: F401 -- kept in this namespace, where perfbench's tracer patches it
 )
 
 Word = tuple
@@ -153,18 +154,13 @@ class _View(NamedTuple):
 
 
 def _check_involutive(s: SetSolution) -> None:
-    report = _cached_report(s)
+    report = cached_report(s)
     if not report.is_nondegenerate:
         raise NotNondegenerate("the word action needs a non-degenerate solution")
     if not report.is_involutive:
         raise NotInvolutive("the word action needs an involutive solution")
     if not report.is_ybe:
         raise NotYangBaxter("the word action needs a solution of the braid equation")
-
-
-@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
-def _cached_report(s: SetSolution):
-    return verify_solution(s)
 
 
 @lru_cache(maxsize=SOLUTION_CACHE_SIZE)
@@ -524,6 +520,11 @@ class _Orbits:
     def count(self) -> int:
         return len(self.starts) - 1
 
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """orbit -> its number of words."""
+        return np.diff(self.starts)
+
     def _build_below(self, name: str) -> None:
         """Build the derived array ``name`` at every lower degree that lacks
         it, from the bottom up, so that no read recurses degree by degree."""
@@ -563,7 +564,7 @@ class _Orbits:
         the words of P below, times m plus y, so all come from one gather."""
         below, m = self.below, self.m
         prev, letters = np.divmod(nodes, m)
-        lengths = np.diff(below.starts)[prev]
+        lengths = below.sizes[prev]
         ends = np.cumsum(lengths)
         index = np.repeat(below.starts[prev] - ends + lengths, lengths)
         index += np.arange(index.size)
@@ -594,7 +595,7 @@ def _graph(below: _Orbits, m: int, links) -> _Orbits:
     nodes = np.argsort(links, kind="stable")
     per_orbit = np.bincount(links)
     first = np.cumsum(per_orbit) - per_orbit  # each orbit's head, in node order
-    sizes = np.diff(below.starts)[nodes // m]
+    sizes = below.sizes[nodes // m]
     placed = np.cumsum(sizes) - sizes  # each node's first position, degree-wide
     starts = np.append(placed[first], placed[-1] + sizes[-1])
     offsets = np.empty_like(placed)
@@ -753,7 +754,7 @@ def orbit_census(
     here = BraidOrbits(s).orbits(n)  # the orbit graph only: no array over the m^n words
     letters = here.least[:, None] // m ** np.arange(n - 1, -1, -1) % m
     summaries = []
-    for rep, size in zip(map(tuple, letters.tolist()), np.diff(here.starts).tolist()):
+    for rep, size in zip(map(tuple, letters.tolist()), here.sizes.tolist()):
         result = classify(rep, s)
         summaries.append(
             OrbitSummary(

@@ -196,12 +196,11 @@ def braid_walk(s: SetSolution):
     return lhs, rhs
 
 
-def verify_solution(s: SetSolution, threads: int = 1) -> VerificationReport:
+def verify_solution(s: SetSolution) -> VerificationReport:
     """Check the braid identity on all triples, non-degeneracy, involutivity.
 
     One vectorized pass over the table; witnesses come in lexicographic
-    order as tuples of Python ints.  ``threads`` is accepted for
-    compatibility and has no effect.
+    order as tuples of Python ints.
     """
     m = s.size
     (_, lhs), (_, rhs) = braid_walk(s)
@@ -281,16 +280,24 @@ class Diagonal:
         return f"Diagonal({list(self.forward)})"
 
 
-#: How many solutions each solution-keyed cache (``diagonal`` here, the
-#: views and reports of ``orbits``) keeps.  A census or theorem pass uses a
+#: How many solutions each solution-keyed cache (the report and ``diagonal``
+#: here, the views of ``orbits``) keeps.  A census or theorem pass uses a
 #: few dozen at most; a fixed size keeps a long run's memory flat.
 SOLUTION_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=SOLUTION_CACHE_SIZE)
+def cached_report(s: SetSolution) -> VerificationReport:
+    """``verify_solution(s)``, computed once per solution and shared by every
+    check that needs it (coefficient validation, ``diagonal``, the catalog
+    and the word action)."""
+    return verify_solution(s)
+
+
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def diagonal(s: SetSolution) -> Diagonal:
     """Compute D; requires a non-degenerate involutive solution."""
-    report = verify_solution(s)
+    report = cached_report(s)
     if not report.is_nondegenerate:
         raise NotNondegenerate("diagonal needs a non-degenerate solution")
     if not report.is_involutive:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ybnichols
-from ybnichols.catalog import build_entry
+from ybnichols.catalog import build_entry, catalog_names
 from ybnichols.cli import main
 from ybnichols.exact import CycloElement
 
@@ -76,15 +76,25 @@ def test_orbits_census_and_usage_error():
     assert code == 2
 
 
-def run_cli_process(argv):
-    """The CLI in a fresh interpreter, killed after 30 s."""
+def run_cli_process(argv, module="ybnichols.cli"):
+    """The CLI run as ``python -m module`` in a fresh interpreter, killed
+    after 30 s."""
     src = str(Path(ybnichols.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "ybnichols.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True, text=True, env=env, timeout=30,
     )
+
+
+def test_package_runs_as_a_module():
+    # python -m ybnichols goes through __main__.py, which exits with main()'s code
+    proc = run_cli_process(["catalog", "--json"], module="ybnichols")
+    assert proc.returncode == 0, proc.stderr
+    assert [row["name"] for row in json.loads(proc.stdout)] == catalog_names()
+    proc = run_cli_process(["verify", "z9-shift"], module="ybnichols")
+    assert proc.returncode == 2 and "z9-shift" in proc.stderr
 
 
 def test_orbits_huge_degree_exits_at_once():
@@ -361,7 +371,7 @@ def run_cli_usage_error(argv):
         (["dims", "z2-shift", "--cap", "-1"], "--cap"),
         (["dims", "z2-shift", "--cap", "0"], "--cap"),
         (["dims", "z2-shift", "--exact-cap", "-5"], "--exact-cap"),
-        (["verify", "z3-shift", "--threads", "0"], "--threads"),
+        (["dims", "z2-shift", "--exact-cap", "0"], "--exact-cap"),
         (["orbits", "z3-shift", "-n", "3", "--cap", "0"], "--cap"),
     ],
 )
@@ -378,6 +388,7 @@ def test_nonpositive_counts_are_usage_errors(argv, flag):
         ["relations", "w1", "--mod-primes", "4"],
         ["phi", "z3-shift", "--exact-cap", "8"],
         ["orbits", "z3-shift", "-n", "3", "--threads", "2"],
+        ["verify", "z3-shift", "--threads", "2"],
     ],
 )
 def test_options_of_other_subcommands_are_usage_errors(argv):

@@ -19,7 +19,6 @@ from ybnichols.linalg import (
     mul_rows_by_scalar,
     mul_rows_elementwise,
     rank,
-    rowspace_insert,
 )
 
 ONE = Fraction(1)
@@ -59,12 +58,9 @@ def test_apply_accumulates_on_collisions():
 
 def test_rowspace_insert_examples():
     rs = RowSpace(3)
-    rs2, absorbed = rowspace_insert(rs, [ZERO, ZERO, ZERO])
-    assert absorbed and rs2.rank == 0
-    _, absorbed = rowspace_insert(rs, [ONE, ZERO, ZERO])
-    assert not absorbed and rs.rank == 1
-    _, absorbed = rowspace_insert(rs, [ONE, ZERO, ZERO])
-    assert absorbed and rs.rank == 1
+    assert rs.insert([ZERO, ZERO, ZERO]) and rs.rank == 0
+    assert not rs.insert([ONE, ZERO, ZERO]) and rs.rank == 1
+    assert rs.insert([ONE, ZERO, ZERO]) and rs.rank == 1
 
 
 def test_rowspace_reduced_echelon_invariants():

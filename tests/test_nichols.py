@@ -410,21 +410,19 @@ def test_braid_orbit_counts():
 
 
 def test_staircase_positions_match_derived_pos():
-    # the walk reads each term's positions from the degree below (and, for
-    # T_top with top < k, from degree top); they must be the derived pos of
-    # degree k at the walked words, for every term of every staircase
+    # the walk reads each term's positions from the degree below; they must
+    # be the derived pos of degree k at the walked words, for every term of
+    # every staircase
     terms = 0
     for name in catalog_names():
         engine = _Engine(build_entry(name).system)
         for k in range(2, 7):
             here = engine.orbits(k)
             words = np.arange(engine.m ** k, dtype=np.int64)
-            for top in range(2, k + 1):
-                walk = engine._located(k, top, here.pos[words], engine._images(k, top, words))
-                for (cur, _), at in walk:
-                    assert np.array_equal(at, here.pos[cur]), (name, k, top)
-                    terms += 1
-    assert terms == len(catalog_names()) * sum(t for k in range(2, 7) for t in range(2, k + 1))
+            for (cur, _), at in engine._located(k, here.pos[words], engine._images(k, words)):
+                assert np.array_equal(at, here.pos[cur]), (name, k)
+                terms += 1
+    assert terms == len(catalog_names()) * sum(range(2, 7))
 
 
 def test_top_degree_builds_no_word_arrays(monkeypatch):
@@ -563,7 +561,7 @@ def _staircase_scalars(engine, k, object_mode):
     words = np.arange(engine.m ** k, dtype=np.int64)
     return [
         (cur.tolist(), [int(v) for v in scal.reshape(-1)], den)
-        for cur, scal, den, _ in engine._terms_exact(k, k, words, object_mode)
+        for cur, scal, den, _ in engine._terms_exact(k, words, object_mode)
     ]
 
 
@@ -700,6 +698,20 @@ def test_relation_path_promotes_large_heights():
     assert not check_relation(cs, element)
 
 
+def test_check_relation_builds_no_word_arrays_of_its_degree():
+    # S_j = T_j (S_{j-1} (x) id) walks T_j on the orbits of degree j and reads
+    # the word arrays of degree j-1 only, so a degree-6 check leaves degree 6
+    # with its orbit graph; only relation_image names the image's words
+    entry = build_entry("w1")
+    (element,) = [terms for _, terms in entry.relations if len(terms[0][1]) == 6]
+    _relation_engine.cache_clear()
+    assert check_relation(entry.system, element)
+    top = _relation_engine(entry.system).orbits(6)
+    assert not {"label", "order", "pos"} & set(vars(top))
+    assert not any(relation_image(entry.system, element))
+    assert "order" in vars(top)
+
+
 def test_escalation_resumes_from_exact_basis(monkeypatch):
     # auto mode on w1 runs degrees 7..10 modular and escalates at 10; the
     # exact chain continues from degree 6 instead of replaying from 2
@@ -716,6 +728,17 @@ def test_escalation_resumes_from_exact_basis(monkeypatch):
     assert sorted(stepped) == list(range(2, 11))
 
 
+def _node_words(engine, k, blocks):
+    """The words of a group's seed blocks, block after block (node (P, y)
+    holds P's words below, times m plus y), and the slice of them each
+    block's seeds live on."""
+    below, m = engine.orbits(k - 1), engine.m
+    words = [below.words(node // m) * m + node % m for node, _ in blocks]
+    ends = np.cumsum([w.size for w in words]).tolist()
+    slices = [slice(end - w.size, end) for end, w in zip(ends, words)]
+    return np.concatenate(words), [(sl, rows) for sl, (_, rows) in zip(slices, blocks)]
+
+
 def _per_orbit_step(engine, prev_rows, k):
     """exact_step evaluated one orbit and one seed block at a time: each
     orbit keeps its own int64 bound and turns object on its own."""
@@ -723,12 +746,13 @@ def _per_orbit_step(engine, prev_rows, k):
     here = engine.orbits(k)
     total_den = engine.r_den ** (k - 1)
     out = OrbitRows()
-    for orbit, size, sources, blocks in engine._seed_blocks(prev_rows, k):
+    for orbit, size, blocks in engine._seed_blocks(prev_rows, k):
+        sources, blocks = _node_words(engine, k, blocks)
         object_mode = any(rows.dtype == object for _, rows in blocks)
         seed_max = max(_max_abs(rows) for _, rows in blocks)
         accs = [np.zeros((len(rows), size, ctx.phi), dtype=np.int64) for _, rows in blocks]
         bound = 0
-        for cur, scal, den, _ in engine._terms_exact(k, k, sources, object_mode):
+        for cur, scal, den, _ in engine._terms_exact(k, sources, object_mode):
             scale = total_den // den
             if not object_mode:
                 bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
@@ -789,8 +813,8 @@ def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
     refused = []
     walk = _Engine._staircase_walk
 
-    def recording(self, k, top, batch, promote):
-        accs = walk(self, k, top, batch, promote)
+    def recording(self, k, batch, promote):
+        accs = walk(self, k, batch, promote)
         if accs is None:
             refused.append(len(batch))
         return accs
@@ -817,8 +841,8 @@ def _recording_walks(monkeypatch):
     walks = []
     walk = _Engine._staircase_walk
 
-    def recording(self, k, top, batch, promote):
-        accs = walk(self, k, top, batch, promote)
+    def recording(self, k, batch, promote):
+        accs = walk(self, k, batch, promote)
         seeds = [any(rows.dtype == object for _, rows in blocks) for *_, blocks in batch]
         outs = None if accs is None else [acc.dtype == object for acc in accs]
         walks.append((k, [orbit for orbit, *_ in batch], seeds, outs))
@@ -898,7 +922,8 @@ def _per_orbit_mod_step(engine, prev_vecs, k, p):
     here = engine.orbits(k)
     rmod = engine.r_mod(p)
     out = OrbitRows()
-    for orbit, size, sources, blocks in engine._seed_blocks(prev_vecs, k):
+    for orbit, size, blocks in engine._seed_blocks(prev_vecs, k):
+        sources, blocks = _node_words(engine, k, blocks)
         accs = [np.zeros((len(stacked), size), dtype=np.int64) for _, stacked in blocks]
         cur, scal = sources, np.ones(sources.size, dtype=np.int64)
         for i in range(k, 0, -1):

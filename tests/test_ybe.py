@@ -176,11 +176,6 @@ def test_from_json_accepts_only_integers(data, named):
         SetSolution.from_json(data)
 
 
-def test_verify_threads_agree():
-    s = SetSolution.cyclic_shift(4, 1)
-    assert verify_solution(s, threads=3) == verify_solution(s)
-
-
 # -- the per-triple loop verify_solution replaced, kept as its reference
 
 
