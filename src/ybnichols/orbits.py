@@ -661,8 +661,13 @@ class BraidOrbits:
         first.  Missing degrees are built bottom-up, with no pass over the
         words: only the graph, the orbit starts, the node offsets and the
         least words (see ``_Orbits``).
+
+        Word indices are int64, so a degree with m^k >= 2^63 words raises
+        TooLarge.
         """
         m = self.m
+        if m > 1 and (k >= 63 or m ** k >= 2 ** 63):  # m >= 2 and k >= 63: m^k >= 2^63
+            raise TooLarge(f"{m}^{k} words reach 2^63: word indices would leave int64")
         if not self._orbits:
             self._orbits.append(_degree_zero())
         while len(self._orbits) <= k:

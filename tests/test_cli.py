@@ -104,6 +104,13 @@ def test_orbits_huge_degree_exits_at_once():
     assert "2^99999999999 exceeds cap 10000000" in proc.stderr
 
 
+def test_orbits_past_int64_word_indices_is_input_error():
+    # a cap above 2^63 does not let the census form word indices past int64
+    code, out, err = run_cli(["orbits", "z2-shift", "-n", "64", "--cap", str(10 ** 20)])
+    assert code == 2 and not out
+    assert "2^64 words reach 2^63" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "table, reason",
     [

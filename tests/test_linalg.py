@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ybnichols.linalg import (
     mul_rows_elementwise,
     rank,
 )
+from ybnichols.nichols import OrbitRows
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -398,3 +400,72 @@ def test_lone_rows_match_mod_insert(p):
         _same_row(got, expected)
         _same_row(lone_rows([arr], p)[0], expected)
     assert lone_rows([]) == [] and lone_rows([], p) == []
+
+
+def _sparse_seeds(rng, count, size, trailing, low, high, dtype=np.int64):
+    """count seed rows over ``size`` positions of shape ``trailing``, nonzero
+    on a few positions only: random rows on a random support, and
+    combinations of earlier rows, so that some seeds reduce to zero."""
+    support = rng.sample(range(size), rng.randint(0, min(size, 5)))
+    seeds = np.zeros((count, size) + trailing, dtype=object)
+    for t in range(count):
+        if t >= 2 and rng.random() < 0.4:
+            a, b = rng.sample(range(t), 2)
+            seeds[t] = rng.randint(-3, 3) * seeds[a] + rng.randint(-3, 3) * seeds[b]
+            continue
+        for c in support:
+            if rng.random() < 0.7:
+                seeds[t, c] = [rng.randint(low, high) for _ in range(trailing[0])]
+    return seeds if dtype == object else seeds.astype(dtype)
+
+
+def _support_and_dense_spans(seeds, space):
+    """The rows OrbitRows.add_span keeps, and those of inserting every full
+    seed row into one space of the orbit's size."""
+    got = OrbitRows()
+    got.add_span(5, seeds, space)
+    dense = space(seeds.shape[1])
+    for seed in seeds:
+        dense.insert(seed)
+    assert got.orbits == [5] * dense.rank
+    return got, dense
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_support_span_matches_dense_exact_insert(order):
+    # elimination on the positions some seed reaches gives the dense insert's
+    # rows bit for bit (values, dtypes, pivots) at phi 1 and 2, on int64 seeds,
+    # on seeds whose elimination promotes to object, and on object seeds
+    rng = random.Random(order)
+    ctx = CycloCtx(order)
+    promoted = 0
+    for trial in range(120):
+        count, size = rng.randint(1, 7), rng.randint(1, 30)
+        kind = trial % 3
+        if kind == 0:
+            seeds = _sparse_seeds(rng, count, size, (ctx.phi,), -9, 9)
+        elif kind == 1:
+            seeds = _sparse_seeds(rng, count, size, (ctx.phi,), -2 ** 31, 2 ** 31)
+        else:
+            seeds = _sparse_seeds(rng, count, size, (ctx.phi,), -3 ** 45, 3 ** 45, object)
+        got, dense = _support_and_dense_spans(seeds, partial(ExactIntRows, ctx))
+        promoted += kind == 1 and dense._object_mode
+        assert len(got) == dense.rank
+        for row, expected, pivot in zip(got, dense.rows, dense.pivots):
+            assert row.dtype == expected.dtype and row.shape == expected.shape
+            assert row.tolist() == expected.tolist()
+            assert int(np.flatnonzero((row != 0).any(axis=1))[0]) == pivot
+    assert promoted >= 5, promoted
+
+
+@pytest.mark.parametrize("p", [2, 7, 2 ** 31 - 1])
+def test_support_span_matches_dense_mod_insert(p):
+    # mod-p seeds hold unreduced sums, so a position can be nonzero in a seed
+    # and zero mod p in all of them
+    rng = random.Random(p)
+    for _ in range(120):
+        count, size = rng.randint(1, 7), rng.randint(1, 30)
+        seeds = _sparse_seeds(rng, count, size, (1,), 0, 3 * p)[:, :, 0]
+        got, dense = _support_and_dense_spans(seeds, partial(ModRows, p))
+        for row, expected in zip(got, dense.rows):
+            assert row.dtype == expected.dtype and row.tolist() == expected.tolist()

@@ -739,6 +739,16 @@ def _node_words(engine, k, blocks):
     return np.concatenate(words), [(sl, rows) for sl, (_, rows) in zip(slices, blocks)]
 
 
+def _add_dense_span(out, orbit, space, accs):
+    """Insert every seed row, over the whole orbit, into the empty row space
+    and append the basis it kept to ``out``."""
+    for acc in accs:
+        for seed in acc:
+            space.insert(seed)
+    out.extend(space.rows)
+    out.orbits += [orbit] * space.rank
+
+
 def _per_orbit_step(engine, prev_rows, k):
     """exact_step evaluated one orbit and one seed block at a time: each
     orbit keeps its own int64 bound and turns object on its own."""
@@ -764,7 +774,7 @@ def _per_orbit_step(engine, prev_rows, k):
             target = here.pos[cur]
             for (sl, rows), acc in zip(blocks, accs):
                 acc[:, target[sl]] += mul_rows_elementwise(rows, scal[sl], ctx) * scale
-        out.add_span(orbit, ExactIntRows(ctx, size), accs)
+        _add_dense_span(out, orbit, ExactIntRows(ctx, size), accs)
     return out, len(out)
 
 
@@ -934,7 +944,7 @@ def _per_orbit_mod_step(engine, prev_vecs, k, p):
             for (sl, stacked), acc in zip(blocks, accs):
                 t = target[sl]
                 acc[:, t] = (acc[:, t] + stacked * scal[sl]) % p
-        out.add_span(orbit, ModRows(p, size), accs)
+        _add_dense_span(out, orbit, ModRows(p, size), accs)
     return out, len(out)
 
 

@@ -240,6 +240,21 @@ def test_census_caps():
         orbit_census(0, Z3)
 
 
+def test_census_refuses_word_indices_past_int64():
+    # word indices and orbit starts are int64: 2^62 words answer, with the
+    # multinomial orbit sizes, and a degree of 2^63 or more words is refused
+    # before anything wraps
+    census = orbit_census(62, SetSolution.cyclic_shift(2), cap=2 ** 62)
+    assert census.orbit_count == 63
+    assert sorted(o.size for o in census.orbits) == sorted(math.comb(62, j) for j in range(63))
+    assert sum(size * count for count, size in census.by_partition().values()) == 2 ** 62
+    for n, m in ((63, 2), (28, 5)):
+        with pytest.raises(TooLarge, match=rf"^{m}\^{n} words reach 2\^63"):
+            orbit_census(n, SetSolution.cyclic_shift(m), cap=10 ** 30)
+        with pytest.raises(TooLarge):
+            BraidOrbits(SetSolution.cyclic_shift(m)).orbits(n)
+
+
 def test_census_witnesses():
     census = orbit_census(3, Z3, witnesses=True)
     for summary in census.orbits:
