@@ -756,13 +756,9 @@ class _Engine:
         the output, entry values, (seed rows, size) per group); the output
         holds one segment of the orbit's size per seed, group after group.
 
-        A block's words are its node's, in orbit order: column c of the
-        block on node (P, y) is the word u y, with u the c-th word of P
-        below, and sits at the node's offset plus c.  When every column
-        carries an entry, the words of all blocks are one ``node_words``
-        gather; otherwise only the columns that carry one gather their
-        words (on w1 at degree 9, 18,144 of the 396,288 columns of the
-        seed blocks)."""
+        A block's columns are its node's words, in orbit order.  Only the
+        columns that carry an entry gather their words and positions (on w1
+        at degree 9, 18,144 of the 396,288 columns of the seed blocks)."""
         here, below, m = self.orbits(k), self.orbits(k - 1), self.m
         nodes, vals, shapes, spans = [], [], [], []
         n_out = 0
@@ -790,22 +786,15 @@ class _Engine:
         first_out, stride = np.array(spans, dtype=np.int64)[block].T
         col_ends = np.cumsum(width)
         src, base = (col_ends - width)[block] + col, first_out + row * stride
-        if nonzero.size == len(vals):  # every column carries an entry
-            words = here.node_words(nodes)[0]
-            at = np.empty(words.size, dtype=np.int64)
-            at[src] = here.offsets[nodes][block] + col
-        else:  # keep the columns that carry an entry, and number them anew
-            used = np.zeros(int(col_ends[-1]), dtype=bool)
-            used[src] = True
-            kept = np.flatnonzero(used)
+        # keep the columns that carry an entry, and number them anew
+        used = np.zeros(int(col_ends[-1]), dtype=bool)
+        used[src] = True
+        kept = np.flatnonzero(used)
+        if kept.size < used.size:  # else the numbering is the identity
             number = np.empty(used.size, dtype=np.int64)  # a scatter: numpy's cumsum of a mask is slow
             number[kept] = np.arange(kept.size)
             src = number[src]
-            owner = np.searchsorted(col_ends, kept, side="right")
-            kept -= (col_ends - width)[owner]
-            node = nodes[owner]
-            words = below.order[below.starts[node // m] + kept] * m + node % m
-            at = here.offsets[node] + kept
+        words, at = here.column_words(nodes, kept)
         if src.size == words.size and (src[1:] > src[:-1]).all():
             src = slice(None)  # one entry per word, in order (one seed per orbit): no gathers
         return words, at, src, base, vals[nonzero], shapes

@@ -573,6 +573,26 @@ class _Orbits:
         words += np.repeat(letters, lengths)
         return words, lengths
 
+    def column_words(self, nodes, columns):
+        """The words at the ascending indices ``columns`` of the given nodes'
+        words, node after node, each in orbit order, and their positions
+        within their orbits; node (P, y) holds the words of P below, times m
+        plus y, from the node's offset on."""
+        below, m = self.below, self.m
+        prev, letters = np.divmod(nodes, m)
+        lengths = below.sizes[prev]
+        ends = np.cumsum(lengths)
+        owner = np.searchsorted(ends, columns, side="right")
+        first = lengths - ends  # node -> minus the index of its first word
+        index = (below.starts[prev] + first)[owner]
+        index += columns
+        words = below.order[index]
+        words *= m
+        words += letters[owner]
+        at = (self.offsets[nodes] + first)[owner]
+        at += columns
+        return words, at
+
     def words(self, orbit: int) -> np.ndarray:
         return self.order[self.starts[orbit] : self.starts[orbit + 1]]
 

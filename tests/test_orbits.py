@@ -661,6 +661,20 @@ def test_lazy_pos_equals_eager_formula():
             assert np.array_equal(pos[orbs.words(o)], np.arange(len(orbs.words(o))))
 
 
+def test_column_words_pick_from_node_words():
+    # a pick of the nodes' words, node after node, without the others:
+    # each picked word sits at its own position within its orbit
+    rng = random.Random(5)
+    for name, n, s in _census_cases():
+        orbs = BraidOrbits(s).orbits(n)
+        nodes = np.array(sorted(rng.sample(range(orbs.links.size), min(6, orbs.links.size))))
+        words = orbs.node_words(nodes)[0]
+        columns = np.array(sorted(rng.sample(range(words.size), rng.randint(1, words.size))))
+        got, at = orbs.column_words(nodes, columns)
+        assert np.array_equal(got, words[columns]), (name, n)
+        assert np.array_equal(at, orbs.pos[got]), (name, n)
+
+
 def test_derived_arrays_at_large_degree_without_recursion():
     # each derived array is built from the degree below, bottom-up in a
     # loop: reading it first at degree 3000 must not recurse per degree
