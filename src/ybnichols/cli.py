@@ -19,7 +19,6 @@ from pathlib import Path
 from . import catalog as cat
 from .exact import BadPrime
 from .nichols import (
-    CapExceeded,
     CoefficientSystem,
     HypothesesNotMet,
     canonical_coefficients,
@@ -251,7 +250,7 @@ def cmd_dims(args) -> int:
             exact_cap=args.exact_cap,
             primes=args.mod_primes,
         )
-    except (CapExceeded, BadPrime) as exc:
+    except BadPrime as exc:
         raise InputError(str(exc)) from exc
     payload = graded.to_json()
     if entry is not None:

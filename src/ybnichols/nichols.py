@@ -28,25 +28,25 @@ batch's seed rows are one flat list of entries, and each term is one
 gather, one cyclotomic product and one scatter-add.
 
 The walk reads the positions of its words within their orbits from the
-degree below, by T_k = id + (T_{k-1} (x) id) c_{k-1}.  Every seed block is
-a node (P, y) with rows on P: its words are one gather of P's words below,
-and at the identity term their positions are the node's offset plus their
-index in the block.  After c_{k-1} a word u y is some
-u' y', and every later term moves only u' within its degree-(k-1) orbit P',
-so the word stays on the node (P', y') and its position is that node's
-offset plus the position of u' within P'.  A degree-k step therefore reads
-word-length arrays of degree k-1 only, and the top degree of a run (w1 at
-degree 10: 1,048,576 words) never builds any.  A batch closes
-only when its accumulators would pass the larger of ``_BATCH_BUDGET``
-entries and the largest single orbit's, so a degree of many small orbits
-costs a few walks.  A batch that would leave int64 is bisected, so
-arithmetic turns object orbit by orbit.  Modular steps walk the same
-batches and words with one running product per word, reduced mod p at
-every term.  Off the paper's class (below), elimination runs orbit by
-orbit on the positions some seed image reaches, not the whole orbit (on w1
-at degree 9, 1,512 of the 229,632 positions of the seeded orbits), and each
-kept row is expanded back to the orbit's length.  Full-length rows are
-built only when a caller asks for the image itself.
+degree below, by one rule: a word u y sits at the offset of its node (orbit
+of u, y) plus the position of u within that orbit.  Every seed block is a
+node (P, y) with rows on P, so its words are one gather of P's words below.
+By T_k = id + (T_{k-1} (x) id) c_{k-1}, every term after c_{k-1} moves only
+u within its degree-(k-1) orbit, so from there on the node and its offset
+stay fixed.  A degree-k step therefore reads word-length arrays of degree
+k-1 only, and the top degree of a run (w1 at degree 10: 1,048,576 words)
+never builds any.  A batch closes only when its accumulators would pass the
+larger of ``_BATCH_BUDGET`` entries and the largest single orbit's, so a
+degree of many small orbits costs a few walks.  A batch that would leave
+int64 is bisected, so arithmetic turns object orbit by orbit.  Exact and
+modular steps are one step with two walks: the modular walk visits the same
+batches and words with one running product per word, and keeps the products
+and the sums reduced mod p at every term.  Off the paper's class (below),
+elimination runs orbit by orbit on the positions some seed image reaches,
+not the whole orbit (on w1 at degree 9, 1,512 of the 229,632 positions of
+the seeded orbits), and each kept row is expanded back to the orbit's
+length.  Full-length rows are built only when a caller asks for the image
+itself.
 
 On the paper's class, one seed per orbit suffices.  Let the solution be
 involutive and the table satisfy the pairing R[i][j] R[a][b] = 1 for every
@@ -133,6 +133,9 @@ from .ybe import (
 # a batch of orbits walks the staircase together until its accumulators
 # would pass this many entries (or the largest single orbit's, if larger)
 _BATCH_BUDGET = 2 ** 14
+
+# graded_dims stops (terminated "cap") before a degree of more words than this
+_DIMENSION_LIMIT = 2 ** 22
 
 
 class HexagonViolation(ValueError):
@@ -497,6 +500,17 @@ def _relation_rows(cs: CoefficientSystem, element):
 # fast symmetrizer chain
 
 
+def _split(out, batch) -> list:
+    """A batch's walk output, one segment of the orbit's size per seed row,
+    cut into one (seed rows, size[, phi]) array per group."""
+    parts, end = [], 0
+    for _, size, blocks in batch:
+        count = sum(len(rows) for _, rows in blocks)
+        parts.append(out[end : end + count * size].reshape(count, size, *out.shape[1:]))
+        end += count * size
+    return parts
+
+
 def _summed(acc) -> np.ndarray:
     """The sum of a walk's output rows, in object arithmetic where the int64
     sum could overflow."""
@@ -666,25 +680,21 @@ class _Engine:
             cur, sidx = self._c_arrays(k, i, cur)
             yield cur, sidx
 
-    def _located(self, k: int, start, terms):
+    def _located(self, k: int, terms):
         """Pair each term of a staircase walk (a tuple led by its image
         words, as ``_images`` and ``_terms_exact`` yield) with the positions
-        of those words within their degree-k orbits; ``start`` holds the
-        identity term's.
+        of those words within their degree-k orbits.
 
-        T_k = id + (T_{k-1} (x) id) c_{k-1}.  After c_{k-1}, a walked word
-        is u y, and every later term moves only u, within its degree-(k-1)
-        orbit P, so the word stays on the node (P, y).  Its position is then
-        the node's offset, fixed for the rest of the walk, plus the position
-        of u within P: a walk reads the arrays of degree k-1 only.
+        A word u y sits at the offset of its node (orbit of u, y) plus the
+        position of u within its degree-(k-1) orbit.  T_k = id +
+        (T_{k-1} (x) id) c_{k-1}: every term after c_{k-1} moves only u, so
+        the node and its offset stay fixed from there on, and a walk reads
+        the arrays of degree k-1 only.
         """
-        terms = iter(terms)
-        yield next(terms), start
         m, here, below = self.m, self.orbits(k), self.orbits(k - 1)
-        offset = None
-        for term in terms:
+        for i, term in enumerate(terms):
             prefix = term[0] // m
-            if offset is None:  # just after c_{k-1}: the node is fixed from here on
+            if i < 2:  # the identity and c_{k-1} place the node; later terms keep it
                 offset = here.offsets[below.label[prefix] * m + term[0] - prefix * m]
             yield term, offset + below.pos[prefix]
 
@@ -750,28 +760,25 @@ class _Engine:
 
     def _entries(self, k: int, batch):
         """Flatten a batch's seed rows into entries, one per nonzero seed
-        coefficient.  Returns (the source words that carry an entry, their
-        positions within their degree-k orbits, entry -> index into those
-        words (a full slice when that is the identity), entry -> offset in
-        the output, entry values, (seed rows, size) per group); the output
-        holds one segment of the orbit's size per seed, group after group.
+        coefficient.  Returns (the source words that carry an entry, entry ->
+        index into those words (a full slice when that is the identity),
+        entry -> offset in the output, entry values, output length); the
+        output holds one segment of the orbit's size per seed, group after
+        group.
 
         A block's columns are its node's words, in orbit order.  Only the
-        columns that carry an entry gather their words and positions (on w1
-        at degree 9, 18,144 of the 396,288 columns of the seed blocks)."""
-        here, below, m = self.orbits(k), self.orbits(k - 1), self.m
-        nodes, vals, shapes, spans = [], [], [], []
+        columns that carry an entry gather their words (on w1 at degree 9,
+        18,144 of the 396,288 columns of the seed blocks)."""
+        below, m = self.orbits(k - 1), self.m
+        nodes, vals, spans = [], [], []
         n_out = 0
         for _, size, blocks in batch:
-            count = 0
             for node, rows in blocks:
                 nodes.append(node)
-                spans.append((n_out + count * size, size))  # first output offset, stride
+                spans.append((n_out, size))  # first output offset, stride
                 # (phi,) per entry for exact rows, (1,) for mod-p rows
                 vals.append(rows.reshape(rows.shape[0] * rows.shape[1], -1))
-                count += len(rows)
-            shapes.append((count, size))
-            n_out += count * size
+                n_out += len(rows) * size
         nodes = np.array(nodes, dtype=np.int64)
         # entry e of a block is its row e // width on column e % width;
         # only the nonzero entries get indices, and src numbers an entry's
@@ -794,10 +801,10 @@ class _Engine:
             number = np.empty(used.size, dtype=np.int64)  # a scatter: numpy's cumsum of a mask is slow
             number[kept] = np.arange(kept.size)
             src = number[src]
-        words, at = here.column_words(nodes, kept)
+        words = self.orbits(k).column_words(nodes, kept)
         if src.size == words.size and (src[1:] > src[:-1]).all():
             src = slice(None)  # one entry per word, in order (one seed per orbit): no gathers
-        return words, at, src, base, vals[nonzero], shapes
+        return words, src, base, vals[nonzero], n_out
 
     def _staircase_walk(self, k: int, batch, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
@@ -816,14 +823,13 @@ class _Engine:
         object_mode = True in dtypes
         if len(dtypes) > 1 and not promote:
             return None
-        words, start, src, base, vals, shapes = self._entries(k, batch)
+        words, src, base, vals, n_out = self._entries(k, batch)
         seed_max = 0 if object_mode else _max_abs(vals)
-        sizes = [count * size for count, size in shapes]
-        out = np.zeros((sum(sizes), ctx.phi), dtype=object if object_mode else np.int64)
+        out = np.zeros((n_out, ctx.phi), dtype=object if object_mode else np.int64)
         total_den = self.r_den ** (k - 1)
         bound = 0  # bounds every accumulated entry while in int64
         terms = self._terms_exact(k, words, object_mode)
-        for (_, scal, den, peak), at in self._located(k, start, terms):
+        for (_, scal, den, peak), at in self._located(k, terms):
             scale = total_den // den
             if not object_mode:
                 if peak is not None:
@@ -838,24 +844,50 @@ class _Engine:
             if scale != 1:
                 scal = scal * scale
             out[base + at[src]] += mul_rows_elementwise(vals, scal[src], ctx)
-        ends = np.cumsum(sizes).tolist()
-        return [
-            out[end - count * size : end].reshape(count, size, ctx.phi)
-            for end, (count, size) in zip(ends, shapes)
-        ]
+        return _split(out, batch)
 
-    def exact_step(self, prev_rows: OrbitRows, k: int):
-        """One degree of the recursion: span of staircase images of
-        (previous basis) (x) (generators).  Returns (basis rows, dim)."""
+    def _mod_walk(self, p: int, k: int, batch):
+        """``_staircase_walk`` over F_p: one running product per word,
+        reduced mod p at every term, times each entry's value mod p.  Each
+        term reduces the sums it adds to, on the entries it touches only, so
+        the output lies in [0, p) without a pass over the whole of it."""
+        rmod = self.r_mod(p)
+        words, src, base, vals, n_out = self._entries(k, batch)
+        acc = np.zeros(n_out, dtype=np.int64)
+        vals = vals[:, 0]
+        scal = np.ones(words.size, dtype=np.int64)
+        for (_, sidx), at in self._located(k, self._images(k, words)):
+            if sidx is None:
+                term = vals
+            else:  # x -= x // p * p reduces in half the time of numpy's %
+                scal = scal * rmod[sidx]
+                scal -= scal // p * p
+                term = vals * scal[src]
+                term -= term // p * p
+            idx = base + at[src]  # distinct within a term
+            term = acc[idx] + term  # below 2p
+            np.subtract(term, p, out=term, where=term >= p)
+            acc[idx] = term
+        return _split(acc, batch)
+
+    def _step(self, prev_rows: OrbitRows, k: int, walk, p: int | None = None):
+        """One degree of the recursion: the span of the staircase images of
+        (previous basis) (x) (generators), each batch's by ``walk(k, batch)``,
+        exactly or over F_p.  Returns (basis rows, dim)."""
         out = OrbitRows()
+        space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
         for batch in self._batches(self._seed_blocks(prev_rows, k)):
-            accs = self._staircase(k, batch)
-            if self.rank_one:  # one seed per orbit: its row is its image's primitive part
-                out.add_lone([orbit for orbit, *_ in batch], lone_rows([acc[0] for acc in accs]))
+            accs = walk(k, batch)
+            if self.rank_one:  # one seed per orbit: its image's primitive part, or mod p led by 1
+                out.add_lone([orbit for orbit, *_ in batch], lone_rows([acc[0] for acc in accs], p))
                 continue
             for (orbit, *_), acc in zip(batch, accs):
-                out.add_span(orbit, acc, partial(ExactIntRows, self.ctx))
+                out.add_span(orbit, acc, space)
         return out, len(out)
+
+    def exact_step(self, prev_rows: OrbitRows, k: int):
+        """One exact degree step (``_step``).  Returns (basis rows, dim)."""
+        return self._step(prev_rows, k, self._staircase)
 
     def symmetrize(self, k: int, words, coeffs):
         """The full degree-k symmetrizer of sum_t coeffs[t] * words[t] on the
@@ -905,36 +937,8 @@ class _Engine:
         return OrbitRows(out, rows.orbits)
 
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
-        """``exact_step`` over F_p, on the same batches and the same walk over
-        the source words that carry an entry: one running product per word,
-        reduced mod p at every term, times each entry's value mod p, so the
-        k terms sum below k * p < 2^63; ``ModRows`` reduces each row on
-        insert."""
-        rmod = self.r_mod(p)
-        out = OrbitRows()
-        for batch in self._batches(self._seed_blocks(prev_vecs, k)):
-            words, start, src, base, vals, shapes = self._entries(k, batch)
-            sizes = [count * size for count, size in shapes]
-            acc = np.zeros(sum(sizes), dtype=np.int64)
-            vals = vals[:, 0]
-            scal = np.ones(words.size, dtype=np.int64)
-            for (_, sidx), at in self._located(k, start, self._images(k, words)):
-                if sidx is None:
-                    term = vals
-                else:  # x -= x // p * p reduces in half the time of numpy's %
-                    scal = scal * rmod[sidx]
-                    scal -= scal // p * p
-                    term = vals * scal[src]
-                    term -= term // p * p
-                acc[base + at[src]] += term
-            ends = np.cumsum(sizes).tolist()
-            parts = [acc[end - width : end] for end, width in zip(ends, sizes)]
-            if self.rank_one:  # one seed per orbit: its image, scaled to lead with 1
-                out.add_lone([orbit for orbit, *_ in batch], lone_rows(parts, p))
-                continue
-            for (orbit, *_), part, shape in zip(batch, parts, shapes):
-                out.add_span(orbit, part.reshape(shape), partial(ModRows, p))
-        return out, len(out)
+        """One degree step over F_p (``_step``).  Returns (basis rows, dim)."""
+        return self._step(prev_vecs, k, partial(self._mod_walk, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -985,10 +989,10 @@ def graded_dims(
     mode: str = "auto",
     exact_cap: int = 4096,
     primes=None,
-    dimension_limit: int = 2 ** 22,
 ) -> GradedDims:
     """Per-degree dimensions until the first zero (all later degrees vanish
-    since the algebra is generated in degree one) or until the cap.
+    since the algebra is generated in degree one), until the cap, or before
+    a degree of more than ``_DIMENSION_LIMIT`` words.
 
     ``mode``: "auto" runs degrees with m^k <= exact_cap exactly, larger ones
     at two primes with escalation back to exact on disagreement, vanishing
@@ -1016,7 +1020,7 @@ def graded_dims(
     while k < cap:
         k += 1
         L = m ** k
-        if L > dimension_limit:
+        if L > _DIMENSION_LIMIT:
             terminated = "cap"
             break
         use_exact = (
@@ -1254,7 +1258,6 @@ def theorem_suite(
     cap: int = 16,
     growth_cap: int = 8,
     exact_cap: int = 4096,
-    primes=None,
     dims_mode: str = "auto",
 ) -> TheoremReport:
     """Run the dimension checks the detected hypotheses call for.
@@ -1274,7 +1277,7 @@ def theorem_suite(
         raise HypothesesNotMet("pairing R[i][j] R[r(i,j)] = 1 fails off fixed pairs")
     if hyp.q_constant and hyp.root_order is not None:
         n = hyp.root_order
-        graded = graded_dims(cs, cap=cap, mode=dims_mode, exact_cap=exact_cap, primes=primes)
+        graded = graded_dims(cs, cap=cap, mode=dims_mode, exact_cap=exact_cap)
         checks["total_is_n_to_m"] = graded.total == n ** m
         checks["oracle_matches"] = all(
             graded.dims[k] == predicted_dimension(m, n, k) for k in range(len(graded.dims))
@@ -1312,9 +1315,7 @@ def theorem_suite(
             raise HypothesesNotMet(f"q on part {part} is not in some G_n, n >= 2")
         orders.append(n_part)
         expected_total *= n_part ** len(part)
-    graded = graded_dims(
-        cs, cap=cap, mode=dims_mode, exact_cap=exact_cap, primes=primes
-    )
+    graded = graded_dims(cs, cap=cap, mode=dims_mode, exact_cap=exact_cap)
     checks["total_is_product"] = graded.total == expected_total
     # the graded profile must factor as the convolution of the per-part
     # profiles (tensor factorization of the algebra as graded vector spaces)

@@ -487,9 +487,10 @@ def lambda_classify(w: Word, s: SetSolution) -> tuple[Partition, Word]:
 
 
 def word_index(word, m: int) -> int:
-    """The index of a word among the m^k words of its degree."""
+    """The index of a word among the m^k words of its degree; raises
+    ValueError on a letter that is not an integer in 0 .. m-1."""
     code = 0
-    for letter in word:
+    for letter in _letters(word, m):
         code = code * m + letter
     return code
 
@@ -556,12 +557,12 @@ class _Orbits:
         """The words orbit after orbit, node-major within each orbit: one
         gather of the words of every node's orbit below, node after node."""
         self._build_below("order")
-        return self.node_words(np.argsort(self.links, kind="stable"))[0]
+        return self.node_words(np.argsort(self.links, kind="stable"))
 
     def node_words(self, nodes):
         """The words of the given nodes, node after node, each in orbit
-        order, and the number of words per node: those of node (P, y) are
-        the words of P below, times m plus y, so all come from one gather."""
+        order: those of node (P, y) are the words of P below, times m plus
+        y, so all come from one gather."""
         below, m = self.below, self.m
         prev, letters = np.divmod(nodes, m)
         lengths = below.sizes[prev]
@@ -571,27 +572,24 @@ class _Orbits:
         words = below.order[index]
         words *= m
         words += np.repeat(letters, lengths)
-        return words, lengths
+        return words
 
     def column_words(self, nodes, columns):
         """The words at the ascending indices ``columns`` of the given nodes'
-        words, node after node, each in orbit order, and their positions
-        within their orbits; node (P, y) holds the words of P below, times m
-        plus y, from the node's offset on."""
+        words, node after node, each in orbit order; node (P, y) holds the
+        words of P below, times m plus y."""
         below, m = self.below, self.m
         prev, letters = np.divmod(nodes, m)
         lengths = below.sizes[prev]
         ends = np.cumsum(lengths)
         owner = np.searchsorted(ends, columns, side="right")
-        first = lengths - ends  # node -> minus the index of its first word
-        index = (below.starts[prev] + first)[owner]
+        # a node's first word below, less the column its words start at
+        index = (below.starts[prev] + lengths - ends)[owner]
         index += columns
         words = below.order[index]
         words *= m
         words += letters[owner]
-        at = (self.offsets[nodes] + first)[owner]
-        at += columns
-        return words, at
+        return words
 
     def words(self, orbit: int) -> np.ndarray:
         return self.order[self.starts[orbit] : self.starts[orbit + 1]]

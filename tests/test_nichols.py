@@ -11,6 +11,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from ybnichols import nichols
 from ybnichols.catalog import build_entry, catalog_names, parse_scalar
 from ybnichols.exact import (
     CycloElement,
@@ -225,9 +226,10 @@ def test_graded_dims_cap_truncates_without_total():
     assert g.dims == (1, 2, 3, 4, 5, 6)
 
 
-def test_graded_dims_dimension_limit_guard():
+def test_graded_dims_dimension_limit_guard(monkeypatch):
+    monkeypatch.setattr(nichols, "_DIMENSION_LIMIT", 2 ** 6)
     cs = z2_system(q=CycloElement.from_rational(2))
-    g = graded_dims(cs, cap=30, mode="exact", exact_cap=2 ** 12, dimension_limit=2 ** 6)
+    g = graded_dims(cs, cap=30, mode="exact", exact_cap=2 ** 12)
     assert g.terminated == "cap" and g.total is None
     assert len(g.dims) == 7  # degrees 0..6; 2^7 exceeds the limit
 
@@ -245,6 +247,22 @@ def test_check_relation_examples():
     assert any(image)
     with pytest.raises(InhomogeneousElement):
         check_relation(entry.system, [(one, (0, 1)), (one, (0, 1, 2))])
+
+
+def test_relation_letters_outside_the_alphabet_are_rejected():
+    # a negative letter used to wrap, 5 to read as the word (1, 2), and 1.5
+    # to be truncated; every relation entry now names the bad letter
+    cs = build_entry("z3-shift").system
+    for word in ((0, -1), (0, 5), (0, 1.5)):
+        calls = [
+            lambda: word_index(word, 3),
+            lambda: check_relation(cs, [(1, word)]),
+            lambda: relation_image(cs, [(1, word)]),
+            lambda: degree2_relation_rank(cs, [("bad", [(1, word)])]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"letter .* 0\.\.2 \(m = 3\)"):
+                call()
 
 
 def test_relation_schema_terms_vanish():
@@ -419,7 +437,7 @@ def test_staircase_positions_match_derived_pos():
         for k in range(2, 7):
             here = engine.orbits(k)
             words = np.arange(engine.m ** k, dtype=np.int64)
-            for (cur, _), at in engine._located(k, here.pos[words], engine._images(k, words)):
+            for (cur, _), at in engine._located(k, engine._images(k, words)):
                 assert np.array_equal(at, here.pos[cur]), (name, k)
                 terms += 1
     assert terms == len(catalog_names()) * sum(range(2, 7))
@@ -946,6 +964,34 @@ def _per_orbit_mod_step(engine, prev_vecs, k, p):
                 acc[:, t] = (acc[:, t] + stacked * scal[sl]) % p
         _add_dense_span(out, orbit, ModRows(p, size), accs)
     return out, len(out)
+
+
+def test_mod_steps_hand_reduced_arrays_to_elimination(monkeypatch):
+    # the modular walk reduces its sums once: every array a modular step
+    # inserts (off the paper's class) or takes as a lone row (on it) lies
+    # in [0, p), at both primes of the order
+    handed = []
+    add_span, lone_rows = OrbitRows.add_span, nichols.lone_rows
+
+    def recording_span(self, orbit, seeds, space):
+        handed.append(seeds)
+        add_span(self, orbit, seeds, space)
+
+    def recording_lone(arrays, p=None):
+        handed.extend(arrays)
+        return lone_rows(arrays, p)
+
+    monkeypatch.setattr(OrbitRows, "add_span", recording_span)
+    monkeypatch.setattr(nichols, "lone_rows", recording_lone)
+    for name, top in (("w1", 8), ("x4-sigma", 5)):
+        engine = _Engine(build_entry(name).system)
+        for p in primes_for_order(engine.cs.order, count=2):
+            rows = engine.specialize_rows(engine.identity_rows(), p)
+            for k in range(2, top + 1):
+                handed.clear()
+                rows, _ = engine.mod_step(rows, k, p)
+                assert handed, (name, p, k)
+                assert all(0 <= a.min() and a.max() < p for a in handed), (name, p, k)
 
 
 def test_batched_mod_step_matches_per_orbit_reference():
