@@ -8,11 +8,12 @@ vectors into an incrementally maintained echelon basis.
 Two layers:
 
 * a reference layer over arbitrary field elements (``MonomialOperator``,
-  ``RowSpace``, ``rank``) -- simple, fully reduced echelon, used directly at
-  small sizes and as the oracle that the fast layer is checked against;
+  ``RowSpace``, ``rank``) -- simple, fully reduced echelon: the oracle that
+  the fast layer is checked against, and in production only the form
+  ``nichols.symmetrizer_image`` puts its exact basis in;
 * fast numpy kernels: fraction-free elimination of integer-cyclotomic rows
-  (``ExactIntRows``) and elimination mod p (``ModRows``), which carry the
-  large symmetrizer degrees.
+  (``ExactIntRows``) and elimination mod p (``ModRows``), which answer every
+  rank question of the library: symmetrizer degrees and relation spans.
 """
 
 from __future__ import annotations
@@ -352,7 +353,8 @@ def lone_rows(arrays, p: int | None = None) -> list:
     ``ModRows(p)`` otherwise.
 
     Exactly, that row is the array over the gcd of its entries (sign kept);
-    mod p, it is the array mod p scaled so its first nonzero entry is 1.
+    mod p, it is the array scaled so its first nonzero entry is 1, and every
+    array must already lie in [0, p), as the modular walk leaves its sums.
     Rows match ``insert`` bit for bit, in value and dtype, but the arrays of
     one dtype share one concatenation, one gcd (or first-entry) reduction and
     one division, instead of one elimination each.
@@ -368,7 +370,6 @@ def lone_rows(arrays, p: int | None = None) -> list:
             keep = content != 0
             flat = flat // np.repeat(np.where(keep, content, 1), lengths)
         else:
-            flat = np.mod(flat, p)
             nz = np.flatnonzero(flat)
             # the first nonzero entry of each array that has one
             owner = np.searchsorted(starts, nz, side="right") - 1

@@ -81,9 +81,12 @@ image so far is a sum of rows on degree-(j-1) orbits P, and a row with tail
 y t seeds the node (P, y) of degree j, tagged with t.  The seeds of one tail
 and one degree-j orbit walk T_j together and sum to that orbit's row.  So a
 check, like a step, reads the word arrays of the degree below only.
-``braiding_ops`` and ``symmetrizer_apply`` (dense CycloElement vectors over
-all m^k words) are the reference oracle the tests compare against; no
-relation path calls them.
+``degree2_relation_rank`` ranks its relations as integer rows in the
+engine's ``ExactIntRows``.  ``braiding_ops`` and ``symmetrizer_apply``
+(dense CycloElement vectors over all m^k words) are the reference oracle
+the tests compare against; no relation path calls them.  The reference
+``RowSpace`` runs only where ``symmetrizer_image`` (exact only) puts the
+engine's basis in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -99,7 +102,6 @@ import numpy as np
 
 from .exact import (
     CycloElement,
-    PrimeFieldElement,
     check_modulus,
     checked_phi,
     primes_for_order,
@@ -214,6 +216,11 @@ class CoefficientSystem:
         return validate_coefficients(solution, R)
 
 
+def _cyclo(c) -> CycloElement:
+    """A coefficient as a CycloElement (ints and Fractions lie in Q)."""
+    return c if isinstance(c, CycloElement) else CycloElement.from_rational(Fraction(c))
+
+
 def _common_order(entries) -> int:
     return reduce(math.lcm, (e.order for e in entries), 1)
 
@@ -258,9 +265,7 @@ def validate_coefficients(s: SetSolution, R) -> CoefficientSystem:
         raise ValueError("r is not bijective on X x X")
     flat = []
     for row in R:
-        for e in row:
-            if not isinstance(e, CycloElement):
-                e = CycloElement.from_rational(Fraction(e))
+        for e in map(_cyclo, row):
             if not e:
                 raise ValueError("coefficient table entries must be nonzero")
             flat.append(e)
@@ -308,31 +313,20 @@ def diagonal_coefficient_check(cs: CoefficientSystem) -> DiagonalCoefficientRepo
     )
 
 
-def canonical_coefficients(
-    s: SetSolution, q: CycloElement, theorem_mode: bool = False
-) -> CoefficientSystem:
+def canonical_coefficients(s: SetSolution, q: CycloElement) -> CoefficientSystem:
     """q on the fixed pairs of r, 1 everywhere else, then hexagon-validated.
 
     No general theorem guarantees this assignment is a braiding for every
-    solution, so validation may raise HexagonViolation.  ``theorem_mode``
-    additionally insists the finite-dimension hypotheses hold.
+    solution, so validation may raise HexagonViolation.
     """
     D = diagonal(s)
     m = s.size
-    if not isinstance(q, CycloElement):
-        q = CycloElement.from_rational(Fraction(q))
+    q = _cyclo(q)
     one = CycloElement.one(q.order)
     R = [[one] * m for _ in range(m)]
     for j in range(m):
         R[D(j)][j] = q
-    cs = validate_coefficients(s, R)
-    if theorem_mode:
-        hyp = theorem_hypotheses(cs)
-        if not hyp.finite_type:
-            raise HypothesesNotMet(
-                "canonical system does not satisfy the finite-dimension hypotheses"
-            )
-    return cs
+    return validate_coefficients(s, R)
 
 
 @dataclass(frozen=True)
@@ -467,33 +461,36 @@ def _relation_rows(cs: CoefficientSystem, element):
     integers: (engine, degree, denominator, blocks) as returned by
     ``_Engine.symmetrize`` with the element's own denominator folded in, or
     None for the empty element."""
-    terms = list(element)
+    terms = [(_cyclo(c), word) for c, word in element]
     if not terms:
         return None
     degrees = {len(word) for _, word in terms}
     if len(degrees) != 1:
         raise InhomogeneousElement(f"mixed degrees {sorted(degrees)}")
     k = degrees.pop()
-    coeffs = []
-    order = cs.order
-    for c, _ in terms:
-        if not isinstance(c, CycloElement):
-            c = CycloElement.from_rational(Fraction(c))
-        order = math.lcm(order, c.order)
-        coeffs.append(c)
+    order = math.lcm(cs.order, _common_order(c for c, _ in terms))
     if order != cs.order:
         checked_phi(order)
         cs = CoefficientSystem(
             cs.solution, order, [[e.to_order(order) for e in row] for row in cs.R]
         )
     engine = _relation_engine(cs)
-    summed: dict[int, CycloElement] = {}
-    for c, (_, word) in zip(coeffs, terms):
-        idx = word_index(word, engine.m)
-        summed[idx] = summed.get(idx, 0) + c.to_order(order)
-    nums, elem_den = engine.ctx.to_int_array(summed.values())
-    den, blocks = engine.symmetrize(k, np.array(list(summed), dtype=np.int64), nums)
+    words, nums, elem_den = _word_coefficients(terms, engine.ctx, engine.m)
+    den, blocks = engine.symmetrize(k, words, nums)
     return engine, k, den * elem_den, blocks
+
+
+def _word_coefficients(terms, ctx: CycloCtx, m: int):
+    """The (coefficient, word) terms summed per word: (distinct word indices,
+    their coefficients as ``ctx.to_int_array`` numerators, denominator).
+    ValueError for a letter outside 0..m-1 or a coefficient whose order does
+    not divide ``ctx.order``."""
+    summed: dict[int, CycloElement] = {}
+    for c, word in terms:
+        idx = word_index(word, m)
+        summed[idx] = summed.get(idx, 0) + _cyclo(c).to_order(ctx.order)
+    nums, den = ctx.to_int_array(summed.values())
+    return np.array(list(summed), dtype=np.int64), nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1001,9 @@ def graded_dims(
     if mode not in ("auto", "exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     if primes is not None:
-        primes = _checked_primes(primes, cs.order)
+        primes = tuple(primes)
+        for p in primes:
+            check_modulus(p, cs.order)
     m = cs.size
     engine = _Engine(cs)
     dims = [1, m]
@@ -1113,63 +1112,24 @@ def graded_dims(
     )
 
 
-def _checked_primes(primes, order: int) -> tuple:
-    """The given primes as a tuple, each one validated."""
-    primes = tuple(primes)
-    for p in primes:
-        check_modulus(p, order)
-    return primes
-
-
-def symmetrizer_image(
-    cs: CoefficientSystem,
-    k: int,
-    arithmetic: str = "exact",
-    primes=None,
-    exact_cap: int = 4096,
-) -> RowSpace:
-    """A reduced-echelon basis of the degree-k symmetrizer image.
-
-    Exact arithmetic is bounded by ``exact_cap`` on the tensor dimension
-    (CapExceeded beyond); modular arithmetic computes at the given primes
-    (defaults to the two canonical ones) and materializes the first prime's
-    basis after checking the ranks agree.
-    """
+def symmetrizer_image(cs: CoefficientSystem, k: int, exact_cap: int = 4096) -> RowSpace:
+    """A reduced-echelon basis of the degree-k symmetrizer image, in exact
+    arithmetic, bounded by ``exact_cap`` on the tensor dimension
+    (CapExceeded beyond)."""
     if k < 1:
         raise ValueError("degree must be >= 1")
-    m = cs.size
-    L = m ** k
+    L = cs.size ** k
+    if L > exact_cap:
+        raise CapExceeded(f"m^k = {L} exceeds exact cap {exact_cap}")
     engine = _Engine(cs)
-    if arithmetic == "exact":
-        if L > exact_cap:
-            raise CapExceeded(f"m^k = {L} exceeds exact cap {exact_cap}")
-        rows = engine.identity_rows()
-        for degree in range(2, k + 1):
-            rows, _ = engine.exact_step(rows, degree)
-        space = RowSpace(L)
-        ctx = engine.ctx
-        for arr in engine.expand(rows, k):
-            space.insert([ctx.to_element(arr[i]) for i in range(L)])
-        return space
-    if arithmetic == "modular":
-        if primes is None:
-            primes = primes_for_order(cs.order, count=2)
-        primes = _checked_primes(primes, cs.order)
-        bases = {}
-        for p in primes:
-            vecs = engine.specialize_rows(engine.identity_rows(), p)
-            for degree in range(2, k + 1):
-                vecs, _ = engine.mod_step(vecs, degree, p)
-            bases[p] = vecs
-        ranks = {p: len(v) for p, v in bases.items()}
-        if len(set(ranks.values())) != 1:
-            raise ArithmeticError(f"modular ranks disagree: {ranks}")
-        p0 = primes[0]
-        space = RowSpace(L)
-        for vec in engine.expand(bases[p0], k):
-            space.insert([PrimeFieldElement(int(v), p0) for v in vec])
-        return space
-    raise ValueError(f"unknown arithmetic {arithmetic!r}")
+    rows = engine.identity_rows()
+    for degree in range(2, k + 1):
+        rows, _ = engine.exact_step(rows, degree)
+    space = RowSpace(L)
+    ctx = engine.ctx
+    for arr in engine.expand(rows, k):
+        space.insert([ctx.to_element(arr[i]) for i in range(L)])
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -1224,23 +1184,19 @@ def theorem_relations(cs: CoefficientSystem) -> list:
 
 
 def degree2_relation_rank(cs: CoefficientSystem, relations) -> int:
-    """Rank of the span of the given degree-2 relations inside V (x) V."""
-    m = cs.size
-    zero = CycloElement.zero(cs.order)
-    vectors = []
+    """Rank of the span of the given degree-2 relations inside V (x) V, each
+    one integer row over the m^2 words; relations with a word of another
+    degree are skipped."""
+    ctx, m = CycloCtx(cs.order), cs.size
+    space = ExactIntRows(ctx, m * m)
     for _, terms in relations:
-        if any(len(word) != 2 for _, word in terms):
+        if not terms or any(len(word) != 2 for _, word in terms):
             continue
-        vec = [zero] * (m * m)
-        for coeff, word in terms:
-            if not isinstance(coeff, CycloElement):
-                coeff = CycloElement.from_rational(Fraction(coeff))
-            idx = word_index(word, m)
-            vec[idx] = vec[idx] + coeff.to_order(cs.order)
-        vectors.append(vec)
-    from .linalg import rank as _rank
-
-    return _rank(vectors)
+        words, nums, _ = _word_coefficients(terms, ctx, m)
+        row = np.zeros((m * m, ctx.phi), dtype=nums.dtype)
+        row[words] = nums
+        space.insert(row)
+    return space.rank
 
 
 @dataclass(frozen=True)
@@ -1255,8 +1211,6 @@ class TheoremReport:
 def theorem_suite(
     cs: CoefficientSystem,
     *,
-    cap: int = 16,
-    growth_cap: int = 8,
     exact_cap: int = 4096,
     dims_mode: str = "auto",
 ) -> TheoremReport:
@@ -1266,9 +1220,10 @@ def theorem_suite(
     every schema relation must vanish under the symmetrizer, and every
     computed degree must match the combinatorial oracle.  Constant q of
     infinite order: degree dimensions must follow the binomial profile
-    C(k+m-1, m-1) up to ``growth_cap`` (the computable growth evidence).
+    C(k+m-1, m-1) through degree 8 (the computable growth evidence).
     Non-constant q over a decomposable solution with per-part roots of
-    unity: the total must be the product of the per-part totals.
+    unity: the total must be the product of the per-part totals.  Finite and
+    product totals are computed through degree 16.
     """
     hyp = theorem_hypotheses(cs)
     m = cs.size
@@ -1277,7 +1232,7 @@ def theorem_suite(
         raise HypothesesNotMet("pairing R[i][j] R[r(i,j)] = 1 fails off fixed pairs")
     if hyp.q_constant and hyp.root_order is not None:
         n = hyp.root_order
-        graded = graded_dims(cs, cap=cap, mode=dims_mode, exact_cap=exact_cap)
+        graded = graded_dims(cs, cap=16, mode=dims_mode, exact_cap=exact_cap)
         checks["total_is_n_to_m"] = graded.total == n ** m
         checks["oracle_matches"] = all(
             graded.dims[k] == predicted_dimension(m, n, k) for k in range(len(graded.dims))
@@ -1291,9 +1246,7 @@ def theorem_suite(
             expected_total=n ** m,
         )
     if hyp.q_constant and hyp.root_order is None:
-        graded = graded_dims(
-            cs, cap=growth_cap, mode="exact", exact_cap=max(exact_cap, m ** growth_cap)
-        )
+        graded = graded_dims(cs, cap=8, mode="exact", exact_cap=max(exact_cap, m ** 8))
         expected = [math.comb(k + m - 1, m - 1) for k in range(len(graded.dims))]
         checks["binomial_growth"] = list(graded.dims) == expected
         passed = all(checks.values())
@@ -1315,7 +1268,7 @@ def theorem_suite(
             raise HypothesesNotMet(f"q on part {part} is not in some G_n, n >= 2")
         orders.append(n_part)
         expected_total *= n_part ** len(part)
-    graded = graded_dims(cs, cap=cap, mode=dims_mode, exact_cap=exact_cap)
+    graded = graded_dims(cs, cap=16, mode=dims_mode, exact_cap=exact_cap)
     checks["total_is_product"] = graded.total == expected_total
     # the graded profile must factor as the convolution of the per-part
     # profiles (tensor factorization of the algebra as graded vector spaces)

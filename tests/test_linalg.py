@@ -383,14 +383,17 @@ def test_lone_rows_match_exact_insert(order):
 
 @pytest.mark.parametrize("p", [2, 7, 2 ** 31 - 1])
 def test_lone_rows_match_mod_insert(p):
-    # mod-p accumulators hold sums of k terms below p, and negatives too
+    # the modular walk hands over its sums reduced into [0, p): zero arrays,
+    # arrays whose one nonzero entry is p - 1, and random ones
     rng = random.Random(p)
     arrays = []
     for size in (1, 4, 9):
         arrays.append(np.zeros(size, dtype=np.int64))
-        arrays.append(p * np.array([rng.randint(-3, 3) for _ in range(size)], dtype=np.int64))
+        single = np.zeros(size, dtype=np.int64)
+        single[rng.randrange(size)] = p - 1
+        arrays.append(single)
         for _ in range(4):
-            values = [rng.randint(-5 * p, 5 * p) for _ in range(size)]
+            values = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(size)]
             arrays.append(np.array(values, dtype=np.int64))
     rng.shuffle(arrays)
     for arr, got in zip(arrays, lone_rows(arrays, p)):

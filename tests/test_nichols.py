@@ -50,7 +50,7 @@ from ybnichols.nichols import (
     word_index,
 )
 from ybnichols.orbits import BraidOrbits, classify, maximal_blocks
-from ybnichols.ybe import SetSolution, diagonal
+from ybnichols.ybe import NotInvolutive, SetSolution, diagonal
 
 ONE2 = CycloElement.one(2)
 MINUS1 = CycloElement.zeta(2)
@@ -131,7 +131,8 @@ def test_canonical_coefficients_examples():
     entry = build_entry("z3-shift")
     assert cs3 == entry.system
     # flip gives a diagonal braiding with total 2^m at q = -1
-    csf = canonical_coefficients(SetSolution.flip(3), MINUS1, theorem_mode=True)
+    csf = canonical_coefficients(SetSolution.flip(3), MINUS1)
+    assert theorem_hypotheses(csf).finite_type
     assert graded_dims(csf).total == 8
 
 
@@ -172,14 +173,6 @@ def test_symmetrizer_image_examples():
     assert symmetrizer_image(entry.system, 3).rank == 0
     with pytest.raises(CapExceeded):
         symmetrizer_image(entry.system, 3, exact_cap=4)
-
-
-def test_symmetrizer_image_modular_matches_exact():
-    entry = build_entry("z3-shift")
-    for k in (2, 3):
-        exact_rank = symmetrizer_image(entry.system, k).rank
-        modular = symmetrizer_image(entry.system, k, arithmetic="modular")
-        assert modular.rank == exact_rank
 
 
 def test_symmetrizer_full_matrix_cross_check():
@@ -313,6 +306,65 @@ def test_degree2_relation_completeness():
         assert span == m * m - dims2, name
 
 
+def _dense_degree2_rank(cs, relations):
+    """The span of the degree-2 relations as dense CycloElement vectors over
+    the m^2 words, ranked in the reference RowSpace."""
+    m = cs.size
+    vectors = []
+    for _, terms in relations:
+        if any(len(word) != 2 for _, word in terms):
+            continue
+        vec = [CycloElement.zero(cs.order)] * (m * m)
+        for coeff, word in terms:
+            if not isinstance(coeff, CycloElement):
+                coeff = CycloElement.from_rational(Fraction(coeff))
+            vec[word_index(word, m)] += coeff.to_order(cs.order)
+        vectors.append(vec)
+    return rank(vectors)
+
+
+def test_degree2_relation_rank_matches_dense_reference():
+    # integer rows in ExactIntRows against dense vectors in RowSpace, on the
+    # published relations of every entry that builds at each q, with the
+    # schema relations where the hypotheses give them
+    cases = 0
+    for name in catalog_names():
+        for q in (None, "zeta3", "-1", "2"):
+            try:
+                entry = build_entry(name, None if q is None else {"q": q})
+            except (ConstraintViolation, HexagonViolation):
+                continue
+            cs, relations = entry.system, list(entry.relations)
+            try:
+                relations += theorem_relations(cs)
+            except (HypothesesNotMet, NotInvolutive):
+                pass
+            assert degree2_relation_rank(cs, relations) == _dense_degree2_rank(cs, relations)
+            cases += 1
+    assert cases >= 34, cases
+    # int, Fraction and beyond-int64 coefficients, a repeated word, words of
+    # degree 3 (skipped) and the empty relation, on z3-shift (order 3)
+    cs = build_entry("z3-shift").system
+    z3 = cyclotomic_root(3)
+    relations = [
+        ("int", [(2, (0, 1)), (-3, (1, 2))]),
+        ("fraction", [(Fraction(-2, 3), (0, 1)), (1, (1, 2))]),
+        ("cancels", [(1, (2, 2)), (Fraction(-1), (2, 2))]),
+        ("cyclo", [(z3, (1, 0)), (Fraction(1, 2), (2, 1)), (z3 * z3, (1, 0))]),
+        ("huge", [(2 ** 70, (0, 2)), (1, (2, 0))]),
+        ("huge multiple", [(1, (0, 2)), (Fraction(1, 2 ** 70), (2, 0))]),
+        ("degree 3", [(1, (0, 1, 2))]),
+        ("mixed", [(1, (0, 0)), (1, (0, 0, 0))]),
+        ("empty", []),
+    ]
+    assert degree2_relation_rank(cs, relations) == _dense_degree2_rank(cs, relations) == 3
+    assert degree2_relation_rank(cs, []) == 0
+    # a coefficient whose order does not embed in the system's
+    for root, system in ((cyclotomic_root(4), cs), (z3, z2_system())):
+        with pytest.raises(ValueError, match="cannot embed"):
+            degree2_relation_rank(system, [("bad", [(root, (0, 1))])])
+
+
 def test_oracle_examples():
     assert predicted_dimension(2, 2, 2) == 1
     assert predicted_dimension(2, 3, 2) == 3
@@ -340,7 +392,7 @@ def test_theorem_suite_finite():
 
 
 def test_theorem_suite_growth():
-    report = theorem_suite(z2_system(q=CycloElement.from_rational(2)), growth_cap=8)
+    report = theorem_suite(z2_system(q=CycloElement.from_rational(2)))
     assert report.mode == "growth" and report.passed
 
 
@@ -377,11 +429,16 @@ def test_escalation_on_forced_small_exact_cap():
 
 
 def test_forced_modular_keeps_modular_provenance():
+    # every degree from 2 on runs mod p alone, and both primes give the
+    # exact dimensions
     entry = build_entry("z3-shift")
     g = graded_dims(entry.system, cap=16, exact_cap=9, mode="modular")
     assert g.total == 27
     tail = [r for r in g.provenance if r.mode != "trivial"]
     assert all(r.mode == "modular" for r in tail)
+    exact = graded_dims(entry.system, cap=16, mode="exact")
+    assert g.dims == exact.dims
+    assert all(r.modular_dims == (exact.dims[r.degree],) * 2 for r in tail)
 
 
 def test_mod_primes_override():
