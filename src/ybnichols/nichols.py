@@ -123,6 +123,7 @@ from .linalg import (
 )
 from .orbits import BraidOrbits, partitions, psi, word_index
 from .ybe import (
+    SOLUTION_CACHE_SIZE,
     NotInvolutive,
     SetSolution,
     braid_walk,
@@ -173,12 +174,14 @@ class CoefficientSystem:
     fixed here once so no coercion happens mid-elimination).
     """
 
-    __slots__ = ("solution", "order", "R")
+    __slots__ = ("solution", "order", "R", "_hash")
 
     def __init__(self, solution: SetSolution, order: int, R) -> None:
         object.__setattr__(self, "solution", solution)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "R", tuple(tuple(row) for row in R))
+        # every cache lookup keyed by the system hashes it: hash the table once
+        object.__setattr__(self, "_hash", hash((solution, order, self.R)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoefficientSystem is immutable")
@@ -200,7 +203,7 @@ class CoefficientSystem:
         )
 
     def __hash__(self):
-        return hash((self.solution, self.order, self.R))
+        return self._hash
 
     def to_json(self) -> dict:
         return {
@@ -350,8 +353,10 @@ class TheoremHypotheses:
         return self.q_constant and self.pairing_holds and self.root_order is None
 
 
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def theorem_hypotheses(cs: CoefficientSystem) -> TheoremHypotheses:
-    """Detect the dimension-theorem hypotheses (involutive base required)."""
+    """Detect the dimension-theorem hypotheses (involutive base required);
+    computed once per system, since the oracles ask for them per degree."""
     s = cs.solution
     D = diagonal(s)
     m = s.size

@@ -6,6 +6,9 @@ exchange-rule moves to a canonical concatenation of Psi-blocks
 Psi_k(a) = D^{k-1}(a) ... D(a) a whose block lengths form the partition.
 The classifier below performs that rewriting explicitly and records the
 generator moves it used, so orbit membership of its output is replayable.
+The census does not rewrite: it types every orbit at once by a multiset
+invariant, under which the braid action is the permutation action of S_n on
+X^n (see ``orbit_census``), and calls the classifier only for witnesses.
 
 One labeller, ``BraidOrbits``, finds the orbits of the braid group B_k on X^k
 (the S_k-orbits, for an involutive solution) for the census and the Nichols
@@ -14,7 +17,7 @@ edge per (degree-(k-2) orbit, letter pair), with no pass over the words.
 An orbit lists its words node-major: node (P, y) holds the words u y with u
 in the degree-(k-1) orbit P, nodes come in ascending id P m + y, and within
 a node the words follow P's order.  Each degree keeps its graph, orbit
-starts, node offsets and least words; a word's orbit (``label``), its
+starts, node offsets and head nodes; a word's orbit (``label``), its
 position within it (``pos``) and the words in orbit order (``order``) are
 built from those of the degree below when first read, so the census reads
 each representative and size off the graph and never holds an array over
@@ -508,14 +511,13 @@ class _Orbits:
     holds an array over all m^k words.
     """
 
-    def __init__(self, below, m: int, links, starts, offsets, heads, least) -> None:
+    def __init__(self, below, m: int, links, starts, offsets, heads) -> None:
         self.below = below  # the degree-(k-1) orbits, None at degree 0
         self.m = m
         self.links = links  # node -> orbit id
         self.starts = starts  # orbit o holds positions starts[o] .. starts[o + 1] - 1
         self.offsets = offsets  # node -> position of its first word within its orbit
         self.heads = heads  # orbit -> its smallest node, which holds its least word
-        self.least = least  # orbit -> its least word, ascending with the orbit id
 
     @property
     def count(self) -> int:
@@ -525,6 +527,21 @@ class _Orbits:
     def sizes(self) -> np.ndarray:
         """orbit -> its number of words."""
         return np.diff(self.starts)
+
+    def least_words(self) -> np.ndarray:
+        """The letters of every orbit's least word, one row per orbit.
+
+        The least word of an orbit is the least word of its head node's
+        orbit below followed by the node's letter, so following ``heads``
+        down the degrees gives the letters last to first: one gather over
+        orbit ids per degree, and no word index is ever formed."""
+        letters = []
+        orbit, degree = np.arange(self.count), self
+        while degree.below is not None:
+            orbit, letter = np.divmod(degree.heads[orbit], degree.m)
+            letters.append(letter)
+            degree = degree.below
+        return np.array(letters[::-1], dtype=np.int64).reshape(-1, self.count).T
 
     def _build_below(self, name: str) -> None:
         """Build the derived array ``name`` at every lower degree that lacks
@@ -598,7 +615,7 @@ class _Orbits:
 def _degree_zero() -> _Orbits:
     """The one empty word, in one orbit of one node."""
     zero = np.zeros(1, dtype=np.int64)
-    base = _Orbits(None, 1, zero, np.array([0, 1]), zero, zero, zero)
+    base = _Orbits(None, 1, zero, np.array([0, 1]), zero, zero)
     vars(base).update(label=zero, pos=zero, order=zero)
     return base
 
@@ -618,10 +635,7 @@ def _graph(below: _Orbits, m: int, links) -> _Orbits:
     starts = np.append(placed[first], placed[-1] + sizes[-1])
     offsets = np.empty_like(placed)
     offsets[nodes] = placed - np.repeat(starts[:-1], per_orbit)
-    heads = nodes[first]
-    prev, letter = np.divmod(heads, m)
-    least = below.least[prev] * m + letter
-    return _Orbits(below, m, links, starts, offsets, heads, least)
+    return _Orbits(below, m, links, starts, offsets, nodes[first])
 
 
 def _components(a, b, count: int) -> np.ndarray:
@@ -678,7 +692,7 @@ class BraidOrbits:
         ascend with the least word, and node-major order lists the least word
         first.  Missing degrees are built bottom-up, with no pass over the
         words: only the graph, the orbit starts, the node offsets and the
-        least words (see ``_Orbits``).
+        head nodes (see ``_Orbits``).
 
         Word indices are int64, so a degree with m^k >= 2^63 words raises
         TooLarge.
@@ -755,6 +769,33 @@ class Census:
         }
 
 
+def _multiset_invariant(letters, s: SetSolution) -> np.ndarray:
+    """Per word, the multiplicities of the letters
+    y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i) of the word x_1 ... x_n, for
+    the rows of ``letters``: n vectorized steps over one composed permutation
+    and one count vector per word.
+
+    Writing r(x, y) = (sigma_x(y), tau_y(x)), the move at x y sends the pair
+    of terms (P(x), P sigma_x(y)) to (P sigma_x(y), P sigma_{sigma_x(y)}(tau_y(x)))
+    = (P sigma_x(y), P(x)), because r is involutive, and leaves the composed
+    permutation P sigma_x sigma_y after the pair unchanged, because
+    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for a solution.  So
+    the invariant is constant on orbits; in the coordinates y_1 .. y_n the
+    generators act by plain transpositions (Etingof-Schedler-Soloviev 1999).
+    """
+    m = s.size
+    sigma = np.array([s.sigma_map(p) for p in range(m)], dtype=np.int64)  # [p, q] -> sigma_p(q)
+    count = letters.shape[0]
+    rows = np.arange(count)
+    # per word, sigma_{x_1} o ... o sigma_{x_{i-1}} before its i-th letter
+    composed = np.tile(np.arange(m, dtype=np.int64), (count, 1))
+    counts = np.zeros((count, m), dtype=np.int64)
+    for x in letters.T:
+        counts[rows, composed[rows, x]] += 1
+        composed = np.take_along_axis(composed, sigma[x], axis=1)
+    return counts
+
+
 def orbit_census(
     n: int,
     s: SetSolution,
@@ -762,7 +803,20 @@ def orbit_census(
     witnesses: bool = False,
 ) -> Census:
     """Partition all of X^n into orbits, in ascending order of their least
-    words, and classify each orbit by its least word."""
+    words, and type each orbit by the multiset invariant of its least word.
+
+    The type is exact.  ``_multiset_invariant`` is constant on orbits, and the
+    orbit of w has n!/prod mu_i! words, mu the invariant's multiplicities
+    (Etingof-Schedler-Soloviev 1999; Gateva-Ivanova-Van den Bergh 1998).  On
+    a fixed pair r(D(b), b) = (D(b), b), so sigma_{D(b)}(b) = D(b), and a
+    Psi-word Psi_k(a) has invariant k e_{D^{k-1}(a)}.  A lambda-element thus
+    has invariant sum_j lambda_j e_{b_j}.  Were two of the b_j equal, mu would
+    coarsen lambda and the orbit would have fewer than n!/prod lambda_i!
+    words, which the paper's orbit-size theorem rules out; so mu = lambda.
+    Every orbit's size from the graph is checked against n!/prod mu_i! in
+    Python ints.  ``classify`` runs only for the witnesses, and its partition
+    must agree with the invariant's.
+    """
     if n < 1:
         raise ValueError("degree must be positive")
     _check_involutive(s)
@@ -775,18 +829,27 @@ def orbit_census(
     if n > cap:  # reachable only for m = 1, where every degree has one word
         raise TooLarge(f"degree {n} exceeds cap {cap}")
     here = BraidOrbits(s).orbits(n)  # the orbit graph only: no array over the m^n words
-    letters = here.least[:, None] // m ** np.arange(n - 1, -1, -1) % m
+    letters = here.least_words()
+    types = -np.sort(-_multiset_invariant(letters, s), axis=1)  # descending multiplicities
+    distinct, kinds = np.unique(types, axis=0, return_inverse=True)
+    parts = [Partition(p for p in row if p) for row in distinct.tolist()]
+    expected = [part.orbit_size() for part in parts]  # n!/prod mu_i!, in Python ints
     summaries = []
-    for rep, size in zip(map(tuple, letters.tolist()), here.sizes.tolist()):
-        result = classify(rep, s)
-        summaries.append(
-            OrbitSummary(
-                representative=rep,
-                size=size,
-                partition=result.partition,
-                witness=result.witness if witnesses else None,
-            )
-        )
+    for rep, size, kind in zip(
+        map(tuple, letters.tolist()), here.sizes.tolist(), kinds.reshape(-1).tolist()
+    ):
+        part = parts[kind]
+        if size != expected[kind]:
+            raise AssertionError(f"orbit of {rep} has {size} words, not n!/prod mu_i! for {part}")
+        witness = None
+        if witnesses:
+            result = classify(rep, s)
+            if result.partition != part:
+                raise AssertionError(
+                    f"classify types {rep} as {result.partition}, the invariant as {part}"
+                )
+            witness = result.witness
+        summaries.append(OrbitSummary(rep, size, part, witness))
     return Census(n=n, size=m, orbits=tuple(summaries))
 
 

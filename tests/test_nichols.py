@@ -414,6 +414,16 @@ def test_theorem_hypotheses_flags():
         theorem_suite(bad)
 
 
+def test_theorem_hypotheses_computed_once_per_system():
+    # equal systems built apart hash alike (the hash is taken at
+    # construction) and share one cached set of hypotheses
+    cs, again = z2_system(), z2_system()
+    assert cs is not again and cs == again and hash(cs) == hash(again)
+    assert hash(cs) == hash((cs.solution, cs.order, cs.R))
+    assert theorem_hypotheses(cs) is theorem_hypotheses(again)
+    assert theorem_hypotheses(z2_system(a=2, e=1)) != theorem_hypotheses(cs)
+
+
 def test_escalation_on_forced_small_exact_cap():
     # z3 at zeta3 with a tiny exact cap: modular degrees appear, and the
     # vanishing degree forces exact confirmation

@@ -403,13 +403,125 @@ def test_census_identities_all_involutive_entries_small():
         s = entry.solution
         m = s.size
         for n in (2, 3, 4):
-            census = orbit_census(n, s)
-            assert census.orbit_count == math.comb(n + m - 1, m - 1)
-            for part, (count, size) in census.by_partition().items():
-                assert count == part.perm_count(m)
-                assert size == part.orbit_size()
-            total = sum(count * size for count, size in census.by_partition().values())
-            assert total == m ** n
+            _assert_census_identities(orbit_census(n, s), m, n)
+
+
+def _assert_census_identities(census, m, n):
+    assert census.orbit_count == math.comb(n + m - 1, m - 1)
+    for part, (count, size) in census.by_partition().items():
+        assert count == part.perm_count(m)
+        assert size == part.orbit_size()
+    total = sum(count * size for count, size in census.by_partition().values())
+    assert total == m ** n
+
+
+def test_census_identities_cyclic_shift_5_at_degree_20():
+    # criterion 4 on 10,626 orbits, which the invariant types without classify
+    census = orbit_census(20, SetSolution.cyclic_shift(5), cap=5 ** 20)
+    assert census.orbit_count == 10626
+    _assert_census_identities(census, 5, 20)
+
+
+def _assert_invariant_types_match_classify(cases):
+    count = 0
+    for name, n, s in cases:
+        for summary in orbit_census(n, s, cap=max(s.size ** n, n)).orbits:
+            assert summary.partition == classify(summary.representative, s).partition, (name, n)
+            count += 1
+    return count
+
+
+def test_invariant_types_match_classify():
+    assert _assert_invariant_types_match_classify(_census_cases()) == 663
+
+
+def _sweep_cases(max_m, max_words, seed):
+    """Every involutive catalog entry, the shift and the flip for
+    m = 1 .. max_m and three seeded permutation solutions for m = 2 .. max_m,
+    at every degree n with m^n <= max_words (n <= 12 for m = 1)."""
+    rng = random.Random(seed)
+    solutions = [build_entry(n).solution for n in catalog_names() if build_entry(n).involutive]
+    for m in range(1, max_m + 1):
+        solutions += [SetSolution.cyclic_shift(m), SetSolution.flip(m)]
+        if m >= 2:
+            solutions += [SetSolution.permutation(rng.sample(range(m), m)) for _ in range(3)]
+    for s in solutions:
+        n = 1
+        while s.size ** n <= max_words and n <= 12:
+            yield s.table, n, s
+            n += 1
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_invariant_types_match_classify_extended():
+    assert _assert_invariant_types_match_classify(_sweep_cases(7, 2 * 10 ** 5, seed=12)) == 23839
+
+
+def _ref_invariant(word, s):
+    """Multiplicities of y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i), one word at a time."""
+    counts = [0] * s.size
+    for i, x in enumerate(word):
+        for p in reversed(word[:i]):
+            x = s.sigma(p, x)
+        counts[x] += 1
+    return counts
+
+
+def test_invariant_is_constant_on_orbits():
+    # the invariant's vector itself, not only its type, is one per orbit
+    for name, n, s in _census_cases():
+        orbs = BraidOrbits(s).orbits(n)
+        words = np.array(list(product(range(s.size), repeat=n)), dtype=np.int64)
+        invariant = orbits_module._multiset_invariant(words, s)
+        assert invariant.tolist() == [_ref_invariant(w, s) for w in words.tolist()], (name, n)
+        first = invariant[orbs.order[orbs.starts[:-1]]]
+        assert np.array_equal(invariant, first[orbs.label]), (name, n)
+
+
+class _TauAsSigma:
+    """A solution whose sigma maps read tau: a mutated invariant."""
+
+    def __init__(self, s):
+        self.size, self.sigma_map = s.size, s.tau_map
+
+
+def _letter_counts(letters, s):
+    return np.stack([(letters == a).sum(axis=1) for a in range(s.size)], axis=1)
+
+
+@pytest.mark.parametrize("mutation", ["tau", "letter counts"])
+def test_census_catches_a_wrong_invariant(monkeypatch, mutation):
+    # a wrong invariant disagrees with classify on z3-shift, and the census's
+    # own size check refuses it, with or without witnesses
+    s = build_entry("z3-shift").solution
+    real = orbits_module._multiset_invariant
+    wrong = _letter_counts if mutation == "letter counts" else (lambda w, s: real(w, _TauAsSigma(s)))
+    least = BraidOrbits(s).orbits(4).least_words()
+    types = [Partition(sorted((c for c in row if c), reverse=True)) for row in wrong(least, s).tolist()]
+    assert any(t != classify(tuple(w), s).partition for t, w in zip(types, least.tolist()))
+    monkeypatch.setattr(orbits_module, "_multiset_invariant", wrong)
+    for witnesses in (False, True):
+        with pytest.raises(AssertionError, match="not n!/prod mu_i!"):
+            orbit_census(4, s, witnesses=witnesses)
+
+
+def test_census_classifies_only_for_witnesses(monkeypatch):
+    # without witnesses classify is never called; with them, a classify
+    # that disagrees with the invariant is refused
+    calls = []
+
+    def one_block(word, s):
+        calls.append(word)
+        return ClassifyResult(Partition([len(word)]), tuple(word), ())
+
+    monkeypatch.setattr(orbits_module, "classify", one_block)
+    for name, n, s in _census_cases():
+        assert all(o.witness is None for o in orbit_census(n, s).orbits)
+    assert calls == []
+    with pytest.raises(AssertionError, match=r"^classify types \(0, 0\) as Partition\(2,\), the"):
+        orbit_census(2, Z3, witnesses=True)
 
 
 def test_letters_outside_the_alphabet_are_rejected():
@@ -677,7 +789,7 @@ def test_derived_arrays_at_large_degree_without_recursion():
     # each derived array is built from the degree below, bottom-up in a
     # loop: reading it first at degree 3000 must not recurse per degree
     orbs = BraidOrbits(SetSolution.flip(1)).orbits(3000)
-    assert orbs.count == 1 and orbs.least.tolist() == [0]
+    assert orbs.count == 1 and orbs.least_words().tolist() == [[0] * 3000]
     for name in ("label", "pos", "order"):
         assert getattr(orbs, name).tolist() == [0], name
 
