@@ -168,15 +168,8 @@ def cmd_verify(args) -> int:
     if report.is_involutive and report.is_nondegenerate:
         D = diagonal(solution)
         payload["diagonal"] = list(D.forward)
-        try:
-            parts = decompose(solution)
-        except TooLarge:
-            parts = None
-            payload["decomposition"] = "skipped (size above search bound)"
-        if parts is None:
-            payload.setdefault("decomposition", None)
-        else:
-            payload["decomposition"] = [list(parts[0]), list(parts[1])]
+        parts = decompose(solution)
+        payload["decomposition"] = None if parts is None else [list(p) for p in parts]
     payload["phi"] = phi_invariant(solution).to_json()
     if args.json:
         _emit(payload, True)

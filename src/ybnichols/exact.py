@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .ybe import _json_int
+
 #: Arbitrary-precision rational scalar.  ``fractions.Fraction`` already keeps
 #: values reduced with a positive denominator, exactly the invariant we need.
 Rational = Fraction
@@ -340,8 +342,18 @@ class CycloElement:
         return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "CycloElement":
-        return cls(int(data["order"]), [Fraction(c) for c in data["coeffs"]])
+    def from_json(cls, data: dict, what: str = "cyclotomic element") -> "CycloElement":
+        """Read {"order": N, "coeffs": [...]}: N a JSON integer and every
+        coefficient a JSON integer or a rational string such as "-3/4" (a
+        JSON float is binary: 0.1 is not 1/10), else ValueError names ``what``."""
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ValueError(f"{what} coeffs: {coeffs!r} is not a list")
+        return cls(
+            _json_int(data["order"], f"{what} order"),
+            [Fraction(c if isinstance(c, str) else _json_int(c, f"{what} coefficient"))
+             for c in coeffs],
+        )
 
     def __repr__(self) -> str:
         terms = []

@@ -215,7 +215,8 @@ class CoefficientSystem:
     @classmethod
     def from_json(cls, data: dict) -> "CoefficientSystem":
         solution = SetSolution.from_json(data["solution"])
-        R = [[CycloElement.from_json(e) for e in row] for row in data["R"]]
+        R = [[CycloElement.from_json(e, f"entry R[{i}][{j}]") for j, e in enumerate(row)]
+             for i, row in enumerate(data["R"])]
         return validate_coefficients(solution, R)
 
 
@@ -266,14 +267,11 @@ def validate_coefficients(s: SetSolution, R) -> CoefficientSystem:
         raise ValueError("base table is not a non-degenerate Yang-Baxter solution")
     if len({s.r(i, j) for i in range(m) for j in range(m)}) != m * m:
         raise ValueError("r is not bijective on X x X")
-    flat = []
-    for row in R:
-        for e in map(_cyclo, row):
-            if not e:
-                raise ValueError("coefficient table entries must be nonzero")
-            flat.append(e)
-    if len(flat) != m * m:
-        raise ValueError("coefficient table must be m x m")
+    if len(R) != m or any(len(row) != m for row in R):
+        raise ValueError(f"coefficient table must be {m} rows of {m} entries each")
+    flat = [_cyclo(e) for row in R for e in row]
+    if not all(flat):
+        raise ValueError("coefficient table entries must be nonzero")
     order = _common_order(flat)
     checked_phi(order)  # the lcm of modest orders can be huge
     flat = [e.to_order(order) for e in flat]

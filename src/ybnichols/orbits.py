@@ -41,6 +41,7 @@ from .ybe import (
     NotYangBaxter,
     SetSolution,
     TooLarge,
+    _components,
     cached_report,
     diagonal,
     verify_solution,  # noqa: F401 -- kept in this namespace, where perfbench's tracer patches it
@@ -636,31 +637,6 @@ def _graph(below: _Orbits, m: int, links) -> _Orbits:
     offsets = np.empty_like(placed)
     offsets[nodes] = placed - np.repeat(starts[:-1], per_orbit)
     return _Orbits(below, m, links, starts, offsets, nodes[first])
-
-
-def _components(a, b, count: int) -> np.ndarray:
-    """Component id of each of the ``count`` nodes in the graph with the
-    edges a[t] -- b[t]; ids are 0, 1, ... in order of the smallest node.
-
-    Each round hooks every root that has an edge to a smaller root onto the
-    smallest such root, then compresses every path to its root.  Every tree
-    keeps its smallest node as root, and the number of components that still
-    have an outside edge at least halves per round.
-    """
-    parent = np.arange(count, dtype=np.int64)
-    while True:
-        ra, rb = parent[a], parent[b]
-        cross = ra != rb
-        if not cross.any():
-            break
-        ra, rb = ra[cross], rb[cross]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            grand = parent[parent]
-            if (grand == parent).all():
-                break
-            parent = grand
-    return np.unique(parent, return_inverse=True)[1]
 
 
 class BraidOrbits:

@@ -2,15 +2,15 @@
 
 A solution is a total lookup table for r(i, j) = (sigma_i(j), tau_j(i)).
 This module verifies the braid identity, non-degeneracy and involutivity,
-derives the diagonal permutation, searches for decompositions, and computes
-the cyclic-orbit invariant of r acting on X x X.
+derives the diagonal permutation, decomposes by the orbits of the group
+generated by all sigma_i and tau_i, and computes the cyclic-orbit invariant
+of r acting on X x X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class NotYangBaxter(ValueError):
 
 
 class TooLarge(ValueError):
-    """Input exceeds the configured exhaustive-search bound."""
+    """Input exceeds a configured size limit."""
 
 
 class SetSolution:
@@ -317,47 +317,75 @@ def diagonal(s: SetSolution) -> Diagonal:
     return diag
 
 
-def decompose(s: SetSolution, bound: int = 16):
-    """First bipartition (Y, Z) with r(Y,Y) in Y x Y and r(Z,Z) in Z x Z.
+def _components(a, b, count: int) -> np.ndarray:
+    """Component id of each of the ``count`` nodes in the graph with the
+    edges a[t] -- b[t]; ids are 0, 1, ... in order of the smallest node.
 
-    Subsets are searched by size then lexicographically; returns None when
-    the solution is indecomposable.
+    Each round hooks every root that has an edge to a smaller root onto the
+    smallest such root, then compresses every path to its root.  Every tree
+    keeps its smallest node as root, and the number of components that still
+    have an outside edge at least halves per round.
     """
-    m = s.size
-    if m > bound:
-        raise TooLarge(f"decomposition search limited to size {bound}")
-
-    def closed(part) -> bool:
-        pset = set(part)
-        for i in part:
-            for j in part:
-                a, b = s.r(i, j)
-                if a not in pset or b not in pset:
-                    return False
-        return True
-
-    universe = range(m)
-    for size in range(1, m):
-        for subset in combinations(universe, size):
-            complement = tuple(x for x in universe if x not in subset)
-            if closed(subset) and closed(complement):
-                return subset, complement
-    return None
+    parent = np.arange(count, dtype=np.int64)
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        ra, rb = ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+    return np.unique(parent, return_inverse=True)[1]
 
 
-def full_decomposition(s: SetSolution, bound: int = 16) -> list[tuple[int, ...]]:
+def _group_orbits(s: SetSolution) -> np.ndarray:
+    """Orbit id of each x in X under the group generated by all sigma_i and
+    tau_i: the components of the graph with edges x -- sigma_i(x) and
+    x -- tau_i(x).  Raises NotNondegenerate on a degenerate table."""
+    if not cached_report(s).is_nondegenerate:
+        raise NotNondegenerate("the permutation group needs a non-degenerate solution")
+    table = np.array(s.table, dtype=np.int64)  # table[i, j] = (sigma_i(j), tau_j(i))
+    i, j = np.indices(table.shape[:2])
+    return _components(np.stack((j, i)).ravel(), np.moveaxis(table, -1, 0).ravel(), s.size)
+
+
+def decompose(s: SetSolution):
+    """First bipartition (Y, Z) with r(Y,Y) in Y x Y and r(Z,Z) in Z x Z,
+    in the order of subsets Y by size, then lexicographically; None when the
+    solution is indecomposable.
+
+    Y and Z are both closed exactly when Y is a union of orbits of the group
+    generated by all sigma_x and tau_x (Etingof, Schedler and Soloviev 1999):
+    sigma_y for y in Y maps Y into Y, so, being a bijection, maps Z onto Z,
+    and likewise for sigma_z, tau_y and tau_z; the converse is immediate.  A
+    union of two or more orbits is larger than the smallest orbit, so Y is
+    the smallest orbit, the one with the least element among equal sizes.
+    """
+    labels = _group_orbits(s)
+    sizes = np.bincount(labels)
+    if len(sizes) == 1:
+        return None
+    inside = labels == np.argmin(sizes)  # argmin: the first of the least
+    return tuple(np.flatnonzero(inside).tolist()), tuple(np.flatnonzero(~inside).tolist())
+
+
+def full_decomposition(s: SetSolution) -> list[tuple[int, ...]]:
     """Refine decompositions until every part is indecomposable.
 
     Parts are returned sorted by least element; each part carries the
     restriction of r, so restricting again is well-defined.
     """
-    result = decompose(s, bound)
+    result = decompose(s)
     if result is None:
         return [tuple(range(s.size))]
     parts = []
     for part in result:
         sub = restrict(s, part)
-        for subpart in full_decomposition(sub, bound):
+        for subpart in full_decomposition(sub):
             parts.append(tuple(part[i] for i in subpart))
     parts.sort(key=min)
     return parts
@@ -421,19 +449,7 @@ def phi_invariant(s: SetSolution) -> PhiInvariant:
 
 
 def derived_group_transitive(s: SetSolution) -> bool:
-    """Whether the group generated by all sigma_i and tau_i is transitive on X.
-
-    One-way sanity check: an indecomposable solution must be transitive.
-    """
-    m = s.size
-    gens = [s.sigma_map(i) for i in range(m)] + [s.tau_map(i) for i in range(m)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == m
+    """Whether the group generated by all sigma_i and tau_i is transitive on
+    X: by the argument in ``decompose``, whether the solution is
+    indecomposable."""
+    return int(_group_orbits(s).max()) == 0

@@ -12,6 +12,7 @@ import ybnichols
 from ybnichols.catalog import build_entry, catalog_names
 from ybnichols.cli import main
 from ybnichols.exact import CycloElement
+from ybnichols.ybe import SetSolution
 
 
 def run_cli(argv):
@@ -51,6 +52,19 @@ def test_verify_corrupted_solution_file(tmp_path):
     triples = [f["triple"] for f in failures]
     assert triples == sorted(triples) and triples[0] == [0, 0, 0]
     assert all(f["lhs"] != f["rhs"] for f in failures)
+
+
+def test_verify_decomposes_past_sixteen_points(tmp_path):
+    # the shift by two on 18 points splits into its evens and its odds
+    path = tmp_path / "shift18.json"
+    path.write_text(json.dumps(SetSolution.cyclic_shift(18, 2).to_json()))
+    evens, odds = list(range(0, 18, 2)), list(range(1, 18, 2))
+    code, out, _ = run_cli(["verify", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["decomposition"] == [evens, odds]
+    code, out, _ = run_cli(["verify", str(path)])
+    assert code == 0
+    assert f"decomposition        : {[evens, odds]}" in out
 
 
 def test_malformed_json_is_an_input_error(tmp_path):
@@ -349,6 +363,38 @@ def test_dims_infinite_solution_entry_is_input_error(tmp_path):
     code, _, err = run_cli(["dims", str(path), "--q", "-1"])
     assert code == 2
     assert f"{path}: not a solution file" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("order", 2.7, "entry R[0][1] order: 2.7 is not an integer"),
+        ("order", "2", "entry R[0][1] order: '2' is not an integer"),
+        ("order", True, "entry R[0][1] order: True is not an integer"),
+        ("coeffs", [0.1], "entry R[0][1] coefficient: 0.1 is not an integer"),
+    ],
+    ids=["float-order", "string-order", "bool-order", "float-coefficient"],
+)
+def test_dims_coefficient_entry_needs_integers_or_rational_strings(tmp_path, key, value, message):
+    # int() and Fraction() would read these as 2, 2, 1 and a 2^-55 fraction
+    data = build_entry("z2-shift").system.to_json()
+    data["R"][0][1][key] = value
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(["dims", str(path)])
+    assert code == 2
+    assert message in err
+
+
+def test_dims_coefficient_table_needs_m_rows_of_m_entries(tmp_path):
+    data = build_entry("z2-shift").system.to_json()
+    entry = data["R"][0][0]
+    data["R"] = [[entry] * 4, []]
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(["dims", str(path)])
+    assert code == 2
+    assert "coefficient table must be 2 rows of 2 entries each" in err
 
 
 def test_dims_zero_q_is_input_error():

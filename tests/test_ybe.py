@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 import re
 
@@ -6,8 +8,8 @@ import pytest
 from ybnichols import catalog as cat
 from ybnichols.ybe import (
     NotInvolutive,
+    NotNondegenerate,
     SetSolution,
-    TooLarge,
     VerificationReport,
     decompose,
     derived_group_transitive,
@@ -104,8 +106,8 @@ def test_decompose_examples():
     assert decompose(SetSolution.cyclic_shift(4, 2)) == ((0, 2), (1, 3))
     assert decompose(SetSolution.cyclic_shift(3)) is None
     assert decompose(SetSolution.flip(2)) == ((0,), (1,))
-    with pytest.raises(TooLarge):
-        decompose(SetSolution.flip(17))
+    # no size bound: 17 points answer like 2
+    assert decompose(SetSolution.flip(17)) == ((0,), tuple(range(1, 17)))
 
 
 def test_full_decomposition_and_restriction():
@@ -125,6 +127,127 @@ def test_indecomposable_implies_transitive_on_catalog():
             continue
         if decompose(entry.solution) is None:
             assert derived_group_transitive(entry.solution)
+
+
+# -- the subset search decompose replaced, kept as its reference
+
+
+def _reference_decompose(s):
+    m = s.size
+
+    def closed(part) -> bool:
+        pset = set(part)
+        return all(set(s.r(i, j)) <= pset for i in part for j in part)
+
+    for size in range(1, m):
+        for subset in itertools.combinations(range(m), size):
+            complement = tuple(x for x in range(m) if x not in subset)
+            if closed(subset) and closed(complement):
+                return subset, complement
+    return None
+
+
+def _reference_full_decomposition(s):
+    result = _reference_decompose(s)
+    if result is None:
+        return [tuple(range(s.size))]
+    parts = []
+    for part in result:
+        for subpart in _reference_full_decomposition(restrict(s, part)):
+            parts.append(tuple(part[i] for i in subpart))
+    parts.sort(key=min)
+    return parts
+
+
+def _reference_transitive(s):
+    gens = [s.sigma_map(i) for i in range(s.size)] + [s.tau_map(i) for i in range(s.size)]
+    seen, frontier = {0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                frontier.append(g[x])
+    return len(seen) == s.size
+
+
+def _assert_decompositions_match_reference(solutions) -> int:
+    seen = 0
+    for s in solutions:
+        assert decompose(s) == _reference_decompose(s), s.table
+        assert full_decomposition(s) == _reference_full_decomposition(s), s.table
+        assert derived_group_transitive(s) == _reference_transitive(s), s.table
+        seen += 1
+    return seen
+
+
+def _tables(sigmas, taus):
+    """The tables r(i, j) = (sigmas[i][j], taus[j][i]) that are non-degenerate."""
+    s = SetSolution.from_maps(sigmas, taus)
+    return [s] if verify_solution(s).is_nondegenerate else []
+
+
+def _involutive_tables(m):
+    """Every involutive non-degenerate table on m points, Yang-Baxter or not:
+    involutivity forces tau_y(x) = sigma_{sigma_x(y)}^-1(x)."""
+    for sigmas in itertools.product(itertools.permutations(range(m)), repeat=m):
+        inverse = [{v: k for k, v in enumerate(row)} for row in sigmas]
+        taus = [[inverse[sigmas[x][y]][x] for x in range(m)] for y in range(m)]
+        for s in _tables(sigmas, taus):
+            if verify_solution(s).is_involutive:
+                yield s
+
+
+def _family_solutions(max_m=8, per_size=20, seed=20):
+    rng = random.Random(seed)
+    for m in range(1, max_m + 1):
+        yield SetSolution.flip(m)
+        for step in range(m):
+            yield SetSolution.cyclic_shift(m, step)
+        for _ in range(per_size):
+            yield SetSolution.permutation(rng.sample(range(m), m))
+
+
+def test_decompose_matches_subset_search_on_small_involutive_tables():
+    solutions = [s for m in (1, 2, 3) for s in _involutive_tables(m)]
+    yang_baxter = sum(verify_solution(s).is_ybe for s in solutions)
+    assert _assert_decompositions_match_reference(solutions) == len(solutions)
+    assert len(solutions) > yang_baxter > 0
+
+
+def test_decompose_matches_subset_search_on_catalog_and_families():
+    solutions = [cat.build_entry(name).solution for name in cat.catalog_names()]
+    solutions += list(_family_solutions())
+    assert _assert_decompositions_match_reference(solutions) >= 200
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_decompose_matches_subset_search_on_every_size_3_table():
+    perms = list(itertools.permutations(range(3)))
+    solutions = (
+        SetSolution.from_maps(sigmas, taus)
+        for sigmas in itertools.product(perms, repeat=3)
+        for taus in itertools.product(perms, repeat=3)
+    )
+    assert _assert_decompositions_match_reference(solutions) == 6 ** 6
+
+
+def test_decompose_beyond_the_old_search_bound():
+    evens, odds = tuple(range(0, 18, 2)), tuple(range(1, 18, 2))
+    s = SetSolution.cyclic_shift(18, 2)
+    assert decompose(s) == (evens, odds)
+    assert full_decomposition(s) == [evens, odds]
+    assert not derived_group_transitive(s)
+    assert derived_group_transitive(SetSolution.cyclic_shift(40))
+
+
+def test_decompose_refuses_degenerate_tables():
+    constant = SetSolution([[(0, 0)] * 2] * 2)
+    for check in (decompose, full_decomposition, derived_group_transitive):
+        with pytest.raises(NotNondegenerate):
+            check(constant)
 
 
 def test_phi_invariant_examples():
