@@ -32,10 +32,10 @@ from .ybe import (
     NotYangBaxter,
     SetSolution,
     TooLarge,
+    cached_report,
     decompose,
     diagonal,
     phi_invariant,
-    verify_solution,
 )
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def _resolve_system(target: str, args) -> tuple[CoefficientSystem, cat.CatalogEn
 
 def cmd_verify(args) -> int:
     solution, entry = _resolve_solution(args.target)
-    report = verify_solution(solution)
+    report = cached_report(solution)  # diagonal and decompose read the same report
     payload = {
         "name": entry.name if entry else args.target,
         "size": solution.size,
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list one canonical block word per orbit")
     p.add_argument("--csv", action="store_true", help="CSV census table")
     p.add_argument("--cap", type=_positive_int, default=10 ** 7,
-                   help="largest m^n enumerated exhaustively")
+                   help="most letters held by the least words, C(n+m-1, m-1) n")
     _add_common(p)
     p.set_defaults(func=cmd_orbits)
 

@@ -351,8 +351,7 @@ class CycloElement:
             raise ValueError(f"{what} coeffs: {coeffs!r} is not a list")
         return cls(
             _json_int(data["order"], f"{what} order"),
-            [Fraction(c if isinstance(c, str) else _json_int(c, f"{what} coefficient"))
-             for c in coeffs],
+            [_json_rational(c, f"{what} coefficient") for c in coeffs],
         )
 
     def __repr__(self) -> str:
@@ -368,6 +367,17 @@ class CycloElement:
                 terms.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyclo({self.order}; {body})"
+
+
+def _json_rational(value, what: str) -> Fraction:
+    """A JSON integer, or a string Fraction reads with a nonzero denominator,
+    else ValueError names ``what``."""
+    if not isinstance(value, str):
+        return Fraction(_json_int(value, what))
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what}: {value!r} is not a rational number") from None
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):

@@ -15,8 +15,8 @@ permutation passes.
 Every c_i sends a word to one word times a scalar, so the symmetrizer is
 block-diagonal over the orbits of the braid group B_k on the words X^k (for
 an involutive solution, the S_k-orbits counted by partitions, of multinomial
-sizes).  ``orbits.BraidOrbits`` finds them, the same labeller the orbit
-census uses, and c_i images of words are one gather of its per-pair index
+sizes).  ``orbits.BraidOrbits`` finds them, and c_i images of words are
+one gather of its per-pair index
 shift.  An orbit lists its words node-major: node (P, y) holds the words
 u y with u in the degree-(k-1) orbit P, and a row is a vector over its
 orbit's words in that order.  Every basis row lives on one orbit, so each

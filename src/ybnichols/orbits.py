@@ -6,22 +6,23 @@ exchange-rule moves to a canonical concatenation of Psi-blocks
 Psi_k(a) = D^{k-1}(a) ... D(a) a whose block lengths form the partition.
 The classifier below performs that rewriting explicitly and records the
 generator moves it used, so orbit membership of its output is replayable.
-The census does not rewrite: it types every orbit at once by a multiset
-invariant, under which the braid action is the permutation action of S_n on
-X^n (see ``orbit_census``), and calls the classifier only for witnesses.
+The census does not rewrite and builds no orbit graph.  In the coordinates
+y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i) the braid action is the
+permutation action of S_n on X^n, so the orbits are the multisets of size n
+over X; the census lists them, builds each orbit's least word directly (see
+``orbit_census``) and calls the classifier only for witnesses.
 
-One labeller, ``BraidOrbits``, finds the orbits of the braid group B_k on X^k
-(the S_k-orbits, for an involutive solution) for the census and the Nichols
-engine alike.  It builds them degree by degree from an orbit graph with one
-edge per (degree-(k-2) orbit, letter pair), with no pass over the words.
+``BraidOrbits`` finds the orbits of the braid group B_k on X^k (the
+S_k-orbits, for an involutive solution) for the Nichols engine.  It builds
+them degree by degree from an orbit graph with one edge per (degree-(k-2)
+orbit, letter pair), with no pass over the words.
 An orbit lists its words node-major: node (P, y) holds the words u y with u
 in the degree-(k-1) orbit P, nodes come in ascending id P m + y, and within
 a node the words follow P's order.  Each degree keeps its graph, orbit
 starts, node offsets and head nodes; a word's orbit (``label``), its
 position within it (``pos``) and the words in orbit order (``order``) are
-built from those of the degree below when first read, so the census reads
-each representative and size off the graph and never holds an array over
-all m^n words.
+built from those of the degree below when first read, so the top degree of
+a Nichols step never holds an array over all m^k words.
 """
 
 from __future__ import annotations
@@ -299,6 +300,14 @@ def _blocks(v: _View, w: list) -> list[tuple[int, int]]:
     return blocks
 
 
+def _starts(blocks) -> list[int]:
+    """Each block's first position, then the word's length."""
+    starts = [0]
+    for length, _ in blocks:
+        starts.append(starts[-1] + length)
+    return starts
+
+
 def _condition_violation(v: _View, blocks, w: list):
     """First (i, j), 0-based i < j, violating the non-merging condition.
 
@@ -309,9 +318,7 @@ def _condition_violation(v: _View, blocks, w: list):
     pair satisfies the condition.
     """
     r, forward = v.r, v.forward
-    offsets = [0]
-    for length, _ in blocks:
-        offsets.append(offsets[-1] + length)
+    offsets = _starts(blocks)
     merges_at = [forward[w[start]] for start in offsets[:-1]]
     for i in range(len(blocks) - 1):
         value = blocks[i][1]
@@ -443,21 +450,26 @@ def classify(w: Word, s: SetSolution) -> ClassifyResult:
     moves: list[int] = []
     blocks = _blocks(v, current)
     while True:
-        # phase 1: sort block lengths, refactoring after every swap
+        # phase 1: sort block lengths.  An exchange rewrites only the letters
+        # of its two blocks, and a block boundary depends only on the letters
+        # on either side of it, so only blocks i-1 .. i+2 are re-factored; the
+        # blocks before i-1 keep their lengths, so the next violation is at
+        # i-2 or later
+        starts = _starts(blocks)
+        i = 0
         while True:
-            swap_at = next(
-                (
-                    i
-                    for i in range(len(blocks) - 1)
-                    if blocks[i][0] < blocks[i + 1][0]
-                ),
+            i = next(
+                (j for j in range(i, len(blocks) - 1) if blocks[j][0] < blocks[j + 1][0]),
                 None,
             )
-            if swap_at is None:
+            if i is None:
                 break
-            offset = sum(length for length, _ in blocks[:swap_at])
-            moves += _exchange(v, current, offset, blocks[swap_at][0], blocks[swap_at + 1][0])
-            blocks = _blocks(v, current)
+            moves += _exchange(v, current, starts[i], blocks[i][0], blocks[i + 1][0])
+            lo, hi = max(i - 1, 0), min(i + 3, len(blocks))
+            local = _blocks(v, current[starts[lo] : starts[hi]])
+            blocks[lo:hi] = local
+            starts[lo:hi] = [starts[lo] + offset for offset in _starts(local)[:-1]]
+            i = max(i - 2, 0)
         # phase 2: merge the lexicographically first violating pair
         violation = _condition_violation(v, blocks, current)
         if violation is None:
@@ -468,12 +480,10 @@ def classify(w: Word, s: SetSolution) -> ClassifyResult:
         i, j = violation
         lengths = [length for length, _ in blocks]
         # walk block j leftward until adjacent to block i, no refactoring
-        pos = j
-        while pos > i + 1:
-            offset = sum(lengths[: pos - 1])
-            moves += _exchange(v, current, offset, lengths[pos - 1], lengths[pos])
+        for pos in range(j, i + 1, -1):
+            moves += _exchange(v, current, starts[pos - 1], lengths[pos - 1], lengths[pos])
             lengths[pos - 1], lengths[pos] = lengths[pos], lengths[pos - 1]
-            pos -= 1
+            starts[pos] = starts[pos - 1] + lengths[pos - 1]
         merged = _blocks(v, current)
         if len(merged) >= len(blocks):
             raise AssertionError("expected merge did not reduce the block count")
@@ -508,8 +518,8 @@ class _Orbits:
     the words u y in the order P lists u.  Only the orbit graph is built
     eagerly; the word-length arrays ``label``, ``pos`` and ``order`` are
     built from those of the degree below on first read, so a caller that
-    never reads them (the census, or the top degree of a Nichols step) never
-    holds an array over all m^k words.
+    never reads them (the top degree of a Nichols step) never holds an
+    array over all m^k words.
     """
 
     def __init__(self, below, m: int, links, starts, offsets, heads) -> None:
@@ -528,21 +538,6 @@ class _Orbits:
     def sizes(self) -> np.ndarray:
         """orbit -> its number of words."""
         return np.diff(self.starts)
-
-    def least_words(self) -> np.ndarray:
-        """The letters of every orbit's least word, one row per orbit.
-
-        The least word of an orbit is the least word of its head node's
-        orbit below followed by the node's letter, so following ``heads``
-        down the degrees gives the letters last to first: one gather over
-        orbit ids per degree, and no word index is ever formed."""
-        letters = []
-        orbit, degree = np.arange(self.count), self
-        while degree.below is not None:
-            orbit, letter = np.divmod(degree.heads[orbit], degree.m)
-            letters.append(letter)
-            degree = degree.below
-        return np.array(letters[::-1], dtype=np.int64).reshape(-1, self.count).T
 
     def _build_below(self, name: str) -> None:
         """Build the derived array ``name`` at every lower degree that lacks
@@ -745,31 +740,87 @@ class Census:
         }
 
 
-def _multiset_invariant(letters, s: SetSolution) -> np.ndarray:
-    """Per word, the multiplicities of the letters
-    y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i) of the word x_1 ... x_n, for
-    the rows of ``letters``: n vectorized steps over one composed permutation
-    and one count vector per word.
+def _exceeds(n: int, m: int, cap: int) -> bool:
+    """Whether C(n+m-1, m-1) n, the letters of one least word per orbit,
+    exceeds cap.  C(n+m-1, k) = C(n+m-1, m-1) for k = min(n, m-1) is built
+    as C(n+m-1-k+j, j) for j = 1 .. k; these at least double at each step,
+    as n+m-1 >= 2k, so the loop stops after O(log cap) steps."""
+    k = min(n, m - 1)
+    count = 1
+    for j in range(1, k + 1):
+        count = count * (n + m - 1 - k + j) // j
+        if count * n > cap:
+            return True
+    return count * n > cap
 
-    Writing r(x, y) = (sigma_x(y), tau_y(x)), the move at x y sends the pair
-    of terms (P(x), P sigma_x(y)) to (P sigma_x(y), P sigma_{sigma_x(y)}(tau_y(x)))
-    = (P sigma_x(y), P(x)), because r is involutive, and leaves the composed
-    permutation P sigma_x sigma_y after the pair unchanged, because
-    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for a solution.  So
-    the invariant is constant on orbits; in the coordinates y_1 .. y_n the
-    generators act by plain transpositions (Etingof-Schedler-Soloviev 1999).
-    """
-    m = s.size
-    sigma = np.array([s.sigma_map(p) for p in range(m)], dtype=np.int64)  # [p, q] -> sigma_p(q)
-    count = letters.shape[0]
+
+def _multisets(n: int, m: int):
+    """Every multiset of size n over 0 .. m-1, one row each: its distinct
+    letters ascending and their multiplicities, padded with zero counts to
+    d = min(n, m) columns, so that nothing holds more than n entries per
+    multiset.
+
+    The multisets are built as the weakly increasing words y_1 <= ... <= y_n
+    one letter at a time (stars and bars: a word ending in y extends by each
+    of y .. m-1), keeping each level's last letters and parent rows; the
+    words are then read back last letter first.  A letter's slot is the
+    number of distinct letters before it."""
+    lasts, parents = [np.arange(m)], []
+    for _ in range(n - 1):
+        low = lasts[-1]
+        reps = m - low
+        parent = np.repeat(np.arange(low.size), reps)
+        first = np.cumsum(reps) - reps
+        lasts.append(np.arange(parent.size) - first[parent] + low[parent])
+        parents.append(parent)
+    count = lasts[-1].size
+    words = np.empty((count, n), dtype=np.min_scalar_type(m))
     rows = np.arange(count)
-    # per word, sigma_{x_1} o ... o sigma_{x_{i-1}} before its i-th letter
-    composed = np.tile(np.arange(m, dtype=np.int64), (count, 1))
-    counts = np.zeros((count, m), dtype=np.int64)
-    for x in letters.T:
-        counts[rows, composed[rows, x]] += 1
-        composed = np.take_along_axis(composed, sigma[x], axis=1)
-    return counts
+    for i in range(n - 1, -1, -1):
+        words[:, i] = lasts[i][rows]
+        if i:
+            rows = parents[i - 1][rows]
+    new = np.ones(words.shape, dtype=bool)
+    new[:, 1:] = words[:, 1:] != words[:, :-1]
+    width = min(n, m)
+    cells = np.cumsum(new, axis=1) - 1
+    cells += np.arange(count)[:, None] * width
+    letters = np.zeros(count * width, dtype=words.dtype)
+    letters[cells[new]] = words[new]
+    counts = np.bincount(cells.ravel(), minlength=count * width)
+    return letters.reshape(count, width), counts.reshape(count, width)
+
+
+def _least_words(letters, counts, sigma) -> np.ndarray:
+    """The least word x_1 ... x_n of the orbit of each multiset, the rows of
+    ``letters`` and ``counts`` (see ``_multisets``), for the table
+    sigma[p, q] = sigma_p(q).
+
+    With P_i = sigma_{x_1} o ... o sigma_{x_i} and P_0 the identity, the word
+    has the y-letters y_i = P_{i-1}(x_i), so x_i = P_{i-1}^{-1}(y_i).  Any
+    arrangement of the multiset is the y-word of exactly one word of the
+    orbit, and x_1 .. x_i fix y_1 .. y_i and P_i.  So the least word is built
+    greedily: x_i is the least P_{i-1}^{-1}(y) over the letters y with copies
+    still left.  P_{i-1}^{-1} is a bijection, so these candidates are
+    distinct letters and the least one names a single y; taking it leaves
+    every arrangement of the remaining copies open, and no word of the orbit
+    that agrees with the greedy one before position i has a smaller x_i.
+    Each row keeps P_{i-1}^{-1} only on its own letters, and every step
+    updates all rows at once: P_i^{-1} = sigma_{x_i}^{-1} o P_{i-1}^{-1}."""
+    m = sigma.shape[0]
+    inverse = np.argsort(sigma, axis=1).astype(letters.dtype)  # [p, q] -> sigma_p^-1(q)
+    count, n = counts.shape[0], int(counts[0].sum())
+    rows = np.arange(count)
+    left = counts.copy()
+    pulled = letters.copy()  # P_{i-1}^{-1} of each row's letters
+    words = np.empty((count, n), dtype=letters.dtype)
+    for i in range(n):
+        slot = np.where(left > 0, pulled, m).argmin(axis=1)
+        x = pulled[rows, slot]
+        words[:, i] = x
+        left[rows, slot] -= 1
+        pulled = inverse[x[:, None], pulled]
+    return words
 
 
 def orbit_census(
@@ -779,50 +830,59 @@ def orbit_census(
     witnesses: bool = False,
 ) -> Census:
     """Partition all of X^n into orbits, in ascending order of their least
-    words, and type each orbit by the multiset invariant of its least word.
+    words, and type each orbit by its multiset of y-letters.
 
-    The type is exact.  ``_multiset_invariant`` is constant on orbits, and the
-    orbit of w has n!/prod mu_i! words, mu the invariant's multiplicities
-    (Etingof-Schedler-Soloviev 1999; Gateva-Ivanova-Van den Bergh 1998).  On
-    a fixed pair r(D(b), b) = (D(b), b), so sigma_{D(b)}(b) = D(b), and a
-    Psi-word Psi_k(a) has invariant k e_{D^{k-1}(a)}.  A lambda-element thus
-    has invariant sum_j lambda_j e_{b_j}.  Were two of the b_j equal, mu would
+    Writing r(x, y) = (sigma_x(y), tau_y(x)), the word x_1 ... x_n has the
+    y-letters y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i), and the map
+    x -> y is a bijection of X^n.  The move at x y sends the pair of terms
+    (P(x), P sigma_x(y)) to (P sigma_x(y), P sigma_{sigma_x(y)}(tau_y(x))) =
+    (P sigma_x(y), P(x)), because r is involutive, and leaves the composite
+    P sigma_x sigma_y after the pair unchanged, because
+    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for a solution.  So
+    each generator swaps two neighbouring y-letters, and the orbits are
+    exactly the C(n+m-1, m-1) multisets mu of size n over X
+    (Etingof-Schedler-Soloviev 1999), each with n!/prod mu_i! words.  The
+    census lists the multisets (``_multisets``), builds every least word
+    greedily (``_least_words``) and sorts the orbits by it; no word index is
+    formed, so every degree whose letters fit the cap answers.
+
+    The type, mu's multiplicities sorted descending, is the paper's lambda.
+    On a fixed pair r(D(b), b) = (D(b), b), so sigma_{D(b)}(b) = D(b), and a
+    Psi-word Psi_k(a) has the y-letters k e_{D^{k-1}(a)}.  A lambda-element
+    thus has sum_j lambda_j e_{b_j}.  Were two of the b_j equal, mu would
     coarsen lambda and the orbit would have fewer than n!/prod lambda_i!
     words, which the paper's orbit-size theorem rules out; so mu = lambda.
-    Every orbit's size from the graph is checked against n!/prod mu_i! in
-    Python ints.  ``classify`` runs only for the witnesses, and its partition
-    must agree with the invariant's.
+    Sizes are computed once per type, in Python ints.  ``classify`` runs only
+    for the witnesses, and its partition must agree with the type.
+
+    ``cap`` bounds C(n+m-1, m-1) n, the letters the least words hold, and is
+    checked before anything is built.
     """
     if n < 1:
         raise ValueError("degree must be positive")
     _check_involutive(s)
     m = s.size
-    if m >= 2 and n >= cap.bit_length():  # then m^n >= 2^n > cap: skip the power
-        raise TooLarge(f"{m}^{n} exceeds cap {cap}")
-    total = m ** n
-    if total > cap:
-        raise TooLarge(f"{m}^{n} = {total} exceeds cap {cap}")
-    if n > cap:  # reachable only for m = 1, where every degree has one word
-        raise TooLarge(f"degree {n} exceeds cap {cap}")
-    here = BraidOrbits(s).orbits(n)  # the orbit graph only: no array over the m^n words
-    letters = here.least_words()
-    types = -np.sort(-_multiset_invariant(letters, s), axis=1)  # descending multiplicities
-    distinct, kinds = np.unique(types, axis=0, return_inverse=True)
-    parts = [Partition(p for p in row if p) for row in distinct.tolist()]
-    expected = [part.orbit_size() for part in parts]  # n!/prod mu_i!, in Python ints
+    if _exceeds(n, m, cap):
+        raise TooLarge(f"C({n + m - 1}, {m - 1}) orbits of {n} letters exceed cap {cap}")
+    letters, counts = _multisets(n, m)
+    sigma = np.array([s.sigma_map(p) for p in range(m)])  # [p, q] -> sigma_p(q)
+    words = _least_words(letters, counts, sigma)
+    order = np.lexsort(words.T[::-1])
+    types = -np.sort(-counts[order], axis=1)  # descending multiplicities
+    kinds: dict = {}  # type -> (partition, n!/prod mu_i! in Python ints)
     summaries = []
-    for rep, size, kind in zip(
-        map(tuple, letters.tolist()), here.sizes.tolist(), kinds.reshape(-1).tolist()
-    ):
-        part = parts[kind]
-        if size != expected[kind]:
-            raise AssertionError(f"orbit of {rep} has {size} words, not n!/prod mu_i! for {part}")
+    for rep, row in zip(map(tuple, words[order].tolist()), map(tuple, types.tolist())):
+        kind = kinds.get(row)
+        if kind is None:
+            part = Partition(p for p in row if p)
+            kind = kinds[row] = (part, part.orbit_size())
+        part, size = kind
         witness = None
         if witnesses:
             result = classify(rep, s)
             if result.partition != part:
                 raise AssertionError(
-                    f"classify types {rep} as {result.partition}, the invariant as {part}"
+                    f"classify types {rep} as {result.partition}, the census as {part}"
                 )
             witness = result.witness
         summaries.append(OrbitSummary(rep, size, part, witness))

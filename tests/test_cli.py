@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ybnichols
+from ybnichols import cli, ybe
 from ybnichols.catalog import build_entry, catalog_names
 from ybnichols.cli import main
 from ybnichols.exact import CycloElement
@@ -35,6 +36,24 @@ def test_verify_decomposable_entry():
     assert code == 0
     payload = json.loads(out)
     assert payload["decomposition"] == [[0, 2], [1, 3]]
+
+
+def test_verify_runs_one_braid_walk(monkeypatch):
+    # verify, diagonal and decompose share one report of a solution not yet
+    # cached
+    calls = []
+    real = ybe.verify_solution
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    # a binding of its own in the command module is counted too
+    for module in (ybe, cli):
+        monkeypatch.setattr(module, "verify_solution", counted, raising=False)
+    ybe.cached_report.cache_clear()
+    code, _, _ = run_cli(["verify", "z4-shift2", "--json"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_verify_corrupted_solution_file(tmp_path):
@@ -112,17 +131,20 @@ def test_package_runs_as_a_module():
 
 
 def test_orbits_huge_degree_exits_at_once():
-    # m^n must not be formed before the cap check: at this n it has 10^11 bits
+    # the cap check builds the orbit count only until it passes the cap
     proc = run_cli_process(["orbits", "z2-shift", "-n", "99999999999"])
     assert proc.returncode == 2
-    assert "2^99999999999 exceeds cap 10000000" in proc.stderr
+    assert "C(100000000000, 1) orbits of 99999999999 letters exceed cap 10000000" in proc.stderr
 
 
-def test_orbits_past_int64_word_indices_is_input_error():
-    # a cap above 2^63 does not let the census form word indices past int64
-    code, out, err = run_cli(["orbits", "z2-shift", "-n", "64", "--cap", str(10 ** 20)])
-    assert code == 2 and not out
-    assert "2^64 words reach 2^63" in err and "Traceback" not in err
+def test_orbits_past_int64_word_counts_answer():
+    # 2^64 and 4^32 words: no word index is formed, so both degrees answer
+    for target, n, orbits in (("z2-shift", 64, 65), ("z4-shift1", 32, 6545)):
+        code, out, err = run_cli(["orbits", target, "-n", str(n), "--json"])
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert sum(row["count"] for row in payload["orbits"]) == orbits
+        assert sum(row["count"] * row["size"] for row in payload["orbits"]) == 2 ** 64
 
 
 @pytest.mark.parametrize(
@@ -162,12 +184,12 @@ def test_non_integer_solution_files_are_input_errors(tmp_path, size, letter):
 
 def test_orbits_one_point_solution_at_large_degree(tmp_path):
     # m = 1 has one word per degree, so only the cap on n bounds the degree;
-    # orbits are built degree by degree without recursion
+    # a census of one 2000-letter orbit answers
     path = tmp_path / "one.json"
     path.write_text(json.dumps({"size": 1, "r": [[[0, 0]]]}))
     proc = run_cli_process(["orbits", str(path), "-n", "99999999999"])
     assert proc.returncode == 2
-    assert "degree 99999999999 exceeds cap 10000000" in proc.stderr
+    assert "C(99999999999, 0) orbits of 99999999999 letters exceed cap 10000000" in proc.stderr
     proc = run_cli_process(["orbits", str(path), "-n", "2000", "--json"])
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
@@ -372,8 +394,11 @@ def test_dims_infinite_solution_entry_is_input_error(tmp_path):
         ("order", "2", "entry R[0][1] order: '2' is not an integer"),
         ("order", True, "entry R[0][1] order: True is not an integer"),
         ("coeffs", [0.1], "entry R[0][1] coefficient: 0.1 is not an integer"),
+        ("coeffs", ["abc"], "entry R[0][1] coefficient: 'abc' is not a rational number"),
+        ("coeffs", ["1/0"], "entry R[0][1] coefficient: '1/0' is not a rational number"),
     ],
-    ids=["float-order", "string-order", "bool-order", "float-coefficient"],
+    ids=["float-order", "string-order", "bool-order", "float-coefficient", "malformed-rational",
+         "zero-denominator-rational"],
 )
 def test_dims_coefficient_entry_needs_integers_or_rational_strings(tmp_path, key, value, message):
     # int() and Fraction() would read these as 2, 2, 1 and a 2^-55 fraction

@@ -228,31 +228,48 @@ def test_census_small_cases():
 
 
 def test_census_caps():
-    with pytest.raises(TooLarge, match=r"^4\^8 = 65536 exceeds cap 1000$"):
-        orbit_census(8, SetSolution.flip(4), cap=1000)
-    # from n = cap.bit_length() on, m^n > cap for every m >= 2 without forming it
-    with pytest.raises(TooLarge, match=r"^2\^10 exceeds cap 1000$"):
-        orbit_census(10, SetSolution.flip(2), cap=1000)
-    with pytest.raises(TooLarge, match=r"^2\^1000000000000 exceeds cap 1000$"):
+    # cap bounds C(n+m-1, m-1) n, the letters of one least word per orbit:
+    # 165 orbits of 8 letters on four points, 10 orbits of 9 letters on two
+    with pytest.raises(TooLarge, match=r"^C\(11, 3\) orbits of 8 letters exceed cap 1319$"):
+        orbit_census(8, SetSolution.flip(4), cap=1319)
+    assert orbit_census(8, SetSolution.flip(4), cap=1320).orbit_count == 165
+    with pytest.raises(TooLarge, match=r"^C\(10, 1\) orbits of 9 letters exceed cap 89$"):
+        orbit_census(9, SetSolution.flip(2), cap=89)
+    assert orbit_census(9, SetSolution.flip(2), cap=90).orbit_count == 10
+    # the check builds C(n+m-1, m-1) only until it passes the cap
+    with pytest.raises(TooLarge, match=r"^C\(1000000000001, 1\) orbits of 1000000000000 letters"):
         orbit_census(10 ** 12, SetSolution.flip(2), cap=1000)
-    assert orbit_census(9, SetSolution.flip(2), cap=2 ** 9).orbit_count == 10
+    with pytest.raises(TooLarge, match=r"^C\(1000000000039, 39\) orbits of 1000000000000 letters"):
+        orbit_census(10 ** 12, SetSolution.flip(40))
     with pytest.raises(ValueError):
         orbit_census(0, Z3)
 
 
-def test_census_refuses_word_indices_past_int64():
-    # word indices and orbit starts are int64: 2^62 words answer, with the
-    # multinomial orbit sizes, and a degree of 2^63 or more words is refused
-    # before anything wraps
-    census = orbit_census(62, SetSolution.cyclic_shift(2), cap=2 ** 62)
-    assert census.orbit_count == 63
-    assert sorted(o.size for o in census.orbits) == sorted(math.comb(62, j) for j in range(63))
-    assert sum(size * count for count, size in census.by_partition().values()) == 2 ** 62
+def test_census_answers_past_int64_word_counts():
+    # no word index is formed, so 2^63 words and more answer, with the
+    # multinomial orbit sizes; the orbit graph, whose word indices are
+    # int64, still refuses those degrees
+    for n, m in ((62, 2), (63, 2), (64, 2), (28, 5)):
+        census = orbit_census(n, SetSolution.cyclic_shift(m))
+        _assert_census_identities(census, m, n)
+        if m == 2:
+            assert sorted(o.size for o in census.orbits) == sorted(math.comb(n, j) for j in range(n + 1))
     for n, m in ((63, 2), (28, 5)):
         with pytest.raises(TooLarge, match=rf"^{m}\^{n} words reach 2\^63"):
-            orbit_census(n, SetSolution.cyclic_shift(m), cap=10 ** 30)
-        with pytest.raises(TooLarge):
             BraidOrbits(SetSolution.cyclic_shift(m)).orbits(n)
+
+
+def test_census_on_one_letter():
+    # m = 1: one orbit, the word of n zeros, in every degree; only the cap
+    # bounds n
+    s = SetSolution.flip(1)
+    for n in (1, 2, 7, 3000):
+        got = [(o.representative, o.size, o.partition) for o in orbit_census(n, s).orbits]
+        assert got == [((0,) * n, 1, Partition([n]))]
+    for n in range(1, 6):
+        assert _census_triples(orbit_census(n, s, witnesses=True)) == _graph_census(n, s)
+    with pytest.raises(TooLarge, match=r"^C\(10, 0\) orbits of 10 letters exceed cap 9$"):
+        orbit_census(10, s, cap=9)
 
 
 def test_census_witnesses():
@@ -416,16 +433,29 @@ def _assert_census_identities(census, m, n):
 
 
 def test_census_identities_cyclic_shift_5_at_degree_20():
-    # criterion 4 on 10,626 orbits, which the invariant types without classify
+    # criterion 4 on 10,626 orbits, which the census types without classify
     census = orbit_census(20, SetSolution.cyclic_shift(5), cap=5 ** 20)
     assert census.orbit_count == 10626
     _assert_census_identities(census, 5, 20)
 
 
+def test_census_identities_cyclic_shift_5_at_degree_30():
+    # 46,376 orbits of 30 letters (5^30 words) at the default cap
+    _assert_census_identities(orbit_census(30, SetSolution.cyclic_shift(5)), 5, 30)
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_census_identities_cyclic_shift_5_at_degree_40():
+    # 135,751 orbits of 40 letters (5.4 million letters) at the default cap
+    _assert_census_identities(orbit_census(40, SetSolution.cyclic_shift(5)), 5, 40)
+
+
 def _assert_invariant_types_match_classify(cases):
     count = 0
     for name, n, s in cases:
-        for summary in orbit_census(n, s, cap=max(s.size ** n, n)).orbits:
+        for summary in orbit_census(n, s).orbits:
             assert summary.partition == classify(summary.representative, s).partition, (name, n)
             count += 1
     return count
@@ -470,41 +500,79 @@ def _ref_invariant(word, s):
 
 
 def test_invariant_is_constant_on_orbits():
-    # the invariant's vector itself, not only its type, is one per orbit
+    # the multiset of y-letters itself, not only its type, is one per orbit
     for name, n, s in _census_cases():
         orbs = BraidOrbits(s).orbits(n)
-        words = np.array(list(product(range(s.size), repeat=n)), dtype=np.int64)
-        invariant = orbits_module._multiset_invariant(words, s)
-        assert invariant.tolist() == [_ref_invariant(w, s) for w in words.tolist()], (name, n)
+        invariant = np.array([_ref_invariant(w, s) for w in product(range(s.size), repeat=n)])
         first = invariant[orbs.order[orbs.starts[:-1]]]
         assert np.array_equal(invariant, first[orbs.label]), (name, n)
 
 
-class _TauAsSigma:
-    """A solution whose sigma maps read tau: a mutated invariant."""
-
-    def __init__(self, s):
-        self.size, self.sigma_map = s.size, s.tau_map
+# -- the census as the orbit graph gives it, kept as the reference: the least
+# -- word of each orbit by following the head nodes down the degrees, its
+# -- size from the graph and its type from the y-letters of that word
 
 
-def _letter_counts(letters, s):
-    return np.stack([(letters == a).sum(axis=1) for a in range(s.size)], axis=1)
+def _graph_least_words(orbs):
+    """The letters of every orbit's least word, one row per orbit: the least
+    word of the orbit of node (P, y) is P's least word followed by y."""
+    letters = []
+    orbit, degree = np.arange(orbs.count), orbs
+    while degree.below is not None:
+        orbit, letter = np.divmod(degree.heads[orbit], degree.m)
+        letters.append(letter)
+        degree = degree.below
+    return np.array(letters[::-1], dtype=np.int64).reshape(-1, orbs.count).T
+
+
+def _graph_census(n, s):
+    orbs = BraidOrbits(s).orbits(n)
+    return [
+        (word, size, Partition(sorted((c for c in _ref_invariant(word, s) if c), reverse=True)))
+        for word, size in zip(map(tuple, _graph_least_words(orbs).tolist()), orbs.sizes.tolist())
+    ]
+
+
+def _census_triples(census):
+    return [(o.representative, o.size, o.partition) for o in census.orbits]
+
+
+def _assert_census_matches_graph(cases):
+    count = 0
+    for name, n, s in cases:
+        got = _census_triples(orbit_census(n, s))
+        assert got == _graph_census(n, s), (name, n)
+        count += len(got)
+    return count
+
+
+def test_census_matches_graph_census():
+    # representative, size and partition of every orbit, in order
+    assert _assert_census_matches_graph(_census_cases()) == 663
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_census_matches_graph_census_extended():
+    assert _assert_census_matches_graph(_sweep_cases(7, 2 * 10 ** 5, seed=12)) == 23839
 
 
 @pytest.mark.parametrize("mutation", ["tau", "letter counts"])
 def test_census_catches_a_wrong_invariant(monkeypatch, mutation):
-    # a wrong invariant disagrees with classify on z3-shift, and the census's
-    # own size check refuses it, with or without witnesses
+    # a census whose y-letters read tau in place of sigma, or no map at all
+    # (plain letter counts), disagrees with the graph census on z3-shift
     s = build_entry("z3-shift").solution
-    real = orbits_module._multiset_invariant
-    wrong = _letter_counts if mutation == "letter counts" else (lambda w, s: real(w, _TauAsSigma(s)))
-    least = BraidOrbits(s).orbits(4).least_words()
-    types = [Partition(sorted((c for c in row if c), reverse=True)) for row in wrong(least, s).tolist()]
-    assert any(t != classify(tuple(w), s).partition for t, w in zip(types, least.tolist()))
-    monkeypatch.setattr(orbits_module, "_multiset_invariant", wrong)
-    for witnesses in (False, True):
-        with pytest.raises(AssertionError, match="not n!/prod mu_i!"):
-            orbit_census(4, s, witnesses=witnesses)
+    m = s.size
+    if mutation == "tau":
+        table = np.array([s.tau_map(p) for p in range(m)])
+    else:
+        table = np.tile(np.arange(m), (m, 1))
+    real = orbits_module._least_words
+    monkeypatch.setattr(
+        orbits_module, "_least_words", lambda letters, counts, sigma: real(letters, counts, table)
+    )
+    assert _census_triples(orbit_census(4, s)) != _graph_census(4, s)
 
 
 def test_census_classifies_only_for_witnesses(monkeypatch):
@@ -755,6 +823,50 @@ def test_classify_matches_reference_extended():
     assert _assert_classify_matches_reference(_classify_corpus(12, 40, seed=11)) >= 14000
 
 
+def _full_refactor_classify(w, s):
+    """classify as it re-factored the whole word after every phase-1
+    exchange and summed the block lengths before each exchange."""
+    v = orbits_module._view(s)
+    current = orbits_module._letters(w, v.m)
+    moves = []
+    blocks = orbits_module._blocks(v, current)
+    while True:
+        while True:
+            swap_at = next(
+                (i for i in range(len(blocks) - 1) if blocks[i][0] < blocks[i + 1][0]), None
+            )
+            if swap_at is None:
+                break
+            offset = sum(length for length, _ in blocks[:swap_at])
+            moves += orbits_module._exchange(
+                v, current, offset, blocks[swap_at][0], blocks[swap_at + 1][0]
+            )
+            blocks = orbits_module._blocks(v, current)
+        violation = orbits_module._condition_violation(v, blocks, current)
+        if violation is None:
+            part = Partition([length for length, _ in blocks])
+            return ClassifyResult(part, tuple(current), tuple(moves))
+        i, j = violation
+        lengths = [length for length, _ in blocks]
+        pos = j
+        while pos > i + 1:
+            offset = sum(lengths[: pos - 1])
+            moves += orbits_module._exchange(v, current, offset, lengths[pos - 1], lengths[pos])
+            lengths[pos - 1], lengths[pos] = lengths[pos], lengths[pos - 1]
+            pos -= 1
+        blocks = orbits_module._blocks(v, current)
+
+
+def test_classify_matches_full_refactor():
+    # re-factoring only the blocks around each exchange gives the partition,
+    # witness and moves of re-factoring the whole word every time
+    count = 0
+    for word, s in _classify_corpus(8, 24, seed=21):
+        assert classify(word, s) == _full_refactor_classify(word, s), (word, s.table)
+        count += 1
+    assert count >= 6000
+
+
 def _eager_pos(orbs):
     pos = np.empty_like(orbs.order)
     pos[orbs.order] = np.arange(orbs.order.size)
@@ -789,18 +901,24 @@ def test_derived_arrays_at_large_degree_without_recursion():
     # each derived array is built from the degree below, bottom-up in a
     # loop: reading it first at degree 3000 must not recurse per degree
     orbs = BraidOrbits(SetSolution.flip(1)).orbits(3000)
-    assert orbs.count == 1 and orbs.least_words().tolist() == [[0] * 3000]
+    assert orbs.count == 1 and _graph_least_words(orbs).tolist() == [[0] * 3000]
     for name in ("label", "pos", "order"):
         assert getattr(orbs, name).tolist() == [0], name
 
 
 def test_census_leaves_pos_unbuilt(monkeypatch):
-    # the census reads the orbit graph only: no array over the m^n words
+    # the census lists the multisets: it builds no orbit graph, and so no
+    # array over the m^n words
     for array in ("label", "order", "pos"):
 
         def unread(self, array=array):
             raise AssertionError(f"orbit_census read {array}")
 
         monkeypatch.setattr(orbits_module._Orbits, array, property(unread))
+
+    def unbuilt(self, k):
+        raise AssertionError("orbit_census built the orbit graph")
+
+    monkeypatch.setattr(BraidOrbits, "orbits", unbuilt)
     for name, n, s in _census_cases():
         orbit_census(n, s, witnesses=True)
