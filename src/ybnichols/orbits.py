@@ -1,16 +1,18 @@
 """The symmetric-group action on X^n induced by an involutive solution.
 
 Adjacent transpositions act by s_k . (... p q ...) = (... r(p, q) ...).
-Orbits are classified by integer partitions: every word is connected by
-exchange-rule moves to a canonical concatenation of Psi-blocks
+Orbits are classified by integer partitions: every orbit holds a
+lambda-element, a concatenation of Psi-blocks
 Psi_k(a) = D^{k-1}(a) ... D(a) a whose block lengths form the partition.
-The classifier below performs that rewriting explicitly and records the
-generator moves it used, so orbit membership of its output is replayable.
-The census does not rewrite and builds no orbit graph.  In the coordinates
-y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i) the braid action is the
-permutation action of S_n on X^n, so the orbits are the multisets of size n
-over X; the census lists them, builds each orbit's least word directly (see
-``orbit_census``) and calls the classifier only for witnesses.
+In the coordinates y_i = sigma_{x_1} o ... o sigma_{x_{i-1}}(x_i)
+(Etingof-Schedler-Soloviev 1999) each generator swaps two neighbouring
+y-letters, so the braid action is the permutation action of S_n on X^n and
+the orbits are the multisets of size n over X.  The classifier sorts a
+word's y-letters into one run per letter, longest first, and records the
+generator move of each swap, so its output is replayable.  The census
+builds no orbit graph: it lists the multisets, builds each orbit's least
+word directly (see ``orbit_census``) and calls the classifier only for
+witnesses.
 
 ``BraidOrbits`` finds the orbits of the braid group B_k on X^k (the
 S_k-orbits, for an involutive solution) for the Nichols engine.  It builds
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -149,11 +153,13 @@ def partitions(n: int, max_parts: int, max_part: int | None = None):
 
 
 class _View(NamedTuple):
-    """One read of an involutive, non-degenerate solution for the rewriting
-    below: r as the nested table, D and D^-1 as tuples."""
+    """One read of an involutive, non-degenerate solution for the word
+    functions below: r as the nested table, the sigma maps, D and D^-1 as
+    tuples."""
 
     m: int
     r: tuple  # r[p][q] == (sigma_p(q), tau_q(p))
+    sigma: tuple  # sigma[p][q] == sigma_p(q)
     forward: tuple  # D
     backward: tuple  # D^-1
 
@@ -173,7 +179,8 @@ def _view(s: SetSolution) -> _View:
     """The solution's view; raises unless it is non-degenerate and involutive."""
     _check_involutive(s)
     D = diagonal(s)
-    return _View(s.size, s.table, D.forward, D.backward)
+    sigma = tuple(tuple(p for p, _ in row) for row in s.table)
+    return _View(s.size, s.table, sigma, D.forward, D.backward)
 
 
 def _letters(w, m: int) -> list:
@@ -300,34 +307,16 @@ def _blocks(v: _View, w: list) -> list[tuple[int, int]]:
     return blocks
 
 
-def _starts(blocks) -> list[int]:
-    """Each block's first position, then the word's length."""
-    starts = [0]
-    for length, _ in blocks:
-        starts.append(starts[-1] + length)
-    return starts
-
-
-def _condition_violation(v: _View, blocks, w: list):
-    """First (i, j), 0-based i < j, violating the non-merging condition.
-
-    Block j merges toward block i when
-    a_j == D^{-lambda_j}( tau_{blocks i+1 .. j-1}(a_i) ), that is, when that
-    tau value is D^{lambda_j}(a_j), D of block j's first letter.  For each i
-    the tau value extends by one block as j grows.  Returns None when every
-    pair satisfies the condition.
-    """
-    r, forward = v.r, v.forward
-    offsets = _starts(blocks)
-    merges_at = [forward[w[start]] for start in offsets[:-1]]
-    for i in range(len(blocks) - 1):
-        value = blocks[i][1]
-        for j in range(i + 1, len(blocks)):
-            if value == merges_at[j]:
-                return (i, j)
-            for p in range(offsets[j], offsets[j + 1]):
-                value = r[value][w[p]][1]
-    return None
+def _y_letters(v: _View, w: list) -> list:
+    """The y-letters y_i = P_{i-1}(x_i) of w, where
+    P_i = sigma_{x_1} o ... o sigma_{x_i} is kept as a list and P_0 is the
+    identity."""
+    composite = list(range(v.m))
+    letters = []
+    for x in w:
+        letters.append(composite[x])
+        composite = [composite[q] for q in v.sigma[x]]
+    return letters
 
 
 def is_lambda_element(w: Word, s: SetSolution) -> Partition | None:
@@ -337,13 +326,24 @@ def is_lambda_element(w: Word, s: SetSolution) -> Partition | None:
 
 
 def _lambda_type(v: _View, w: list) -> Partition | None:
+    """The block lengths of w when they weakly decrease and its blocks carry
+    pairwise distinct y-letters, else None.
+
+    A generator swaps two neighbouring y-letters and leaves the others in
+    place (see ``orbit_census``), and x -> y is a bijection, so r fixes the
+    pair (x_i, x_{i+1}) exactly when y_i = y_{i+1}: the maximal Psi-blocks
+    are the maximal runs of equal y-letters.  An exchange of two adjacent
+    blocks thus moves a run of y-letters intact past its neighbour, so
+    block j, carried leftward past blocks i+1 .. j-1, merges with block i
+    exactly when the two blocks share a y-letter.  That is the paper's
+    non-merging condition, and distinct letters bound the blocks by m.
+    """
     blocks = _blocks(v, w)
     lengths = [length for length, _ in blocks]
     if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
         return None
-    if len(blocks) > v.m:
-        return None
-    if _condition_violation(v, blocks, w) is not None:
+    y = _y_letters(v, w)
+    if len({y[start] for start in accumulate(lengths[:-1], initial=0)}) < len(lengths):
         return None
     return Partition(lengths)
 
@@ -436,58 +436,41 @@ class ClassifyResult:
 
 
 def classify(w: Word, s: SetSolution) -> ClassifyResult:
-    """Rewrite w into a lambda-element, recording every generator move.
+    """Carry w to a lambda-element, recording every generator move.
 
-    Alternates two phases: bubble-sort the maximal blocks into weakly
-    decreasing length with adjacent exchanges, then hunt for a violation of
-    the non-merging condition and merge that block pair (each merge strictly
-    decreases the block count, so the loop terminates).
+    Each generator swaps two neighbouring y-letters (see ``orbit_census``).
+    The positions are insertion-sorted, stably, by the key (minus the
+    multiplicity of y_i, first position of y_i); each swap of the 0-based
+    positions j-1 and j is generator j, applied to the word there.  The
+    sorted y-word holds one run per letter, the runs in weakly decreasing
+    length, so it is a lambda-element (see ``_lambda_type``) whose parts are
+    the multiplicities.  Insertion sort makes one swap per inversion, the
+    fewest moves that reach this arrangement, and a lambda-element, whose
+    keys already ascend, comes back unchanged with no moves.
     """
     v = _view(s)
     if not w:
         raise ValueError("empty word")
-    current = _letters(w, v.m)
+    word = _letters(w, v.m)
+    y = _y_letters(v, word)
+    count = Counter(y)  # in order of first position
+    runs = sorted(count, key=count.__getitem__, reverse=True)  # stable
+    rank = {letter: i for i, letter in enumerate(runs)}
+    keys = [rank[letter] for letter in y]
+    r = v.r
     moves: list[int] = []
-    blocks = _blocks(v, current)
-    while True:
-        # phase 1: sort block lengths.  An exchange rewrites only the letters
-        # of its two blocks, and a block boundary depends only on the letters
-        # on either side of it, so only blocks i-1 .. i+2 are re-factored; the
-        # blocks before i-1 keep their lengths, so the next violation is at
-        # i-2 or later
-        starts = _starts(blocks)
-        i = 0
-        while True:
-            i = next(
-                (j for j in range(i, len(blocks) - 1) if blocks[j][0] < blocks[j + 1][0]),
-                None,
-            )
-            if i is None:
-                break
-            moves += _exchange(v, current, starts[i], blocks[i][0], blocks[i + 1][0])
-            lo, hi = max(i - 1, 0), min(i + 3, len(blocks))
-            local = _blocks(v, current[starts[lo] : starts[hi]])
-            blocks[lo:hi] = local
-            starts[lo:hi] = [starts[lo] + offset for offset in _starts(local)[:-1]]
-            i = max(i - 2, 0)
-        # phase 2: merge the lexicographically first violating pair
-        violation = _condition_violation(v, blocks, current)
-        if violation is None:
-            part = Partition([length for length, _ in blocks])
-            if _lambda_type(v, current) != part:
-                raise AssertionError("classifier output failed the lambda-element check")
-            return ClassifyResult(part, tuple(current), tuple(moves))
-        i, j = violation
-        lengths = [length for length, _ in blocks]
-        # walk block j leftward until adjacent to block i, no refactoring
-        for pos in range(j, i + 1, -1):
-            moves += _exchange(v, current, starts[pos - 1], lengths[pos - 1], lengths[pos])
-            lengths[pos - 1], lengths[pos] = lengths[pos], lengths[pos - 1]
-            starts[pos] = starts[pos - 1] + lengths[pos - 1]
-        merged = _blocks(v, current)
-        if len(merged) >= len(blocks):
-            raise AssertionError("expected merge did not reduce the block count")
-        blocks = merged
+    for i in range(1, len(word)):
+        key, j = keys[i], i
+        while j and keys[j - 1] > key:
+            keys[j] = keys[j - 1]
+            word[j - 1], word[j] = r[word[j - 1]][word[j]]
+            moves.append(j)
+            j -= 1
+        keys[j] = key
+    part = Partition(count[letter] for letter in runs)
+    if _lambda_type(v, word) != part:
+        raise AssertionError("classifier output failed the lambda-element check")
+    return ClassifyResult(part, tuple(word), tuple(moves))
 
 
 def lambda_classify(w: Word, s: SetSolution) -> tuple[Partition, Word]:
@@ -846,14 +829,12 @@ def orbit_census(
     greedily (``_least_words``) and sorts the orbits by it; no word index is
     formed, so every degree whose letters fit the cap answers.
 
-    The type, mu's multiplicities sorted descending, is the paper's lambda.
-    On a fixed pair r(D(b), b) = (D(b), b), so sigma_{D(b)}(b) = D(b), and a
-    Psi-word Psi_k(a) has the y-letters k e_{D^{k-1}(a)}.  A lambda-element
-    thus has sum_j lambda_j e_{b_j}.  Were two of the b_j equal, mu would
-    coarsen lambda and the orbit would have fewer than n!/prod lambda_i!
-    words, which the paper's orbit-size theorem rules out; so mu = lambda.
-    Sizes are computed once per type, in Python ints.  ``classify`` runs only
-    for the witnesses, and its partition must agree with the type.
+    The type, mu's multiplicities sorted descending, is the paper's lambda:
+    the blocks of a lambda-element are runs of pairwise distinct y-letters
+    (see ``_lambda_type``), so their lengths are the multiplicities of its
+    multiset, which is the orbit's.  Sizes are computed once per type, in
+    Python ints.  ``classify`` runs only for the witnesses, and its
+    partition must agree with the type.
 
     ``cap`` bounds C(n+m-1, m-1) n, the letters the least words hold, and is
     checked before anything is built.

@@ -175,18 +175,22 @@ class VerificationReport:
         return self.is_ybe and self.is_nondegenerate
 
 
-def braid_walk(s: SetSolution):
-    """Both sides of r12 r23 r12 = r23 r12 r23 on the triples (a, b, c) of X^3.
+def braid_walk(s: SetSolution, first: range | None = None):
+    """Both sides of r12 r23 r12 = r23 r12 r23 on the triples (a, b, c) of X^3
+    whose first letter a lies in the range ``first`` of consecutive letters
+    (all of them by default).
 
     Returns (lhs, rhs); each side is (pairs, image): the three pairs
     (left, right) the side applies r to, in order, and the triple it ends
-    at.  Entries are index arrays that broadcast to shape (m, m, m).
+    at.  Entries are index arrays that broadcast to shape
+    (len(first), m, m).
     """
     m = s.size
+    first = range(m) if first is None else first
     table = np.array(s.table, dtype=np.min_scalar_type(m - 1))
     sig, tau = table[..., 0], table[..., 1]
     x = np.arange(m)
-    a, b, c = x[:, None, None], x[:, None], x  # broadcast to the m^3 triples
+    a, b, c = x[first.start : first.stop, None, None], x[:, None], x
     a1, b1 = sig[a, b], tau[a, b]
     b2, c2 = sig[b1, c], tau[b1, c]
     lhs = ((a, b), (b1, c), (a1, b2)), (sig[a1, b2], tau[a1, b2], c2)
@@ -196,20 +200,27 @@ def braid_walk(s: SetSolution):
     return lhs, rhs
 
 
+_WALK_TRIPLES = 2 ** 20  # the triples one block of verify_solution's braid walk covers
+
+
 def verify_solution(s: SetSolution) -> VerificationReport:
     """Check the braid identity on all triples, non-degeneracy, involutivity.
 
-    One vectorized pass over the table; witnesses come in lexicographic
-    order as tuples of Python ints.
+    The braid walk runs over blocks of first letters, at most about 2^20
+    triples each, so its arrays stay small at any m; witnesses come in
+    lexicographic order as tuples of Python ints.
     """
     m = s.size
-    (_, lhs), (_, rhs) = braid_walk(s)
-    bad = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1]) | (lhs[2] != rhs[2])
-    sides = [side[bad].tolist() for side in lhs + rhs]
-    ybe_failures = [
-        (tuple(t), tuple(w[:3]), tuple(w[3:]))
-        for t, *w in zip(np.argwhere(bad).tolist(), *sides)
-    ]
+    step = max(1, _WALK_TRIPLES // (m * m))
+    ybe_failures = []
+    for lo in range(0, m, step):
+        (_, lhs), (_, rhs) = braid_walk(s, range(lo, min(lo + step, m)))
+        bad = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1]) | (lhs[2] != rhs[2])
+        sides = [side[bad].tolist() for side in lhs + rhs]
+        ybe_failures += [
+            ((a + lo, b, c), tuple(w[:3]), tuple(w[3:]))
+            for (a, b, c), *w in zip(np.argwhere(bad).tolist(), *sides)
+        ]
     table = np.array(s.table, dtype=np.min_scalar_type(m - 1))
     sig, tau = table[..., 0], table[..., 1]
     x = np.arange(m)

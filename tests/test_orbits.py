@@ -284,9 +284,10 @@ CENSUS_SOLUTIONS = {
     "permutation(1, 2, 0, 4, 3)": SetSolution.permutation((1, 2, 0, 4, 3)),
 }
 
-# sha256 prefixes of orbit_census(n, s).to_json() and of the output of
-# ``orbits <solution> -n <n> --witness --json``, taken from the census that
-# swept the words breadth-first in lexicographic order
+# sha256 prefixes of orbit_census(n, s).to_json(), taken from the census that
+# swept the words breadth-first in lexicographic order, and of the output of
+# ``orbits <solution> -n <n> --witness --json``, whose witnesses come from the
+# classifier that sorts y-letters
 CENSUS_DIGESTS = {
     ("z2-shift", 1): ("561dd063a35e8704", "f4b159438652b83e"),
     ("z2-shift", 2): ("f98bc818d82f8522", "be6eca8be9af50f5"),
@@ -301,26 +302,26 @@ CENSUS_DIGESTS = {
     ("z3-shift", 1): ("35882d85309013af", "a7e8f84b00ede5cb"),
     ("z3-shift", 2): ("03d48ce4e2a63460", "de216bc59cce00de"),
     ("z3-shift", 3): ("de465b06ee56f45e", "c0470e4a72b3562f"),
-    ("z3-shift", 4): ("795e65fbe619c6d3", "6f5cef19ff09ac33"),
-    ("z3-shift", 5): ("dbee83851231d6fc", "290d5fc63016fc69"),
-    ("z3-shift", 6): ("dbcde43e68d045d2", "59b7df6c0ccf1439"),
+    ("z3-shift", 4): ("795e65fbe619c6d3", "915c6fc7486502a8"),
+    ("z3-shift", 5): ("dbee83851231d6fc", "30bae53008bdf106"),
+    ("z3-shift", 6): ("dbcde43e68d045d2", "0fd10b4820c6bfc5"),
     ("z4-shift1", 1): ("40396dcfa5158f11", "a6d62a250b8ccf94"),
     ("z4-shift1", 2): ("dc1feb6877b527eb", "61829e476750ebf4"),
     ("z4-shift1", 3): ("f6a249108f563275", "a3265ad76c288563"),
-    ("z4-shift1", 4): ("d493c47254d74744", "f4047c8102353861"),
-    ("z4-shift1", 5): ("4007a744b0adf104", "f144195915fd1c74"),
+    ("z4-shift1", 4): ("d493c47254d74744", "4ad5e3883b0f88cc"),
+    ("z4-shift1", 5): ("4007a744b0adf104", "8e210f3299e34b9f"),
     ("z4-shift2", 1): ("40396dcfa5158f11", "a6d62a250b8ccf94"),
     ("z4-shift2", 2): ("dc1feb6877b527eb", "68947fba030f5875"),
     ("z4-shift2", 3): ("f6a249108f563275", "21b2cca4eb48de73"),
     ("z4-shift2", 4): ("d493c47254d74744", "05cf4efea1b87007"),
-    ("z4-shift2", 5): ("4007a744b0adf104", "40a2e5468df34888"),
+    ("z4-shift2", 5): ("4007a744b0adf104", "659d836c685a2b66"),
     ("x4-sigma", 1): ("40396dcfa5158f11", "a6d62a250b8ccf94"),
     ("x4-sigma", 2): ("dc1feb6877b527eb", "7475e5cedb9df9f1"),
     ("x4-sigma", 3): ("f6a249108f563275", "90f392ceab81f204"),
-    ("x4-sigma", 4): ("d493c47254d74744", "109fc0b051d66c20"),
-    ("x4-sigma", 5): ("4007a744b0adf104", "2bf2f952594c184e"),
-    ("cyclic_shift(5)", 4): ("1cacb060ff215d2a", "0d24cb249f619534"),
-    ("permutation(1, 2, 0, 4, 3)", 4): ("1cacb060ff215d2a", "4c51fa0f4b08a289"),
+    ("x4-sigma", 4): ("d493c47254d74744", "9f67331d92a6e3fa"),
+    ("x4-sigma", 5): ("4007a744b0adf104", "0b3218e7813a1c48"),
+    ("cyclic_shift(5)", 4): ("1cacb060ff215d2a", "ebc2c56e681c6c58"),
+    ("permutation(1, 2, 0, 4, 3)", 4): ("1cacb060ff215d2a", "b5d678e42c2fbfce"),
 }
 
 
@@ -465,17 +466,22 @@ def test_invariant_types_match_classify():
     assert _assert_invariant_types_match_classify(_census_cases()) == 663
 
 
-def _sweep_cases(max_m, max_words, seed):
+def _solutions(max_m, rng):
     """Every involutive catalog entry, the shift and the flip for
-    m = 1 .. max_m and three seeded permutation solutions for m = 2 .. max_m,
-    at every degree n with m^n <= max_words (n <= 12 for m = 1)."""
-    rng = random.Random(seed)
+    m = 1 .. max_m and three permutation solutions drawn from rng for
+    m = 2 .. max_m."""
     solutions = [build_entry(n).solution for n in catalog_names() if build_entry(n).involutive]
     for m in range(1, max_m + 1):
         solutions += [SetSolution.cyclic_shift(m), SetSolution.flip(m)]
         if m >= 2:
             solutions += [SetSolution.permutation(rng.sample(range(m), m)) for _ in range(3)]
-    for s in solutions:
+    return solutions
+
+
+def _sweep_cases(max_m, max_words, seed):
+    """``_solutions(max_m)`` at every degree n with m^n <= max_words
+    (n <= 12 for m = 1)."""
+    for s in _solutions(max_m, random.Random(seed)):
         n = 1
         while s.size ** n <= max_words and n <= 12:
             yield s.table, n, s
@@ -779,18 +785,11 @@ def _ref_classify(w, s):
 
 
 def _classify_corpus(max_m, max_length, seed):
-    """Seeded (word, solution) pairs: per solution and length, three uniform
-    words and three concatenations of random Psi-blocks, whose long blocks
-    drive the exchanges and merges.  Solutions: every involutive catalog
-    entry, the shift and the flip for m = 1 .. max_m, and three seeded
-    permutation solutions for m = 2 .. max_m."""
+    """Seeded (word, solution) pairs over ``_solutions(max_m)``: per solution
+    and length, three uniform words and three concatenations of random
+    Psi-blocks, whose long blocks the classifier must split and merge."""
     rng = random.Random(seed)
-    solutions = [build_entry(n).solution for n in catalog_names() if build_entry(n).involutive]
-    for m in range(1, max_m + 1):
-        solutions += [SetSolution.cyclic_shift(m), SetSolution.flip(m)]
-        if m >= 2:
-            solutions += [SetSolution.permutation(rng.sample(range(m), m)) for _ in range(3)]
-    for s in solutions:
+    for s in _solutions(max_m, rng):
         m = s.size
         for length in range(1, max_length + 1):
             for _ in range(3):
@@ -804,15 +803,22 @@ def _classify_corpus(max_m, max_length, seed):
 
 
 def _assert_classify_matches_reference(corpus):
+    # the reference's partition, a witness that is a lambda-element of that
+    # type by the reference definition, and moves that replay to it
     count = 0
     for word, s in corpus:
-        assert classify(word, s) == _ref_classify(word, s), (word, s.table)
+        result = classify(word, s)
+        assert result.partition == _ref_classify(word, s).partition, (word, s.table)
+        assert _ref_is_lambda_element(result.witness, s) == result.partition, (word, s.table)
+        replayed = word
+        for k in result.moves:
+            replayed = _ref_act(k, replayed, s)
+        assert replayed == result.witness, (word, s.table)
         count += 1
     return count
 
 
 def test_classify_matches_reference():
-    # partition, witness and moves all equal the reference's
     assert _assert_classify_matches_reference(_classify_corpus(8, 24, seed=10)) >= 5000
 
 
@@ -823,48 +829,50 @@ def test_classify_matches_reference_extended():
     assert _assert_classify_matches_reference(_classify_corpus(12, 40, seed=11)) >= 14000
 
 
-def _full_refactor_classify(w, s):
-    """classify as it re-factored the whole word after every phase-1
-    exchange and summed the block lengths before each exchange."""
-    v = orbits_module._view(s)
-    current = orbits_module._letters(w, v.m)
-    moves = []
-    blocks = orbits_module._blocks(v, current)
-    while True:
-        while True:
-            swap_at = next(
-                (i for i in range(len(blocks) - 1) if blocks[i][0] < blocks[i + 1][0]), None
-            )
-            if swap_at is None:
-                break
-            offset = sum(length for length, _ in blocks[:swap_at])
-            moves += orbits_module._exchange(
-                v, current, offset, blocks[swap_at][0], blocks[swap_at + 1][0]
-            )
-            blocks = orbits_module._blocks(v, current)
-        violation = orbits_module._condition_violation(v, blocks, current)
-        if violation is None:
-            part = Partition([length for length, _ in blocks])
-            return ClassifyResult(part, tuple(current), tuple(moves))
-        i, j = violation
-        lengths = [length for length, _ in blocks]
-        pos = j
-        while pos > i + 1:
-            offset = sum(lengths[: pos - 1])
-            moves += orbits_module._exchange(v, current, offset, lengths[pos - 1], lengths[pos])
-            lengths[pos - 1], lengths[pos] = lengths[pos], lengths[pos - 1]
-            pos -= 1
-        blocks = orbits_module._blocks(v, current)
-
-
-def test_classify_matches_full_refactor():
-    # re-factoring only the blocks around each exchange gives the partition,
-    # witness and moves of re-factoring the whole word every time
+def test_classify_fixes_lambda_elements():
+    # a lambda-element comes back unchanged with no moves, and each census
+    # witness is classify's witness of the orbit's least word
     count = 0
-    for word, s in _classify_corpus(8, 24, seed=21):
-        assert classify(word, s) == _full_refactor_classify(word, s), (word, s.table)
-        count += 1
-    assert count >= 6000
+    for name, n, s in _census_cases():
+        for summary in orbit_census(n, s, witnesses=True).orbits:
+            witness = summary.witness
+            assert witness == classify(summary.representative, s).witness, (name, n)
+            assert classify(witness, s) == ClassifyResult(summary.partition, witness, ()), (name, n)
+            count += 1
+    assert count == 663
+
+
+def _assert_is_lambda_element_matches_reference(solutions, max_words):
+    # every word of every degree n with max(m, 2)^n <= max_words
+    count = 0
+    for s in solutions:
+        n = 1
+        while max(s.size, 2) ** n <= max_words:
+            for word in product(range(s.size), repeat=n):
+                got = is_lambda_element(word, s)
+                assert got == _ref_is_lambda_element(word, s), (word, s.table)
+                count += 1
+            n += 1
+    return count
+
+
+def test_is_lambda_element_matches_reference():
+    solutions = _solutions(8, random.Random(10))
+    assert _assert_is_lambda_element_matches_reference(solutions, 2 ** 12) == 177213
+
+
+@pytest.mark.skipif(
+    os.environ.get("YBNICHOLS_ACCEPT_EXTENDED") != "1", reason="extended profile only"
+)
+def test_is_lambda_element_matches_reference_extended():
+    solutions = _solutions(12, random.Random(11))
+    assert _assert_is_lambda_element_matches_reference(solutions, 2 ** 15) == 1460769
+    # every witness of the 46,376 orbits of cyclic_shift(5) at n = 30
+    s = SetSolution.cyclic_shift(5)
+    census = orbit_census(30, s, witnesses=True)
+    assert census.orbit_count == 46376
+    for summary in census.orbits:
+        assert is_lambda_element(summary.witness, s) == summary.partition
 
 
 def _eager_pos(orbs):

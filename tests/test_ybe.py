@@ -3,14 +3,17 @@ import os
 import random
 import re
 
+import numpy as np
 import pytest
 
 from ybnichols import catalog as cat
+from ybnichols import ybe
 from ybnichols.ybe import (
     NotInvolutive,
     NotNondegenerate,
     SetSolution,
     VerificationReport,
+    braid_walk,
     decompose,
     derived_group_transitive,
     diagonal,
@@ -389,3 +392,24 @@ def test_verify_matches_per_triple_reference():
         seen += 1
         failing_all += not (report.is_ybe or report.is_nondegenerate or report.is_involutive)
     assert seen >= 300 and failing_all >= 150
+
+
+def test_verify_walks_blocks_of_first_letters():
+    # at m = 128 the braid walk runs over blocks of first letters; its
+    # failures, in order, are those of one walk over all m^3 triples
+    m = 128
+    step = ybe._WALK_TRIPLES // (m * m)
+    rng = random.Random(13)
+    table = [list(row) for row in SetSolution.cyclic_shift(m).table]
+    for _ in range(4):
+        table[rng.randrange(m)][rng.randrange(m)] = (rng.randrange(m), rng.randrange(m))
+    s = SetSolution(table)
+    (_, lhs), (_, rhs) = braid_walk(s)
+    bad = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1]) | (lhs[2] != rhs[2])
+    expected = [
+        (tuple(t), tuple(int(x[tuple(t)]) for x in lhs), tuple(int(x[tuple(t)]) for x in rhs))
+        for t in np.argwhere(bad).tolist()
+    ]
+    failures = verify_solution(s).ybe_failures
+    assert list(failures) == expected
+    assert len({a // step for (a, _, _), _, _ in failures}) > 1
