@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import catalog as cat
@@ -230,16 +231,13 @@ def cmd_orbits(args) -> int:
 
 def cmd_dims(args) -> int:
     system, entry = _resolve_system(args.target, args)
-    mode = "auto"
-    if args.exact:
-        mode = "exact"
-    elif args.mod:
-        mode = "modular"
+    if args.expect and entry is None:
+        raise InputError("--expect needs a catalog entry")
     try:
         graded = graded_dims(
             system,
             cap=args.cap,
-            mode=mode,
+            mode="exact" if args.exact else "auto",
             exact_cap=args.exact_cap,
             primes=args.mod_primes,
         )
@@ -249,6 +247,18 @@ def cmd_dims(args) -> int:
     if entry is not None:
         payload["name"] = entry.name
         payload["expected_total"] = entry.expected_total
+    ok, verdict = True, None
+    if args.expect:
+        expected = entry.expected_total if entry.point_ok else None
+        ok = expected is not None and graded.total == expected
+        payload["expect"] = {"expected_total": expected, "ok": ok}
+        if expected is None:
+            payload["expect"]["note"] = entry.expected_note
+            verdict = f"no expectation at this parameter point ({entry.expected_note})"
+        elif ok:
+            verdict = f"expected total {expected}: ok"
+        else:
+            verdict = f"MISMATCH: computed total {graded.total}, expected {expected}"
     if args.json:
         _emit(payload, True)
     else:
@@ -265,17 +275,9 @@ def cmd_dims(args) -> int:
             if rec.escalated:
                 extra += "  escalated-to-exact"
             print(f"  degree {rec.degree}: dim {rec.dim} [{rec.mode}]{extra}")
-    if args.expect:
-        if entry is None:
-            raise InputError("--expect needs a catalog entry")
-        if not entry.point_ok or entry.expected_total is None:
-            print(f"no expectation at this parameter point ({entry.expected_note})")
-            return EXIT_MISMATCH
-        if graded.total != entry.expected_total:
-            print(f"MISMATCH: computed total {graded.total}, expected {entry.expected_total}")
-            return EXIT_MISMATCH
-        print(f"expected total {entry.expected_total}: ok")
-    return EXIT_OK
+        if verdict is not None:
+            print(verdict)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def cmd_relations(args) -> int:
@@ -363,8 +365,6 @@ def _parse_primes(text: str):
         primes = tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad prime list {text!r}") from exc
-    if len(primes) < 1:
-        raise argparse.ArgumentTypeError("need at least one prime")
     return primes
 
 
@@ -374,7 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Set-theoretic Yang-Baxter solutions and the graded "
         "dimensions and relations of their Nichols algebras, in exact arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: a removed flag such as --mod must not turn into --mod-primes
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("verify", help="verify a solution table and report its invariants")
     p.add_argument("target", help="catalog name or solution JSON file")
@@ -398,13 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="override one catalog parameter (repeatable)")
     p.add_argument("--cap", type=_positive_int, default=16, help="degree cap")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", help="force exact arithmetic")
-    group.add_argument("--mod", action="store_true", help="force modular arithmetic")
+    p.add_argument("--exact", action="store_true", help="force exact arithmetic")
     p.add_argument("--expect", action="store_true",
                    help="compare against the catalog expectation (exit 1 on mismatch)")
     p.add_argument("--mod-primes", type=_parse_primes, default=None,
-                   help="comma-separated primes for modular arithmetic")
+                   help="comma-separated primes for modular arithmetic, at least two distinct")
     p.add_argument("--exact-cap", type=_positive_int, default=4096,
                    help="largest tensor dimension handled exactly by default")
     _add_common(p)

@@ -67,11 +67,32 @@ an orbit's row is the primitive part of its image (mod p: the image scaled
 to lead with 1), or none when the image is zero: ``linalg.lone_rows`` takes
 these for a whole batch at once, with no elimination.
 
-Degrees run exactly while the tensor space is small, then two-prime modular
-with exact escalation on disagreement, on a vanishing rank (a finiteness
-claim is only ever made with exact backing), or, when the finite-type
-hypotheses hold, on a mismatch with the dimension they predict.
-Escalation continues the exact chain from the last exact degree.
+Which orbits keep a row, on that class.  Let w = Psi_{l_1}(b_1) ...
+Psi_{l_r}(b_r) be an orbit's lambda-element (``orbits.classify``'s
+witness) and q_j = R[D(b_j)][b_j].  Inside a block every c_i fixes the
+word and scales it by the entry of a fixed pair; the braid relation
+c_i c_{i+1} c_i = c_{i+1} c_i c_{i+1} on the block gives
+q_i^2 q_{i+1} = q_i q_{i+1}^2, so the entries along block j all equal q_j.
+By Young's factorization S_k = sum_theta T_theta (S_{l_1} (x) ... (x)
+S_{l_r}), theta over the minimal coset representatives of S_k / S_l (their
+Matsumoto lifts multiply, as lengths add), and S_{l_j} acts on block j by
+[l_j]_{q_j}!.  The orbit has k!/prod l_j! words, so the stabilizer of w is
+S_l and the words theta.w are distinct; each T_theta is monomial with
+nonzero scalars, so S_k(w) = 0 exactly when some [l_j]_{q_j}! = 0, that is
+when q_j != 1 has finite order at most l_j.  In ESS coordinates an orbit is
+a multiset mu of y-letters and its blocks are the runs of equal y-letters,
+one of length mu_a per letter a, all in one part of ``full_decomposition``
+(an orbit of the group the sigma and tau maps generate).  So when q is
+constant on each part, of order n_a on the part of a, an orbit keeps a row
+exactly when mu_a < n_a for every a, and
+sum_k dim B_k t^k = prod_a (1 + t + ... + t^(n_a - 1)): the multinomial
+expansion ``expected_profile`` returns.
+
+Degrees run exactly while the tensor space is small, then modular at two
+distinct primes.  A modular degree is kept only when the primes agree on a
+nonzero rank that also equals ``expected_profile`` wherever that exists;
+otherwise the exact chain resumes from the last exact degree and runs every
+later degree, so a finiteness claim is only ever made with exact backing.
 
 Relation checks run on the same engine, with the walks of the degree
 steps.  ``check_relation`` and ``relation_image`` build
@@ -101,6 +122,7 @@ from operator import itemgetter
 import numpy as np
 
 from .exact import (
+    BadPrime,
     CycloElement,
     check_modulus,
     checked_phi,
@@ -121,7 +143,7 @@ from .linalg import (
     lone_rows,
     mul_rows_elementwise,
 )
-from .orbits import BraidOrbits, partitions, psi, word_index
+from .orbits import BraidOrbits, psi, word_index
 from .ybe import (
     SOLUTION_CACHE_SIZE,
     NotInvolutive,
@@ -377,6 +399,45 @@ def theorem_hypotheses(cs: CoefficientSystem) -> TheoremHypotheses:
         root_order=root_order,
         pairing_holds=pairing,
     )
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
+def _expansion(m: int, n: int) -> tuple:
+    """The coefficients of (1 + t + ... + t^(n-1))^m."""
+    return tuple(reduce(_convolve, [[1] * n] * m, [1]))
+
+
+def _coefficient(coeffs, k: int) -> int:
+    return coeffs[k] if 0 <= k < len(coeffs) else 0
+
+
+@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
+def expected_profile(cs: CoefficientSystem) -> tuple | None:
+    """The graded dimensions the multinomial expansion predicts: the
+    coefficients of prod_p (1 + t + ... + t^(n_p - 1))^|p| over the parts p
+    of ``full_decomposition``, when the pairing holds and q_a = R[D(a)][a]
+    is constant on every part with finite order n_p >= 2 (a theorem; see
+    the module docstring).  None otherwise.  Needs an involutive base, and
+    is computed once per system, as the escalation check reads it."""
+    if not theorem_hypotheses(cs).pairing_holds:
+        return None
+    q = diagonal_coefficient_check(cs).values
+    profile = [1]
+    for part in full_decomposition(cs.solution):
+        values = {q[a] for a in part}
+        n = values.pop().multiplicative_order() if len(values) == 1 else None
+        if n is None or n < 2:
+            return None
+        profile = _convolve(profile, _expansion(len(part), n))
+    return tuple(profile)
 
 
 # ---------------------------------------------------------------------------
@@ -994,17 +1055,20 @@ def graded_dims(
     since the algebra is generated in degree one), until the cap, or before
     a degree of more than ``_DIMENSION_LIMIT`` words.
 
-    ``mode``: "auto" runs degrees with m^k <= exact_cap exactly, larger ones
-    at two primes with escalation back to exact on disagreement, vanishing
-    rank, or a mismatch with ``predicted_dimension`` when the finite-type
-    hypotheses hold; "exact" and "modular" force one path.  Given ``primes``
-    are checked up front (BadPrime unless each is a prime below 2^31 and
-    1 mod the order).
+    ``mode``: "auto" runs degrees with m^k <= exact_cap exactly and larger
+    ones modular, keeping a modular degree only when every prime gives the
+    same nonzero rank and that rank equals ``expected_profile`` wherever it
+    exists; otherwise it escalates back to exact arithmetic for good.
+    "exact" runs every degree exactly.  Given ``primes`` are checked up
+    front (BadPrime unless they are at least two distinct primes, each below
+    2^31 and 1 mod the order).
     """
-    if mode not in ("auto", "exact", "modular"):
+    if mode not in ("auto", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     if primes is not None:
         primes = tuple(primes)
+        if len(primes) < 2 or len(set(primes)) < len(primes):
+            raise BadPrime(f"need at least two distinct primes, got {list(primes)}")
         for p in primes:
             check_modulus(p, cs.order)
     m = cs.size
@@ -1014,7 +1078,7 @@ def graded_dims(
     exact_rows = engine.identity_rows()  # exact basis of degree exact_degree
     exact_degree = 1
     mod_rows: dict[int, list] | None = None
-    root_order = None  # of q when the finite-type hypotheses hold
+    profile = None  # expected_profile, read when the first modular degree runs
     escalated_permanently = False
     terminated = "cap"
 
@@ -1025,11 +1089,7 @@ def graded_dims(
         if L > _DIMENSION_LIMIT:
             terminated = "cap"
             break
-        use_exact = (
-            mode == "exact"
-            or escalated_permanently
-            or (mode == "auto" and L <= exact_cap)
-        )
+        use_exact = mode == "exact" or escalated_permanently or L <= exact_cap
         if use_exact:
             exact_rows, dim = engine.exact_step(exact_rows, k)
             exact_degree = k
@@ -1043,19 +1103,13 @@ def graded_dims(
             primes = tuple(primes_for_order(cs.order, count=2))
         if mod_rows is None:
             mod_rows = {p: engine.specialize_rows(exact_rows, p) for p in primes}
-            hyp = engine.hypotheses
-            if hyp is not None and hyp.finite_type:
-                root_order = hyp.root_order
+            if engine.hypotheses is not None:
+                profile = expected_profile(cs)
         step_results = {p: engine.mod_step(mod_rows[p], k, p) for p in primes}
         mod_dims = tuple(step_results[p][1] for p in primes)
         agreed = len(set(mod_dims)) == 1
-        suspicious = (
-            not agreed
-            or mod_dims[0] == 0
-            or (root_order is not None and mod_dims[0] != predicted_dimension(m, root_order, k))
-        )
-        if mode == "modular" or not suspicious:
-            dim = mod_dims[0]
+        dim = mod_dims[0]
+        if agreed and dim != 0 and (profile is None or _coefficient(profile, k) == dim):
             dims.append(dim)
             records.append(
                 DegreeRecord(
@@ -1064,10 +1118,6 @@ def graded_dims(
             )
             for p in primes:
                 mod_rows[p] = step_results[p][0]
-            if dim == 0:
-                # reachable only in forced-modular mode; auto escalates instead
-                terminated = "zero"
-                break
             continue
         # escalate: continue the exact chain from the last exact degree (modular
         # steps never replace exact_rows) through k, and rewrite the records
@@ -1140,12 +1190,10 @@ def symmetrizer_image(cs: CoefficientSystem, k: int, exact_cap: int = 4096) -> R
 
 
 def predicted_dimension(m: int, n: int, k: int) -> int:
-    """Sum of Perm(lambda) over partitions of k into at most m parts, each
-    at most n-1: the predicted degree-k dimension under the finite-type
-    hypotheses (orbits whose partition has a part >= n vanish)."""
-    if k == 0:
-        return 1
-    return sum(part.perm_count(m) for part in partitions(k, m, n - 1))
+    """The coefficient of t^k in (1 + t + ... + t^(n-1))^m: the degree-k
+    dimension under the finite-type hypotheses (constant q of order n on m
+    letters), read from the expansion cached per (m, n)."""
+    return _coefficient(_expansion(m, n), k)
 
 
 def orbit_count_oracle(cs: CoefficientSystem, k: int) -> int:
@@ -1219,83 +1267,40 @@ def theorem_suite(
 ) -> TheoremReport:
     """Run the dimension checks the detected hypotheses call for.
 
-    Constant q of multiplicative order n >= 2: total dimension must be n^m,
-    every schema relation must vanish under the symmetrizer, and every
-    computed degree must match the combinatorial oracle.  Constant q of
-    infinite order: degree dimensions must follow the binomial profile
-    C(k+m-1, m-1) through degree 8 (the computable growth evidence).
-    Non-constant q over a decomposable solution with per-part roots of
-    unity: the total must be the product of the per-part totals.  Finite and
-    product totals are computed through degree 16.
+    Constant q of infinite order: degree dimensions must follow the binomial
+    profile C(k+m-1, m-1) through degree 8 (the computable growth evidence),
+    in exact arithmetic.  Otherwise ``expected_profile`` must exist (q
+    constant on each part of the full decomposition, of finite order >= 2),
+    and the dimensions through degree 16 must be its coefficients ("profile")
+    with its total ("total"); for constant q ("finite", total n^m) every
+    schema relation must also vanish under the symmetrizer
+    ("relations_vanish"), and a q that varies between parts is "product".
     """
     hyp = theorem_hypotheses(cs)
-    m = cs.size
-    checks: dict = {}
     if not hyp.pairing_holds:
         raise HypothesesNotMet("pairing R[i][j] R[r(i,j)] = 1 fails off fixed pairs")
-    if hyp.q_constant and hyp.root_order is not None:
-        n = hyp.root_order
-        graded = graded_dims(cs, cap=16, mode=dims_mode, exact_cap=exact_cap)
-        checks["total_is_n_to_m"] = graded.total == n ** m
-        checks["oracle_matches"] = all(
-            graded.dims[k] == predicted_dimension(m, n, k) for k in range(len(graded.dims))
+    if hyp.growth_type:
+        m = cs.size
+        graded = graded_dims(cs, cap=8, mode="exact")
+        expected = [math.comb(k + m - 1, m - 1) for k in range(len(graded.dims))]
+        checks = {"binomial_growth": list(graded.dims) == expected}
+        return TheoremReport(
+            mode="growth", passed=all(checks.values()), checks=checks, graded=graded
         )
+    profile = expected_profile(cs)
+    if profile is None:
+        raise HypothesesNotMet("q is not constant of finite order >= 2 on every part")
+    graded = graded_dims(cs, cap=16, mode=dims_mode, exact_cap=exact_cap)
+    # graded_dims stops at the first zero degree
+    checks = {"total": graded.total == sum(profile), "profile": graded.dims == profile + (0,)}
+    if hyp.q_constant:
         checks["relations_vanish"] = all(
             check_relation(cs, terms) for _, terms in theorem_relations(cs)
         )
-        passed = all(checks.values())
-        return TheoremReport(
-            mode="finite", passed=passed, checks=checks, graded=graded,
-            expected_total=n ** m,
-        )
-    if hyp.q_constant and hyp.root_order is None:
-        graded = graded_dims(cs, cap=8, mode="exact", exact_cap=max(exact_cap, m ** 8))
-        expected = [math.comb(k + m - 1, m - 1) for k in range(len(graded.dims))]
-        checks["binomial_growth"] = list(graded.dims) == expected
-        passed = all(checks.values())
-        return TheoremReport(mode="growth", passed=passed, checks=checks, graded=graded)
-    # non-constant q: product formula over a full decomposition
-    parts = full_decomposition(cs.solution)
-    if len(parts) == 1:
-        raise HypothesesNotMet("q is not constant and the solution is indecomposable")
-    D = diagonal(cs.solution)
-    expected_total = 1
-    orders = []
-    for part in parts:
-        values = {cs.entry(D(i), i) for i in part}
-        if len(values) != 1:
-            raise HypothesesNotMet(f"q is not constant on part {part}")
-        q_part = values.pop()
-        n_part = q_part.multiplicative_order()
-        if n_part is None or n_part < 2:
-            raise HypothesesNotMet(f"q on part {part} is not in some G_n, n >= 2")
-        orders.append(n_part)
-        expected_total *= n_part ** len(part)
-    graded = graded_dims(cs, cap=16, mode=dims_mode, exact_cap=exact_cap)
-    checks["total_is_product"] = graded.total == expected_total
-    # the graded profile must factor as the convolution of the per-part
-    # profiles (tensor factorization of the algebra as graded vector spaces)
-    profile = [1]
-    for part, n_part in zip(parts, orders):
-        part_profile = [
-            predicted_dimension(len(part), n_part, k)
-            for k in range(len(part) * (n_part - 1) + 1)
-        ]
-        profile = _convolve(profile, part_profile)
-    padded = list(graded.dims)
-    checks["profile_factorizes"] = padded[: len(profile)] == profile and not any(
-        padded[len(profile) :]
-    )
-    passed = all(checks.values())
     return TheoremReport(
-        mode="product", passed=passed, checks=checks, graded=graded,
-        expected_total=expected_total,
+        mode="finite" if hyp.q_constant else "product",
+        passed=all(checks.values()),
+        checks=checks,
+        graded=graded,
+        expected_total=sum(profile),
     )
-
-
-def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

@@ -127,27 +127,6 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-def partitions(n: int, max_parts: int, max_part: int | None = None):
-    """All partitions of n into at most max_parts parts, each <= max_part."""
-    if max_part is None:
-        max_part = n
-
-    def rec(remaining, bound, slots):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for first in range(min(bound, remaining), 0, -1):
-            if first * slots < remaining:
-                break
-            for rest in rec(remaining - first, first, slots - 1):
-                yield (first,) + rest
-
-    for parts in rec(n, max_part, max_parts):
-        yield Partition(parts)
-
-
 # ---------------------------------------------------------------------------
 # the action
 

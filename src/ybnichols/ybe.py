@@ -39,7 +39,7 @@ class SetSolution:
     :func:`verify_solution` for that.
     """
 
-    __slots__ = ("size", "table")
+    __slots__ = ("size", "table", "_hash")
 
     def __init__(self, table) -> None:
         table = tuple(tuple((int(a), int(b)) for a, b in row) for row in table)
@@ -54,6 +54,8 @@ class SetSolution:
                     raise ValueError(f"table entry ({a},{b}) out of range for size {m}")
         object.__setattr__(self, "size", m)
         object.__setattr__(self, "table", table)
+        # every cache lookup keyed by the solution hashes it: hash the table once
+        object.__setattr__(self, "_hash", hash(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetSolution is immutable")
@@ -114,7 +116,7 @@ class SetSolution:
         return self.table == other.table
 
     def __hash__(self):
-        return hash(self.table)
+        return self._hash
 
     def __repr__(self):
         return f"SetSolution(size={self.size})"

@@ -23,6 +23,7 @@ from ybnichols.nichols import (
     braiding_ops,
     check_relation,
     degree2_relation_rank,
+    expected_profile,
     graded_dims,
     hexagon_failures,
     orbit_count_oracle,
@@ -78,6 +79,11 @@ def test_criterion_1_dimension_formula():
         entry, graded = _dims_exact(name, q)
         assert graded.terminated == "zero"
         assert graded.total == n ** m, (name, q, graded.total)
+        # the multinomial expansion (1 + t + ... + t^(n-1))^m, degree by degree
+        assert graded.dims == expected_profile(entry.system) + (0,), (name, q)
+        report = theorem_suite(entry.system)
+        assert report.mode == "finite" and report.passed, (name, q, report.checks)
+        assert report.expected_total == n ** m
         assert all(rec.mode in ("trivial", "exact") for rec in graded.provenance)
         assert time.time() - case_start < 60, (name, q)
     _report("1 (total dimension n^m, exact)", t0, 60 * len(THEOREM_CASES))

@@ -219,6 +219,45 @@ def test_dims_expect_and_q_override():
     assert "expected total 16: ok" in out
 
 
+def test_dims_json_expect_is_one_json_document():
+    # with --json the verdict is a key of the payload, and nothing else is
+    # printed; the exit codes are those of the text output
+    for argv, status, verdict in (
+        (["dims", "z3-shift"], 0, {"expected_total": 27, "ok": True}),
+        (["dims", "z3-shift", "--cap", "3"], 1, {"expected_total": 27, "ok": False}),
+    ):
+        code, out, _ = run_cli(argv + ["--json", "--expect"])
+        assert code == status
+        assert json.loads(out)["expect"] == verdict
+    code, out, _ = run_cli(["dims", "z3-shift", "--q", "2", "--cap", "3", "--json", "--expect"])
+    assert code == 1
+    expect = json.loads(out)["expect"]
+    assert expect["expected_total"] is None and expect["ok"] is False
+    assert "infinite order" in expect["note"]
+    code, out, _ = run_cli(["dims", "z3-shift", "--cap", "3", "--expect"])
+    assert code == 1 and "MISMATCH: computed total None, expected 27" in out
+
+
+def test_dims_modular_needs_two_distinct_primes():
+    # z2-shift at q = 2 has dims k + 1, but 2 has order 3 mod 7: mod 7 alone
+    # read 1, 2, 3, 2, 1.  The forced-modular flag is gone, and one prime, or
+    # one prime twice, is an input error
+    base = ["dims", "z2-shift", "--q", "2", "--exact-cap", "2"]
+    code, err = run_cli_usage_error(base + ["--mod", "--mod-primes", "7,13", "--json"])
+    assert code == 2 and "unrecognized arguments: --mod" in err
+    for primes in ("7", "7,7"):
+        code, out, err = run_cli(base + ["--cap", "4", "--mod-primes", primes])
+        assert code == 2 and out == ""
+        assert "need at least two distinct primes" in err
+    # two distinct primes disagree at degree 3 and escalate
+    code, out, _ = run_cli(base + ["--cap", "4", "--mod-primes", "7,13", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["dims"] == [1, 2, 3, 4, 5]
+    assert [r["mode"] for r in payload["provenance"][2:]] == [
+        "modular+exact", "modular+exact", "exact"
+    ]
+
+
 def test_dims_json_deterministic():
     args = ["dims", "z3-shift", "--json"]
     code1, out1, _ = run_cli(args)

@@ -14,6 +14,7 @@ import pytest
 from ybnichols import nichols
 from ybnichols.catalog import build_entry, catalog_names, parse_scalar
 from ybnichols.exact import (
+    BadPrime,
     CycloElement,
     cyclotomic_root,
     euler_phi,
@@ -36,6 +37,7 @@ from ybnichols.nichols import (
     check_relation,
     degree2_relation_rank,
     diagonal_coefficient_check,
+    expected_profile,
     graded_dims,
     hexagon_failures,
     orbit_count_oracle,
@@ -51,6 +53,8 @@ from ybnichols.nichols import (
 )
 from ybnichols.orbits import BraidOrbits, classify, maximal_blocks
 from ybnichols.ybe import NotInvolutive, SetSolution, diagonal
+
+from test_orbits import partitions
 
 ONE2 = CycloElement.one(2)
 MINUS1 = CycloElement.zeta(2)
@@ -377,6 +381,36 @@ def test_oracle_examples():
         orbit_count_oracle(cs2, 2)
 
 
+def test_expansion_matches_partition_sum():
+    # the coefficient of t^k in (1 + t + ... + t^(n-1))^m counts the
+    # multisets of size k over m letters with every multiplicity below n:
+    # the partitions of k into at most m parts below n, with their
+    # arrangements over the m letters
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for k in range(m * (n - 1) + 2):
+                reference = sum(p.perm_count(m) for p in partitions(k, m, n - 1))
+                assert predicted_dimension(m, n, k) == reference, (m, n, k)
+
+
+def test_expected_profile_matches_exact_dims():
+    # z4-shift2 splits into two parts of two letters, each with its own q:
+    # the profile is the product of one expansion per part
+    for overrides, profile in (
+        (None, (1, 4, 8, 10, 8, 4, 1)),  # q1 = -1, q2 = zeta3
+        ({"q1": "zeta4", "q2": "-1"}, (1, 4, 8, 12, 14, 12, 8, 4, 1)),
+    ):
+        cs = build_entry("z4-shift2", overrides).system
+        assert expected_profile(cs) == profile
+        assert graded_dims(cs, cap=16, mode="exact").dims == profile + (0,)
+        assert expected_profile(build_entry("z4-shift2", overrides).system) is expected_profile(cs)
+    # constant q: one part, (1 + ... + t^(n-1))^m
+    assert expected_profile(build_entry("z3-shift").system) == (1, 3, 6, 7, 6, 3, 1)
+    # q of infinite order, and a table off the pairing, have none
+    assert expected_profile(build_entry("z3-shift", {"q": "2"}).system) is None
+    assert expected_profile(z2_system(a=2, e=1)) is None
+
+
 def test_oracle_agrees_with_ranks():
     for name, q in (("z2-shift", None), ("z3-shift", None), ("z2-shift", cyclotomic_root(4))):
         entry = build_entry(name) if q is None else build_entry(name, {"q": q})
@@ -389,6 +423,7 @@ def test_theorem_suite_finite():
     report = theorem_suite(build_entry("z3-shift", {"q": "-1"}).system)
     assert report.mode == "finite" and report.passed
     assert report.expected_total == 8
+    assert set(report.checks) == {"total", "profile", "relations_vanish"}
 
 
 def test_theorem_suite_growth():
@@ -400,7 +435,7 @@ def test_theorem_suite_product():
     report = theorem_suite(build_entry("z4-shift2").system)
     assert report.mode == "product" and report.passed
     assert report.expected_total == 36
-    assert report.checks["profile_factorizes"]
+    assert report.checks == {"total": True, "profile": True}
 
 
 def test_theorem_hypotheses_flags():
@@ -438,17 +473,23 @@ def test_escalation_on_forced_small_exact_cap():
     assert last.agreed is True and len(last.primes) == 2
 
 
-def test_forced_modular_keeps_modular_provenance():
-    # every degree from 2 on runs mod p alone, and both primes give the
-    # exact dimensions
-    entry = build_entry("z3-shift")
-    g = graded_dims(entry.system, cap=16, exact_cap=9, mode="modular")
-    assert g.total == 27
-    tail = [r for r in g.provenance if r.mode != "trivial"]
-    assert all(r.mode == "modular" for r in tail)
-    exact = graded_dims(entry.system, cap=16, mode="exact")
-    assert g.dims == exact.dims
-    assert all(r.modular_dims == (exact.dims[r.degree],) * 2 for r in tail)
+def test_modular_degrees_need_two_distinct_primes():
+    # at q = 2 the dims are k + 1, but 2 has order 3 mod 7, so mod 7 alone
+    # reads the profile 1, 2, 3, 2, 1 of a root of unity: one prime, or one
+    # prime twice, cannot disagree with itself and is refused
+    cs = build_entry("z2-shift", {"q": "2"}).system
+    for primes in ((7,), (7, 7), (7, 13, 7), ()):
+        with pytest.raises(BadPrime, match="two distinct primes"):
+            graded_dims(cs, cap=4, exact_cap=2, primes=primes)
+    with pytest.raises(ValueError, match="unknown mode"):
+        graded_dims(cs, cap=4, mode="modular")
+    # 7 and 13 agree at degree 2 and disagree at degree 3, which escalates
+    # and rewrites degree 2
+    g = graded_dims(cs, cap=4, exact_cap=2, primes=(7, 13))
+    assert g.dims == (1, 2, 3, 4, 5) and g.terminated == "cap"
+    assert [r.mode for r in g.provenance[2:]] == ["modular+exact", "modular+exact", "exact"]
+    assert [r.agreed for r in g.provenance[2:4]] == [True, False]
+    assert g.provenance[3].modular_dims == (2, 4)
 
 
 def test_mod_primes_override():
@@ -1192,8 +1233,18 @@ def _witness_sweep(qs, max_words):
 
 
 def test_witness_coefficient_decides_kept_rows():
-    # the identity the README states as checked on the catalog: an orbit
-    # keeps a row iff its witness coefficient is nonzero
+    """An orbit keeps a row iff its witness coefficient is nonzero.
+
+    Proof (the ``nichols`` module docstring has it in full): along a block
+    Psi_l(b) of the witness w every c_i fixes the word, and the braid
+    relation forces one scalar q_b = R[D(b)][b] on it.  Young's
+    factorization S_k = sum_theta T_theta (S_{l_1} (x) ... (x) S_{l_r})
+    over the minimal coset representatives theta of S_k / S_l, with S_l the
+    stabilizer of w (the orbit has k!/prod l_j! words), makes S_k(w) a sum
+    of distinct words, each scaled by prod_j [l_j]_{q_j}! times a nonzero
+    scalar.  With the pairing S_k(w) spans the orbit's image, so the orbit
+    keeps a row iff that product is nonzero.  This checks it on the catalog.
+    """
     checked, vanishing, mismatches = _witness_sweep((None, "zeta3", "-1", "2"), 2 ** 12)
     assert mismatches == 0
     assert checked >= 2700 and vanishing >= 1700, (checked, vanishing)
@@ -1246,26 +1297,22 @@ def test_off_class_tables_keep_every_seed():
 # sha256 prefix of graded_dims(...).to_json() per catalog entry at its
 # default point, taken before modular steps ran on the batched walk
 GRADED_DIGESTS = {
-    "z2-shift": ("6dbe6e14b01b32bc", "6c4273eebbe92692", "6c4273eebbe92692"),
-    "z3-shift": ("fa1254b93834d668", "5627f1fb30dfffff", "d2573b38785891b5"),
-    "z4-shift1": ("29569dee318376fc", "95365a9bcca4196e", "21279b7191fd63d6"),
-    "z4-shift2": ("474617a6bb9ae30a", "f90deb2125c297f9", "c97c5736981b031d"),
-    "x4-sigma": ("29569dee318376fc", "95365a9bcca4196e", "21279b7191fd63d6"),
-    **{
-        f"w{i}": ("888222bcb6a7b3af", "f8b4079bfe5b8f72", "86fb12ddebba6826")
-        for i in range(1, 9)
-    },
+    "z2-shift": ("6c4273eebbe92692", "6c4273eebbe92692"),
+    "z3-shift": ("5627f1fb30dfffff", "d2573b38785891b5"),
+    "z4-shift1": ("95365a9bcca4196e", "21279b7191fd63d6"),
+    "z4-shift2": ("f90deb2125c297f9", "c97c5736981b031d"),
+    "x4-sigma": ("95365a9bcca4196e", "21279b7191fd63d6"),
+    **{f"w{i}": ("f8b4079bfe5b8f72", "86fb12ddebba6826") for i in range(1, 9)},
 }
 
 
 def test_graded_dims_json_unchanged():
-    # forced modular, and auto with exact caps 64 and 9 (modular steps,
-    # agreement and escalation all show in the provenance)
+    # auto with exact caps 64 and 9 (modular steps, agreement and
+    # escalation all show in the provenance)
     assert set(GRADED_DIGESTS) == set(catalog_names())
     for name, digests in GRADED_DIGESTS.items():
         cs = build_entry(name).system
         runs = (
-            graded_dims(cs, mode="modular"),
             graded_dims(cs, exact_cap=64),
             graded_dims(cs, exact_cap=9),
         )
@@ -1278,11 +1325,11 @@ def test_graded_dims_json_unchanged():
 
 def test_coefficients_beyond_int64():
     # q = 2^65 does not fit int64: the coefficient table starts object, and
-    # every mode still gives the growth profile k + 1
+    # both modes still give the growth profile k + 1
     entry = build_entry("z2-shift", {"q": str(2 ** 65)})
     engine = _Engine(entry.system)
     assert engine.r_int.dtype == object and engine.r_int_max == 2 ** 65
-    for mode in ("exact", "auto", "modular"):
+    for mode in ("exact", "auto"):
         g = graded_dims(entry.system, cap=6, mode=mode, exact_cap=8)
         assert g.dims == tuple(range(1, 8)), mode
         assert (mode != "exact") == any(r.mode == "modular" for r in g.provenance)
@@ -1405,16 +1452,18 @@ def test_hexagon_failures_match_reference_beyond_int64():
 
 
 def test_graded_dims_predicts_finite_type_dimensions(monkeypatch):
-    # graded_dims derives the finite-type prediction itself: a wrong
-    # prediction escalates the first modular degree, and a non-involutive
-    # base (w1) has none
+    # graded_dims reads expected_profile itself, also where q varies between
+    # the parts (z4-shift2): a wrong profile escalates the first modular
+    # degree, and a non-involutive base (w1) has none
     import ybnichols.nichols as nichols
 
-    z3 = build_entry("z3-shift").system
-    plain = graded_dims(z3, cap=5, exact_cap=9)
+    z4 = build_entry("z4-shift2").system
+    plain = graded_dims(z4, cap=5, exact_cap=16)
     assert [r.mode for r in plain.provenance[3:]] == ["modular"] * 3
-    monkeypatch.setattr(nichols, "predicted_dimension", lambda m, n, k: -1)
-    g = graded_dims(z3, cap=5, exact_cap=9)
+    wrong = list(expected_profile(z4))
+    wrong[3] += 1
+    monkeypatch.setattr(nichols, "expected_profile", lambda cs: tuple(wrong))
+    g = graded_dims(z4, cap=5, exact_cap=16)
     assert g.dims == plain.dims
     assert [r.mode for r in g.provenance[3:]] == ["modular+exact", "exact", "exact"]
     assert g.provenance[3].agreed and g.provenance[3].modular_dims[0] != 0

@@ -31,7 +31,6 @@ from ybnichols.orbits import (
     orbit,
     orbit_census,
     orbit_words,
-    partitions,
     perm_act,
     psi,
     reduced_word,
@@ -56,6 +55,29 @@ def test_partition_counts():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, 0])
+
+
+def partitions(n: int, max_parts: int, max_part: int | None = None):
+    """All partitions of n into at most max_parts parts, each <= max_part:
+    the reference the multinomial expansion of ``nichols`` is checked
+    against."""
+    if max_part is None:
+        max_part = n
+
+    def rec(remaining, bound, slots):
+        if remaining == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        for first in range(min(bound, remaining), 0, -1):
+            if first * slots < remaining:
+                break
+            for rest in rec(remaining - first, first, slots - 1):
+                yield (first,) + rest
+
+    for parts in rec(n, max_part, max_parts):
+        yield Partition(parts)
 
 
 def test_partition_identities():

@@ -24,6 +24,19 @@ from ybnichols.ybe import (
 )
 
 
+def test_equal_tables_hash_alike_and_share_one_report():
+    # the table is hashed once, at construction: equal tables built apart
+    # hash alike and hit one cached report
+    a = SetSolution.cyclic_shift(5)
+    b = SetSolution([list(row) for row in a.table])
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(a.table)
+    assert ybe.cached_report(a) is ybe.cached_report(b)
+    assert hash(SetSolution.flip(5)) != hash(a)
+    with pytest.raises(AttributeError):
+        a._hash = 0
+
+
 def test_shift_solution_verifies():
     report = verify_solution(SetSolution.cyclic_shift(3))
     assert report.is_ybe and report.is_nondegenerate and report.is_involutive
