@@ -116,7 +116,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -401,18 +401,20 @@ def theorem_hypotheses(cs: CoefficientSystem) -> TheoremHypotheses:
     )
 
 
-def _convolve(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _times_boxes(a, n: int, m: int) -> list:
+    """The coefficients of a(t) (1 + t + ... + t^(n-1))^m.  The box is
+    (1 - t^n) / (1 - t), so each factor costs one shifted difference and
+    one running sum over the coefficients, not a product with n terms."""
+    for _ in range(m):
+        padded = list(a) + [0] * (n - 1)
+        a = list(accumulate(x - (padded[i - n] if i >= n else 0) for i, x in enumerate(padded)))
+    return a
 
 
 @lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def _expansion(m: int, n: int) -> tuple:
     """The coefficients of (1 + t + ... + t^(n-1))^m."""
-    return tuple(reduce(_convolve, [[1] * n] * m, [1]))
+    return tuple(_times_boxes([1], n, m))
 
 
 def _coefficient(coeffs, k: int) -> int:
@@ -436,7 +438,7 @@ def expected_profile(cs: CoefficientSystem) -> tuple | None:
         n = values.pop().multiplicative_order() if len(values) == 1 else None
         if n is None or n < 2:
             return None
-        profile = _convolve(profile, _expansion(len(part), n))
+        profile = _times_boxes(profile, n, len(part))
     return tuple(profile)
 
 
