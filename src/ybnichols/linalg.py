@@ -347,42 +347,51 @@ class ExactIntRows:
         return False
 
 
-def lone_rows(arrays, p: int | None = None) -> list:
-    """The row each array leaves as the only insert into its own empty row
-    space, or None for a zero array: ``ExactIntRows`` when ``p`` is None,
-    ``ModRows(p)`` otherwise.
-
-    Exactly, that row is the array over the gcd of its entries (sign kept);
-    mod p, it is the array scaled so its first nonzero entry is 1, and every
-    array must already lie in [0, p), as the modular walk leaves its sums.
-    Rows match ``insert`` bit for bit, in value and dtype, but the arrays of
-    one dtype share one concatenation, one gcd (or first-entry) reduction and
-    one division, instead of one elimination each.
-    """
-    out = [None] * len(arrays)
-    for dtype in {a.dtype for a in arrays}:
-        picks = [t for t, a in enumerate(arrays) if a.dtype == dtype]
-        lengths = np.array([arrays[t].size for t in picks], dtype=np.int64)
-        starts = np.cumsum(lengths) - lengths
-        flat = np.concatenate([arrays[t].reshape(-1) for t in picks])
-        if p is None:
-            content = np.gcd.reduceat(np.abs(flat), starts)
-            keep = content != 0
-            flat = flat // np.repeat(np.where(keep, content, 1), lengths)
-        else:
-            nz = np.flatnonzero(flat)
-            # the first nonzero entry of each array that has one
-            owner = np.searchsorted(starts, nz, side="right") - 1
-            segs, first = np.unique(owner, return_index=True)
-            keep = np.zeros(len(picks), dtype=bool)
-            keep[segs] = True
-            inverse = np.zeros(len(picks), dtype=np.int64)
-            inverse[segs] = [pow(int(v), p - 2, p) for v in flat[nz[first]].tolist()]
-            flat = flat * np.repeat(inverse, lengths) % p
-        for t, start, kept in zip(picks, starts.tolist(), keep.tolist()):
-            if kept:
-                out[t] = flat[start : start + arrays[t].size].reshape(arrays[t].shape)
+def _inverses(x, p: int):
+    """x^(p-2) mod p entry-wise: the inverse of each nonzero x in [0, p) mod
+    the prime p, by square and multiply; p < 2^31 keeps every product below
+    2^62."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
     return out
+
+
+def lone_rows(flat, sizes, p: int | None = None):
+    """The row each segment of ``flat`` leaves as the only insert into its
+    own empty row space: ``ExactIntRows`` when ``p`` is None, ``ModRows(p)``
+    otherwise.  Segment t is the next ``sizes[t]`` rows of ``flat``, an
+    (n, phi) integer array exactly, an (n,) array in [0, p) mod p, as the
+    modular walk leaves its sums.
+
+    Returns (keep, rows): ``keep[t]`` is False for a zero segment, which
+    keeps no row, and ``rows`` holds each kept segment's row where the
+    segment lies.  Exactly, that row is the segment over the gcd of its
+    entries (sign kept); mod p, the segment scaled so its first nonzero
+    entry is 1.  Rows match ``insert`` bit for bit, in value and dtype, but
+    all segments share one gcd (or first-entry) reduction and one division,
+    instead of one elimination each.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size == 0:
+        return np.zeros(0, dtype=bool), flat
+    entries = flat.reshape(-1)
+    lengths = sizes * (entries.size // len(flat))  # entries per segment
+    starts = np.cumsum(lengths) - lengths
+    if p is None:
+        content = np.gcd.reduceat(np.abs(entries), starts)
+        keep = content != 0
+        rows = entries // np.repeat(np.where(keep, content, 1), lengths)
+    else:
+        marked = np.where(entries != 0, np.arange(entries.size), entries.size)
+        first = np.minimum.reduceat(marked, starts)  # each segment's first nonzero entry
+        keep = first < entries.size
+        rows = entries * np.repeat(_inverses(entries[np.where(keep, first, 0)], p), lengths) % p
+    return keep, rows.reshape(flat.shape)
 
 
 class ModRows:

@@ -22,10 +22,11 @@ u y with u in the degree-(k-1) orbit P, and a row is a vector over its
 orbit's words in that order.  Every basis row lives on one orbit, so each
 seed u (x) w_j lies in exactly one degree-k orbit, on the node (P, j) of
 u's orbit P.  A step walks the staircase terms once per batch of whole
-orbits, and only over the source words that carry a nonzero seed entry
-(on w1 at degree 10, 6,048 of the 132,096 words of the seeded orbits): the
-batch's seed rows are one flat list of entries, and each term is one
-gather, one cyclotomic product and one scatter-add.
+orbits, over the source words that carry a seed entry (off the paper's
+class only the nonzero ones: on w1 at degree 10, 6,048 of the 132,096
+words of the seeded orbits): the batch's seed rows are one flat list of
+entries, and each term is one gather, one cyclotomic product and one
+scatter-add.
 
 The walk reads the positions of its words within their orbits from the
 degree below, by one rule: a word u y sits at the offset of its node (orbit
@@ -37,8 +38,9 @@ stay fixed.  A degree-k step therefore reads word-length arrays of degree
 k-1 only, and the top degree of a run (w1 at degree 10: 1,048,576 words)
 never builds any.  A batch closes only when its accumulators would pass the
 larger of ``_BATCH_BUDGET`` entries and the largest single orbit's, so a
-degree of many small orbits costs a few walks.  A batch that would leave
-int64 is bisected, so arithmetic turns object orbit by orbit.  Exact and
+degree of many small orbits costs a few walks.  A batch whose seeds mix
+int64 and object rows, or that would leave int64, is bisected, so
+arithmetic turns object orbit by orbit.  Exact and
 modular steps are one step with two walks: the modular walk visits the same
 batches and words with one running product per word, and keeps the products
 and the sums reduced mod p at every term.  Off the paper's class (below),
@@ -62,10 +64,18 @@ nonzero row of P0 is a multiple of S_{k-1}(w_P0), and P0 has no row exactly
 when S_{k-1}(w_P0) = 0.  So the one seed (row of P0) (x) y0 spans O's image,
 and O gets no seed when P0 has no row.  The same holds mod p, as the
 pairing survives specialization.  ``_Engine.rank_one`` decides this once per
-engine, on the first degree step, from the exact hypotheses.  With one seed,
-an orbit's row is the primitive part of its image (mod p: the image scaled
-to lead with 1), or none when the image is zero: ``linalg.lone_rows`` takes
-these for a whole batch at once, with no elimination.
+engine, on the first degree step, from the exact hypotheses.  A step on
+this class runs on arrays that span the whole degree (``_HeadSeeds``): the
+seeded orbits are one gather of the head nodes whose P has a row, the rows
+below are concatenated once, a batch is a range of seeded orbits whose seed
+values are one gather from that concatenation and whose source words are
+one ``node_words`` gather of its head nodes, and its orbits' output
+segments lie end to end.  With one seed, an orbit's row is the primitive
+part of its image (mod p: the image scaled to lead with 1), or none when
+the image is zero: ``linalg.lone_rows`` reduces a batch's output where it
+lies (one gcd reduction at the segment starts; mod p, each segment's first
+nonzero entry and its inverse), with no elimination, and each kept row is a
+view of its segment.
 
 Which orbits keep a row, on that class.  Let w = Psi_{l_1}(b_1) ...
 Psi_{l_r}(b_r) be an orbit's lambda-element (``orbits.classify``'s
@@ -100,8 +110,10 @@ S_j = T_j (S_{j-1} (x) id) for j = 2, ..., k in integers, on the orbits the
 element reaches only: split by the tail of its last k-j+1 letters, the
 image so far is a sum of rows on degree-(j-1) orbits P, and a row with tail
 y t seeds the node (P, y) of degree j, tagged with t.  The seeds of one tail
-and one degree-j orbit walk T_j together and sum to that orbit's row.  So a
-check, like a step, reads the word arrays of the degree below only.
+and one degree-j orbit walk T_j together into one output segment, where
+they sum to that orbit's row: they sit on distinct nodes, so each term
+sends them to distinct words.  So a check, like a step, reads the word
+arrays of the degree below only.
 ``degree2_relation_rank`` ranks its relations as integer rows in the
 engine's ``ExactIntRows``.  ``braiding_ops`` and ``symmetrizer_apply``
 (dense CycloElement vectors over all m^k words) are the reference oracle
@@ -118,6 +130,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -554,13 +567,29 @@ def _word_coefficients(terms, ctx: CycloCtx, m: int):
     summed: dict[int, CycloElement] = {}
     for c, word in terms:
         idx = word_index(word, m)
-        summed[idx] = summed.get(idx, 0) + _cyclo(c).to_order(ctx.order)
+        c = _cyclo(c).to_order(ctx.order)
+        summed[idx] = summed[idx] + c if idx in summed else c
     nums, den = ctx.to_int_array(summed.values())
     return np.array(list(summed), dtype=np.int64), nums, den
 
 
 # ---------------------------------------------------------------------------
 # fast symmetrizer chain
+
+
+def _batches(weights):
+    """Cut consecutive groups, of ``weights`` accumulator entries each, into
+    runs that stay within the larger of the largest group's and
+    ``_BATCH_BUDGET`` entries: a run closes before a group would pass that,
+    so a degree of many small orbits costs a few walks, not one per orbit.
+    Yields each run as a range of group indices."""
+    ends = np.cumsum(weights, dtype=np.int64)
+    limit = max(int(np.max(weights, initial=0)), _BATCH_BUDGET)
+    lo = 0
+    while lo < ends.size:
+        hi = int(np.searchsorted(ends, limit + (ends[lo - 1] if lo else 0), side="right"))
+        yield range(lo, hi)
+        lo = hi
 
 
 def _split(out, batch) -> list:
@@ -574,14 +603,73 @@ def _split(out, batch) -> list:
     return parts
 
 
-def _summed(acc) -> np.ndarray:
-    """The sum of a walk's output rows, in object arithmetic where the int64
-    sum could overflow."""
-    if len(acc) == 1:
-        return acc[0]
-    if acc.dtype != object and _max_abs(acc) * len(acc) >= _INT64_GUARD:
-        acc = _as_object(acc)
-    return acc.sum(axis=0)
+class _Entries(NamedTuple):
+    """A batch's seeds flattened for one staircase walk: the source words
+    that carry an entry, entry -> index into those words (a full slice when
+    that is the identity), entry -> the start of its output segment, entry
+    values ((phi,) exactly, one value mod p), the output length, and whether
+    the seeds mix int64 and object rows."""
+
+    words: np.ndarray
+    src: object
+    base: np.ndarray
+    vals: np.ndarray
+    n_out: int
+    mixed: bool
+
+
+class _HeadSeeds:
+    """The seeds of a degree-k step on the paper's class, as arrays over the
+    seeded degree-k orbits in ascending id (``orbits``, with their ``sizes``).
+
+    Orbit O is seeded once, at its head node (P, y) (``_Orbits.heads``), by
+    the row of P, and only when P kept one (see the module docstring).  The
+    rows of degree k-1 are concatenated once, so a batch's seed values are
+    one gather and its source words one ``node_words`` gather of its head
+    nodes; each seed walks into its orbit's segment, and the segments of a
+    batch lie end to end.
+    """
+
+    def __init__(self, engine: "_Engine", prev_rows: "OrbitRows", k: int) -> None:
+        m, below = engine.m, engine.orbits(k - 1)
+        self.here = engine.orbits(k)
+        kept = np.asarray(prev_rows.orbits, dtype=np.int64)
+        row_of = np.full(below.count, -1, dtype=np.int64)
+        row_of[kept] = np.arange(kept.size)
+        if np.count_nonzero(row_of >= 0) < kept.size:
+            raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
+        rows = row_of[self.here.heads // m]
+        self.orbits = np.flatnonzero(rows >= 0)
+        self.sizes = self.here.sizes[self.orbits]
+        self.nodes = self.here.heads[self.orbits]
+        rows = rows[self.orbits]
+        lengths = below.sizes[kept]
+        self.widths = lengths[rows]
+        self.first = (np.cumsum(lengths) - lengths)[rows]  # each seed's first value in flat
+        # object when some row below is; then each seed notes its row's dtype
+        self.flat = np.concatenate(prev_rows or [np.zeros(0, dtype=np.int64)])
+        self.objects = None
+        if self.flat.dtype == object:
+            self.objects = np.array([row.dtype == object for row in prev_rows])[rows]
+
+    def entries(self, part: range) -> _Entries:
+        """The walk entries of the seeds ``part``: every word of each head
+        node, each seed's output segment its orbit's, end to end."""
+        at = slice(part.start, part.stop)
+        widths, sizes = self.widths[at], self.sizes[at]
+        ends = np.cumsum(widths)
+        index = np.repeat(self.first[at] - ends + widths, widths)
+        index += np.arange(index.size)
+        vals = self.flat[index]
+        mixed = False
+        if self.objects is not None:
+            objects = self.objects[at]
+            mixed = bool(objects.any() and not objects.all())
+            if not objects.any():
+                vals = vals.astype(np.int64)
+        base = np.repeat(np.cumsum(sizes) - sizes, widths)
+        words = self.here.node_words(self.nodes[at])
+        return _Entries(words, slice(None), base, vals, int(sizes.sum()), mixed)
 
 
 class OrbitRows(list):
@@ -616,13 +704,6 @@ class OrbitRows(list):
             full[support] = row
             self.append(full)
         self.orbits += [orbit] * basis.rank
-
-    def add_lone(self, orbits, rows) -> None:
-        """Append each orbit's row, skipping the orbits whose row is None."""
-        for orbit, row in zip(orbits, rows):
-            if row is not None:
-                self.append(row)
-                self.orbits.append(orbit)
 
 
 class _Engine:
@@ -694,15 +775,14 @@ class _Engine:
         return self.hypotheses is not None and self.hypotheses.pairing_holds
 
     def _seed_blocks(self, prev_rows: OrbitRows, k: int):
-        """Group the seeds (row (x) w_j) of degree k by the orbit they lie in.
+        """Group the seeds (row (x) w_j) of degree k by the orbit they lie in,
+        off the paper's class (on it, ``_HeadSeeds`` selects one per orbit).
 
         Yields (orbit, size, blocks), orbit by orbit in ascending id; each
         block is (node, stacked rows).  A row on the degree-(k-1) orbit P
         seeds the node (P, j), with id P m + j, in orbit ``links[P m + j]``,
         as a vector over the node's words in orbit order.  Every node of a
-        seeded P gets P's rows, in ascending node id within each orbit; when
-        ``rank_one`` holds, only the smallest node of each orbit does, and
-        an orbit whose smallest node's P has no row gets none.
+        seeded P gets P's rows, in ascending node id within each orbit.
         """
         m = self.m
         here = self.orbits(k)
@@ -710,15 +790,8 @@ class _Engine:
         for row, orbit in zip(prev_rows, prev_rows.orbits):
             rows_of.setdefault(orbit, []).append(row)
         stacked = {orbit: np.stack(rows) for orbit, rows in rows_of.items()}
-        if self.rank_one:
-            if len(prev_rows) > len(stacked):
-                raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
-            has_row = np.zeros(self.orbits(k - 1).count, dtype=bool)
-            has_row[list(stacked)] = True
-            nodes = here.heads[has_row[here.heads // m]]
-        else:
-            nodes = (np.array(sorted(stacked), dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
-            nodes = nodes[np.argsort(here.links[nodes], kind="stable")]
+        nodes = (np.array(sorted(stacked), dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
+        nodes = nodes[np.argsort(here.links[nodes], kind="stable")]
         sizes = here.sizes.tolist()
         for orbit, group in groupby(zip(here.links[nodes].tolist(), nodes.tolist()), itemgetter(0)):
             yield orbit, sizes[orbit], [(node, stacked[node // m]) for _, node in group]
@@ -782,58 +855,46 @@ class _Engine:
             peak = None if scal.dtype == object else _max_abs(scal)
             yield cur, scal, den, peak
 
-    def _batches(self, groups):
-        """Split one degree's orbit groups (orbit, size, blocks) into runs of
-        consecutive groups whose accumulators (seed rows x orbit size)
-        together stay within the larger of the largest single group's and
-        ``_BATCH_BUDGET`` entries, so a degree of many small orbits costs a
-        few walks, not one per orbit.  ``_staircase`` bisects a batch whose
-        walk would leave int64."""
-        groups = list(groups)
-        weights = [size * sum(len(rows) for _, rows in blocks) for _, size, blocks in groups]
-        limit = max(max(weights, default=0), _BATCH_BUDGET)
-        batch, total = [], 0
-        for group, weight in zip(groups, weights):
-            if batch and total + weight > limit:
-                yield batch
-                batch, total = [], 0
-            batch.append(group)
-            total += weight
-        if batch:
-            yield batch
+    def _staircase(self, k: int, batch, flatten):
+        """T_k applied to the seeds of a batch, scaled by r_den^(k-1) to
+        integers: yields (part, walk output) for the parts the batch was
+        walked in.
 
-    def _staircase(self, k: int, batch):
-        """T_k applied to the seed rows of a batch of degree-k orbit groups,
-        scaled by r_den^(k-1) to integers.
-
-        ``batch`` holds (orbit, size, blocks) as ``_seed_blocks`` yields
-        them.  Returns one (seed rows, size, phi) array per group, indexed by
-        position in the orbit.  The groups are walked together; an orbit's
-        arithmetic turns object exactly where its own int64 bound would be
-        crossed, so a batch that would cross the bound is bisected, and an
-        orbit turns object only when it is walked alone.
+        ``batch`` is a sequence of orbit groups that slices into halves (a
+        list of ``_seed_blocks`` groups, or a range of ``_HeadSeeds``), and
+        ``flatten(part)`` gives a part's ``_Entries``.  The groups are walked
+        together; an orbit's arithmetic turns object exactly where its own
+        int64 bound would be crossed, so a batch whose seeds mix int64 and
+        object rows, or whose walk would cross the bound, is bisected, and
+        an orbit turns object only when it is walked alone.
         """
-        if len(batch) == 1:
-            return self._staircase_walk(k, batch, promote=True)
-        accs = self._staircase_walk(k, batch, promote=False)
-        if accs is not None:
-            return accs
+        out = self._staircase_walk(k, flatten(batch), promote=len(batch) == 1)
+        if out is not None:
+            yield batch, out
+            return
         half = len(batch) // 2
-        return self._staircase(k, batch[:half]) + self._staircase(k, batch[half:])
+        yield from self._staircase(k, batch[:half], flatten)
+        yield from self._staircase(k, batch[half:], flatten)
 
-    def _entries(self, k: int, batch):
-        """Flatten a batch's seed rows into entries, one per nonzero seed
-        coefficient.  Returns (the source words that carry an entry, entry ->
-        index into those words (a full slice when that is the identity),
-        entry -> offset in the output, entry values, output length); the
-        output holds one segment of the orbit's size per seed, group after
-        group.
+    def _walks(self, k: int, batch, flatten, p: int | None):
+        """(part, walk output) pairs of a batch, exactly (``_staircase``) or
+        over F_p (``_mod_walk``, one walk per batch)."""
+        if p is None:
+            return self._staircase(k, batch, flatten)
+        return [(batch, self._mod_walk(p, k, flatten(batch)))]
+
+    def _entries(self, k: int, batch, summed: bool = False) -> _Entries:
+        """Flatten a batch of orbit groups (orbit, size, blocks), as
+        ``_seed_blocks`` yields them, into entries, one per nonzero seed
+        coefficient.  The output holds one segment of the orbit's size per
+        seed row, group after group; when ``summed``, every block holds one
+        row and a group's rows walk into one segment, where they add up.
 
         A block's columns are its node's words, in orbit order.  Only the
         columns that carry an entry gather their words (on w1 at degree 9,
         18,144 of the 396,288 columns of the seed blocks)."""
         below, m = self.orbits(k - 1), self.m
-        nodes, vals, spans = [], [], []
+        nodes, vals, spans, dtypes = [], [], [], set()
         n_out = 0
         for _, size, blocks in batch:
             for node, rows in blocks:
@@ -841,7 +902,11 @@ class _Engine:
                 spans.append((n_out, size))  # first output offset, stride
                 # (phi,) per entry for exact rows, (1,) for mod-p rows
                 vals.append(rows.reshape(rows.shape[0] * rows.shape[1], -1))
-                n_out += len(rows) * size
+                dtypes.add(rows.dtype == object)
+                if not summed:
+                    n_out += len(rows) * size
+            if summed:
+                n_out += size
         nodes = np.array(nodes, dtype=np.int64)
         # entry e of a block is its row e // width on column e % width;
         # only the nonzero entries get indices, and src numbers an entry's
@@ -866,27 +931,28 @@ class _Engine:
             src = number[src]
         words = self.orbits(k).column_words(nodes, kept)
         if src.size == words.size and (src[1:] > src[:-1]).all():
-            src = slice(None)  # one entry per word, in order (one seed per orbit): no gathers
-        return words, src, base, vals[nonzero], n_out
+            src = slice(None)  # one entry per word, in order: no gathers
+        return _Entries(words, src, base, vals[nonzero], n_out, len(dtypes) > 1)
 
-    def _staircase_walk(self, k: int, batch, promote: bool):
+    def _staircase_walk(self, k: int, entries: _Entries, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
-        source words that carry one.
+        source words that carry one; returns the output.
 
-        A term is injective on the words and every seed owns its own output
-        segment, so the output indices within one term are distinct and a
-        plain scatter-add is exact.  The int64 bound takes each term's peak
-        over the walked words only, which bounds every accumulated entry
-        since a word without an entry adds nothing.  Returns None instead of
-        turning int64 orbits object unless ``promote``; a batch whose seeds
-        are all object already is walked in object arithmetic.
+        A term is injective on the words, and the seeds that share an output
+        segment sit on distinct words of one orbit, so the output indices
+        within one term are distinct and a plain scatter-add is exact.  The
+        int64 bound takes each term's peak over the walked words only, which
+        bounds every accumulated entry, since an entry takes at most one
+        contribution per term and a word without an entry adds nothing.
+        Returns None instead of turning int64 orbits object unless
+        ``promote``, and for seeds that mix int64 and object rows; seeds
+        that are all object already are walked in object arithmetic.
         """
         ctx = self.ctx
-        dtypes = {rows.dtype == object for *_, blocks in batch for _, rows in blocks}
-        object_mode = True in dtypes
-        if len(dtypes) > 1 and not promote:
+        if entries.mixed and not promote:
             return None
-        words, src, base, vals, n_out = self._entries(k, batch)
+        words, src, base, vals, n_out, _ = entries
+        object_mode = vals.dtype == object
         seed_max = 0 if object_mode else _max_abs(vals)
         out = np.zeros((n_out, ctx.phi), dtype=object if object_mode else np.int64)
         total_den = self.r_den ** (k - 1)
@@ -907,17 +973,17 @@ class _Engine:
             if scale != 1:
                 scal = scal * scale
             out[base + at[src]] += mul_rows_elementwise(vals, scal[src], ctx)
-        return _split(out, batch)
+        return out
 
-    def _mod_walk(self, p: int, k: int, batch):
+    def _mod_walk(self, p: int, k: int, entries: _Entries):
         """``_staircase_walk`` over F_p: one running product per word,
         reduced mod p at every term, times each entry's value mod p.  Each
         term reduces the sums it adds to, on the entries it touches only, so
         the output lies in [0, p) without a pass over the whole of it."""
         rmod = self.r_mod(p)
-        words, src, base, vals, n_out = self._entries(k, batch)
+        words, src, base, vals, n_out, _ = entries
         acc = np.zeros(n_out, dtype=np.int64)
-        vals = vals[:, 0]
+        vals = vals.reshape(-1)
         scal = np.ones(words.size, dtype=np.int64)
         for (_, sidx), at in self._located(k, self._images(k, words)):
             if sidx is None:
@@ -931,26 +997,43 @@ class _Engine:
             term = acc[idx] + term  # below 2p
             np.subtract(term, p, out=term, where=term >= p)
             acc[idx] = term
-        return _split(acc, batch)
+        return acc
 
-    def _step(self, prev_rows: OrbitRows, k: int, walk, p: int | None = None):
+    def _step(self, prev_rows: OrbitRows, k: int, p: int | None = None):
         """One degree of the recursion: the span of the staircase images of
-        (previous basis) (x) (generators), each batch's by ``walk(k, batch)``,
-        exactly or over F_p.  Returns (basis rows, dim)."""
+        (previous basis) (x) (generators), exactly or over F_p.  Returns
+        (basis rows, dim).
+
+        On the paper's class the seeds are whole-degree arrays
+        (``_HeadSeeds``), and ``lone_rows`` reduces each batch's output where
+        it lies: an orbit's row is a view of its segment, or none.  Off it,
+        each orbit's seed images are eliminated (``OrbitRows.add_span``)."""
         out = OrbitRows()
+        if self.rank_one:
+            seeds = _HeadSeeds(self, prev_rows, k)
+            for run in _batches(seeds.sizes):
+                for part, acc in self._walks(k, run, seeds.entries, p):
+                    at = slice(part.start, part.stop)
+                    sizes = seeds.sizes[at]
+                    keep, rows = lone_rows(acc, sizes, p)
+                    kept = (a[keep].tolist() for a in (seeds.orbits[at], np.cumsum(sizes), sizes))
+                    for orbit, end, size in zip(*kept):
+                        out.append(rows[end - size : end])
+                        out.orbits.append(orbit)
+            return out, len(out)
         space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
-        for batch in self._batches(self._seed_blocks(prev_rows, k)):
-            accs = walk(k, batch)
-            if self.rank_one:  # one seed per orbit: its image's primitive part, or mod p led by 1
-                out.add_lone([orbit for orbit, *_ in batch], lone_rows([acc[0] for acc in accs], p))
-                continue
-            for (orbit, *_), acc in zip(batch, accs):
-                out.add_span(orbit, acc, space)
+        groups = list(self._seed_blocks(prev_rows, k))
+        weights = [size * sum(len(rows) for _, rows in blocks) for _, size, blocks in groups]
+        for run in _batches(weights):
+            batch = groups[run.start : run.stop]
+            for part, acc in self._walks(k, batch, partial(self._entries, k), p):
+                for (orbit, *_), seeds in zip(part, _split(acc, part)):
+                    out.add_span(orbit, seeds, space)
         return out, len(out)
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
         """One exact degree step (``_step``).  Returns (basis rows, dim)."""
-        return self._step(prev_rows, k, self._staircase)
+        return self._step(prev_rows, k)
 
     def symmetrize(self, k: int, words, coeffs):
         """The full degree-k symmetrizer of sum_t coeffs[t] * words[t] on the
@@ -962,9 +1045,9 @@ class _Engine:
         degree j the element is a sum of pieces v (x) t: a tail t of its last
         k-j+1 letters and a row v on one degree-(j-1) orbit P.  With t = y t',
         the piece seeds the node (P, y) of degree j, tagged with t'; the
-        seeds of one tail and one degree-j orbit walk T_j together and sum to
-        that orbit's row.  The orbits of degree 0 and 1 are single words.
-        Returns (den, blocks): each block is (degree-k orbit, integer row)
+        seeds of one tail and one degree-j orbit walk T_j together into one
+        output segment, where they sum to that orbit's row.  The orbits of
+        degree 0 and 1 are single words.  Returns (den, blocks): each block is (degree-k orbit, integer row)
         and the image is row / den, with den = r_den^(k(k-1)/2).
         """
         m, first = self.m, min(k, 1)
@@ -980,8 +1063,12 @@ class _Engine:
                 groups.setdefault((rest, int(here.links[node])), []).append((node, row[None]))
             keys = sorted(groups)
             batch = [(orbit, int(here.sizes[orbit]), groups[rest, orbit]) for rest, orbit in keys]
-            accs = [acc for part in self._batches(batch) for acc in self._staircase(j, part)]
-            pieces = [(rest, orbit, _summed(acc)) for (rest, orbit), acc in zip(keys, accs)]
+            flatten = partial(self._entries, j, summed=True)
+            rows = []
+            for run in _batches([size for _, size, _ in batch]):
+                for part, acc in self._staircase(j, batch[run.start : run.stop], flatten):
+                    rows += np.split(acc, np.cumsum([size for _, size, _ in part[:-1]]))
+            pieces = [(rest, orbit, row) for (rest, orbit), row in zip(keys, rows)]
         den = self.r_den ** (k * (k - 1) // 2)
         return den, [(orbit, row) for _, orbit, row in pieces]
 
@@ -1001,7 +1088,7 @@ class _Engine:
 
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
         """One degree step over F_p (``_step``).  Returns (basis rows, dim)."""
-        return self._step(prev_vecs, k, partial(self._mod_walk, p), p)
+        return self._step(prev_vecs, k, p)
 
 
 # ---------------------------------------------------------------------------

@@ -365,20 +365,37 @@ def _same_row(got, expected):
         assert got.tolist() == expected.tolist()
 
 
+def _lone_list(arrays, p=None):
+    """``lone_rows`` over the arrays as segments of one concatenation, one
+    call per dtype: each array's row, or None where it keeps none."""
+    out = [None] * len(arrays)
+    for dtype in {a.dtype for a in arrays} or {np.dtype(np.int64)}:
+        picks = [t for t, a in enumerate(arrays) if a.dtype == dtype]
+        sizes = [len(arrays[t]) for t in picks]
+        flat = np.concatenate([arrays[t] for t in picks]) if picks else np.zeros(0, dtype=dtype)
+        keep, rows = lone_rows(flat, sizes, p)
+        assert keep.dtype == bool and keep.shape == (len(picks),)
+        ends = np.cumsum(sizes, dtype=np.int64)
+        for t, kept, end, size in zip(picks, keep, ends, sizes):
+            out[t] = rows[end - size : end] if kept else None
+    return out
+
+
 @pytest.mark.parametrize("order", [1, 3, 5])
 def test_lone_rows_match_exact_insert(order):
     # the batched primitive parts against one insert into an empty space,
-    # bit for bit, over a mix of dtypes and sizes in one call, and alone
+    # bit for bit, over segments of several sizes in one call per dtype, and
+    # alone
     rng = random.Random(order)
     ctx = CycloCtx(order)
     arrays = [a for size in (1, 3, 8) for a in _lone_arrays(rng, (size, ctx.phi))]
-    for arr, got in zip(arrays, lone_rows(arrays)):
+    for arr, got in zip(arrays, _lone_list(arrays)):
         space = ExactIntRows(ctx, arr.shape[0])
         space.insert(arr)
         expected = space.rows[0] if space.rank else None
         _same_row(got, expected)
-        _same_row(lone_rows([arr])[0], expected)
-    assert any(got is None for got in lone_rows(arrays))
+        _same_row(_lone_list([arr])[0], expected)
+    assert any(got is None for got in _lone_list(arrays))
 
 
 @pytest.mark.parametrize("p", [2, 7, 2 ** 31 - 1])
@@ -396,13 +413,13 @@ def test_lone_rows_match_mod_insert(p):
             values = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(size)]
             arrays.append(np.array(values, dtype=np.int64))
     rng.shuffle(arrays)
-    for arr, got in zip(arrays, lone_rows(arrays, p)):
+    for arr, got in zip(arrays, _lone_list(arrays, p)):
         space = ModRows(p, arr.size)
         space.insert(arr)
         expected = space.rows[0] if space.rank else None
         _same_row(got, expected)
-        _same_row(lone_rows([arr], p)[0], expected)
-    assert lone_rows([]) == [] and lone_rows([], p) == []
+        _same_row(_lone_list([arr], p)[0], expected)
+    assert _lone_list([]) == [] and _lone_list([], p) == []
 
 
 def _sparse_seeds(rng, count, size, trailing, low, high, dtype=np.int64):

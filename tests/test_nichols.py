@@ -789,11 +789,22 @@ def _random_elements(rng, entry, k):
     return out
 
 
-def test_relation_path_matches_reference_symmetrizer():
+def test_relation_path_matches_reference_symmetrizer(monkeypatch):
     # the orbit-blocked relation check against the dense CycloElement
-    # reference, on every catalog entry, vanishing and non-vanishing
+    # reference, on every catalog entry, vanishing and non-vanishing; the
+    # corpus walks some (tail, orbit) group of two or more seeded nodes into
+    # its one output segment
     rng = random.Random(11)
     seen = {True: 0, False: 0}
+    shared = []
+    entries = _Engine._entries
+
+    def recording(self, k, batch, summed=False):
+        if summed:
+            shared.extend(len(blocks) for _, _, blocks in batch if len(blocks) > 1)
+        return entries(self, k, batch, summed)
+
+    monkeypatch.setattr(_Engine, "_entries", recording)
     for name in catalog_names():
         entry = build_entry(name)
         for k in range(5):
@@ -804,6 +815,7 @@ def test_relation_path_matches_reference_symmetrizer():
                 assert check_relation(entry.system, element) == vanishes, (name, k)
                 seen[vanishes] += 1
     assert seen[True] >= 50 and seen[False] >= 50, seen
+    assert shared, "no relation group seeded two nodes"
 
 
 def test_relation_path_promotes_large_heights():
@@ -865,6 +877,24 @@ def _node_words(engine, k, blocks):
     return np.concatenate(words), [(sl, rows) for sl, (_, rows) in zip(slices, blocks)]
 
 
+def _reference_seeds(engine, prev_rows, k):
+    """The seed groups (orbit, size, [(node, stacked rows), ...]) of a
+    degree-k step, from the orbit graph alone, orbit by orbit in ascending
+    id: a row on the degree-(k-1) orbit P seeds every node (P, y), id
+    P m + y, in orbit links[P m + y], in ascending node id; on the paper's
+    class only an orbit's head node is seeded."""
+    m, here = engine.m, engine.orbits(k)
+    rows_of = {}
+    for row, orbit in zip(prev_rows, prev_rows.orbits):
+        rows_of.setdefault(orbit, []).append(row)
+    heads = set(here.heads.tolist())
+    groups = {}
+    for node in range(here.links.size):
+        if node // m in rows_of and (node in heads or not engine.rank_one):
+            groups.setdefault(int(here.links[node]), []).append((node, np.stack(rows_of[node // m])))
+    return [(orbit, int(here.sizes[orbit]), groups[orbit]) for orbit in sorted(groups)]
+
+
 def _add_dense_span(out, orbit, space, accs):
     """Insert every seed row, over the whole orbit, into the empty row space
     and append the basis it kept to ``out``."""
@@ -882,7 +912,7 @@ def _per_orbit_step(engine, prev_rows, k):
     here = engine.orbits(k)
     total_den = engine.r_den ** (k - 1)
     out = OrbitRows()
-    for orbit, size, blocks in engine._seed_blocks(prev_rows, k):
+    for orbit, size, blocks in _reference_seeds(engine, prev_rows, k):
         sources, blocks = _node_words(engine, k, blocks)
         object_mode = any(rows.dtype == object for _, rows in blocks)
         seed_max = max(_max_abs(rows) for _, rows in blocks)
@@ -946,16 +976,7 @@ def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
     # q = 1000003/1000001 alone, r_den^(k-1) crosses int64 in every orbit of
     # a degree at once, so a = 3 sets the orbits of z2-shift apart; with an
     # integer q the orbits without fixed pairs never grow.
-    refused = []
-    walk = _Engine._staircase_walk
-
-    def recording(self, k, batch, promote):
-        accs = walk(self, k, batch, promote)
-        if accs is None:
-            refused.append(len(batch))
-        return accs
-
-    monkeypatch.setattr(_Engine, "_staircase_walk", recording)
+    walks = _recording_walks(monkeypatch)
     mixed = 0
     cases = (
         ("z2-shift", {"q": "1000003/1000001", "a": "3"}, 6),
@@ -968,21 +989,25 @@ def test_batched_exact_step_promotes_orbit_by_orbit(monkeypatch):
         for _, rows in _checked_chain(engine, engine.m ** cap):
             mixed += {row.dtype == object for row in rows} == {True, False}
     assert mixed >= 4, mixed
+    refused = [len(orbits) for _, orbits, _, outs in walks if outs is None]
     assert refused and max(refused) > 1
 
 
 def _recording_walks(monkeypatch):
-    """Record each staircase walk as (degree, orbits of the batch, seeds
-    object?, outputs object? or None for a refused walk)."""
+    """Record each staircase walk as (degree, orbits it walks into, seeds
+    object? per orbit (None when they mix int64 and object rows), outputs
+    object? per orbit or None for a refused walk).  The orbits are those of
+    the walked words, read from the word labels of their degree."""
     walks = []
     walk = _Engine._staircase_walk
 
-    def recording(self, k, batch, promote):
-        accs = walk(self, k, batch, promote)
-        seeds = [any(rows.dtype == object for _, rows in blocks) for *_, blocks in batch]
-        outs = None if accs is None else [acc.dtype == object for acc in accs]
-        walks.append((k, [orbit for orbit, *_ in batch], seeds, outs))
-        return accs
+    def recording(self, k, entries, promote):
+        out = walk(self, k, entries, promote)
+        orbits = np.unique(self.orbits(k).label[entries.words]).tolist()
+        seeds = None if entries.mixed else [entries.vals.dtype == object] * len(orbits)
+        outs = None if out is None else [out.dtype == object] * len(orbits)
+        walks.append((k, orbits, seeds, outs))
+        return out
 
     monkeypatch.setattr(_Engine, "_staircase_walk", recording)
     return walks
@@ -1058,7 +1083,7 @@ def _per_orbit_mod_step(engine, prev_vecs, k, p):
     here = engine.orbits(k)
     rmod = engine.r_mod(p)
     out = OrbitRows()
-    for orbit, size, blocks in engine._seed_blocks(prev_vecs, k):
+    for orbit, size, blocks in _reference_seeds(engine, prev_vecs, k):
         sources, blocks = _node_words(engine, k, blocks)
         accs = [np.zeros((len(stacked), size), dtype=np.int64) for _, stacked in blocks]
         cur, scal = sources, np.ones(sources.size, dtype=np.int64)
@@ -1075,22 +1100,18 @@ def _per_orbit_mod_step(engine, prev_vecs, k, p):
 
 
 def test_mod_steps_hand_reduced_arrays_to_elimination(monkeypatch):
-    # the modular walk reduces its sums once: every array a modular step
-    # inserts (off the paper's class) or takes as a lone row (on it) lies
-    # in [0, p), at both primes of the order
+    # the modular walk reduces its sums once: every output a modular step
+    # hands on, to elimination (off the paper's class) or to the lone-row
+    # reduction (on it), lies in [0, p), at both primes of the order
     handed = []
-    add_span, lone_rows = OrbitRows.add_span, nichols.lone_rows
+    walk = _Engine._mod_walk
 
-    def recording_span(self, orbit, seeds, space):
-        handed.append(seeds)
-        add_span(self, orbit, seeds, space)
+    def recording(self, p, k, entries):
+        out = walk(self, p, k, entries)
+        handed.append(out)
+        return out
 
-    def recording_lone(arrays, p=None):
-        handed.extend(arrays)
-        return lone_rows(arrays, p)
-
-    monkeypatch.setattr(OrbitRows, "add_span", recording_span)
-    monkeypatch.setattr(nichols, "lone_rows", recording_lone)
+    monkeypatch.setattr(_Engine, "_mod_walk", recording)
     for name, top in (("w1", 8), ("x4-sigma", 5)):
         engine = _Engine(build_entry(name).system)
         for p in primes_for_order(engine.cs.order, count=2):
@@ -1162,7 +1183,7 @@ def _compare_to_full_seeds(cs, max_words):
         while fast.m ** (k + 1) <= max_words and len(ref):
             k += 1
             here = fast.orbits(k)
-            seeds = sum(len(r) for *_, blocks in fast._seed_blocks(rows, k) for _, r in blocks)
+            seeds = sum(len(r) for *_, blocks in _reference_seeds(fast, rows, k) for _, r in blocks)
             assert seeds <= here.count
             if p is None:
                 rows, dim = fast.exact_step(rows, k)
