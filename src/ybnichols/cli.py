@@ -20,6 +20,7 @@ from pathlib import Path
 from . import catalog as cat
 from .exact import BadPrime
 from .nichols import (
+    CapExceeded,
     CoefficientSystem,
     HypothesesNotMet,
     canonical_coefficients,
@@ -292,7 +293,10 @@ def cmd_relations(args) -> int:
     failures = 0
     results = []
     for label, terms in entry.relations:
-        image = relation_image(system, terms)
+        try:
+            image = relation_image(system, terms)
+        except CapExceeded as exc:
+            raise InputError(f"relation {label}: {exc}") from exc
         nonzero = sum(1 for x in image if x)
         ok = nonzero == 0
         failures += 0 if ok else 1

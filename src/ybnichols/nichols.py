@@ -21,18 +21,20 @@ shift.  An orbit lists its words node-major: node (P, y) holds the words
 u y with u in the degree-(k-1) orbit P, and a row is a vector over its
 orbit's words in that order.  Every basis row lives on one orbit, so each
 seed u (x) w_j lies in exactly one degree-k orbit, on the node (P, j) of
-u's orbit P.  A step walks the staircase terms once per batch of whole
-orbits, over the source words that carry a seed entry (off the paper's
-class only the nonzero ones: on w1 at degree 10, 6,048 of the 132,096
-words of the seeded orbits): the batch's seed rows are one flat list of
-entries, and each term is one gather, one cyclotomic product and one
+u's orbit P.
+
+Every staircase walk, of a degree step or of a relation check, reads its
+input from one seed table over the whole degree (``_SeedTable``): a seed
+is a node (P, y) with a row on P, and walks into a segment of its group's
+output.  A walk visits only the source words that carry a nonzero seed
+entry (on w1 at degree 10, 6,048 of the 132,096 words of the seeded
+orbits), and each term is one gather, one cyclotomic product and one
 scatter-add.
 
 The walk reads the positions of its words within their orbits from the
 degree below, by one rule: a word u y sits at the offset of its node (orbit
-of u, y) plus the position of u within that orbit.  Every seed block is a
-node (P, y) with rows on P, so its words are one gather of P's words below.
-By T_k = id + (T_{k-1} (x) id) c_{k-1}, every term after c_{k-1} moves only
+of u, y) plus the position of u within that orbit.  By
+T_k = id + (T_{k-1} (x) id) c_{k-1}, every term after c_{k-1} moves only
 u within its degree-(k-1) orbit, so from there on the node and its offset
 stay fixed.  A degree-k step therefore reads word-length arrays of degree
 k-1 only, and the top degree of a run (w1 at degree 10: 1,048,576 words)
@@ -64,18 +66,16 @@ nonzero row of P0 is a multiple of S_{k-1}(w_P0), and P0 has no row exactly
 when S_{k-1}(w_P0) = 0.  So the one seed (row of P0) (x) y0 spans O's image,
 and O gets no seed when P0 has no row.  The same holds mod p, as the
 pairing survives specialization.  ``_Engine.rank_one`` decides this once per
-engine, on the first degree step, from the exact hypotheses.  A step on
-this class runs on arrays that span the whole degree (``_HeadSeeds``): the
-seeded orbits are one gather of the head nodes whose P has a row, the rows
-below are concatenated once, a batch is a range of seeded orbits whose seed
-values are one gather from that concatenation and whose source words are
-one ``node_words`` gather of its head nodes, and its orbits' output
-segments lie end to end.  With one seed, an orbit's row is the primitive
-part of its image (mod p: the image scaled to lead with 1), or none when
-the image is zero: ``linalg.lone_rows`` reduces a batch's output where it
-lies (one gcd reduction at the segment starts; mod p, each segment's first
-nonzero entry and its inverse), with no elimination, and each kept row is a
-view of its segment.
+engine, on the first degree step, from the exact hypotheses.  On this
+class the seed table holds one seed per orbit whose head node's P kept a
+row, each its own group; by the factorization below every entry of such a
+seed is nonzero, so the walk takes each head node whole.  With one seed,
+an orbit's row is the primitive part of its image (mod p: the image
+scaled to lead with 1), or none when the image is zero:
+``linalg.lone_rows`` reduces a batch's output where it lies (one gcd
+reduction at the segment starts; mod p, each segment's first nonzero entry
+and its inverse), with no elimination, and each kept row is a view of its
+segment.
 
 Which orbits keep a row, on that class.  Let w = Psi_{l_1}(b_1) ...
 Psi_{l_r}(b_r) be an orbit's lambda-element (``orbits.classify``'s
@@ -109,11 +109,12 @@ steps.  ``check_relation`` and ``relation_image`` build
 S_j = T_j (S_{j-1} (x) id) for j = 2, ..., k in integers, on the orbits the
 element reaches only: split by the tail of its last k-j+1 letters, the
 image so far is a sum of rows on degree-(j-1) orbits P, and a row with tail
-y t seeds the node (P, y) of degree j, tagged with t.  The seeds of one tail
-and one degree-j orbit walk T_j together into one output segment, where
-they sum to that orbit's row: they sit on distinct nodes, so each term
-sends them to distinct words.  So a check, like a step, reads the word
-arrays of the degree below only.
+y t seeds the node (P, y) of degree j, tagged with t.  In the seed table
+each (tail, degree-j orbit) is one group whose seeds walk T_j into one
+segment, where they sum to that orbit's row: they sit on distinct nodes, so
+each term sends them to distinct words.  So a check, like a step, reads the
+word arrays of the degree below only.  Like ``graded_dims``, it refuses
+a degree of more than ``_DIMENSION_LIMIT`` words (CapExceeded).
 ``degree2_relation_rank`` ranks its relations as integer rows in the
 engine's ``ExactIntRows``.  ``braiding_ops`` and ``symmetrizer_apply``
 (dense CycloElement vectors over all m^k words) are the reference oracle
@@ -128,8 +129,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -502,10 +502,11 @@ def relation_image(cs: CoefficientSystem, element) -> list:
     """The symmetrizer image of a formal sum of scaled words.
 
     ``element`` is an iterable of (coefficient, word) pairs, all words of one
-    length; coefficients may be ints, Fractions or CycloElements.  The sum
+    length k; coefficients may be ints, Fractions or CycloElements.  The sum
     lies in the defining ideal exactly when the image vanishes.  The image is
     a dense list over all m^k words, at the lcm of the system's order and the
     coefficients' orders; it is zero off the orbits the element touches.
+    CapExceeded when m^k passes ``_DIMENSION_LIMIT``.
     """
     found = _relation_rows(cs, element)
     if found is None:
@@ -520,7 +521,8 @@ def relation_image(cs: CoefficientSystem, element) -> list:
 
 
 def check_relation(cs: CoefficientSystem, element) -> bool:
-    """True iff the formal sum lies in the kernel of the symmetrizer."""
+    """True iff the formal sum lies in the kernel of the symmetrizer
+    (CapExceeded as for ``relation_image``)."""
     found = _relation_rows(cs, element)
     if found is None:
         return True
@@ -547,6 +549,8 @@ def _relation_rows(cs: CoefficientSystem, element):
     if len(degrees) != 1:
         raise InhomogeneousElement(f"mixed degrees {sorted(degrees)}")
     k = degrees.pop()
+    if cs.size ** k > _DIMENSION_LIMIT:
+        raise CapExceeded(f"m^k = {cs.size ** k} exceeds the dimension limit {_DIMENSION_LIMIT}")
     order = math.lcm(cs.order, _common_order(c for c, _ in terms))
     if order != cs.order:
         checked_phi(order)
@@ -577,6 +581,14 @@ def _word_coefficients(terms, ctx: CycloCtx, m: int):
 # fast symmetrizer chain
 
 
+def _runs(keys):
+    """The distinct values of the ascending array ``keys``, and for each key
+    the index of its value among them."""
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh], np.cumsum(fresh) - 1
+
+
 def _batches(weights):
     """Cut consecutive groups, of ``weights`` accumulator entries each, into
     runs that stay within the larger of the largest group's and
@@ -590,17 +602,6 @@ def _batches(weights):
         hi = int(np.searchsorted(ends, limit + (ends[lo - 1] if lo else 0), side="right"))
         yield range(lo, hi)
         lo = hi
-
-
-def _split(out, batch) -> list:
-    """A batch's walk output, one segment of the orbit's size per seed row,
-    cut into one (seed rows, size[, phi]) array per group."""
-    parts, end = [], 0
-    for _, size, blocks in batch:
-        count = sum(len(rows) for _, rows in blocks)
-        parts.append(out[end : end + count * size].reshape(count, size, *out.shape[1:]))
-        end += count * size
-    return parts
 
 
 class _Entries(NamedTuple):
@@ -618,58 +619,97 @@ class _Entries(NamedTuple):
     mixed: bool
 
 
-class _HeadSeeds:
-    """The seeds of a degree-k step on the paper's class, as arrays over the
-    seeded degree-k orbits in ascending id (``orbits``, with their ``sizes``).
+class _SeedTable:
+    """The seeds of the walks of one degree k, as arrays over the whole
+    degree: the input of every staircase walk, built one way.
 
-    Orbit O is seeded once, at its head node (P, y) (``_Orbits.heads``), by
-    the row of P, and only when P kept one (see the module docstring).  The
-    rows of degree k-1 are concatenated once, so a batch's seed values are
-    one gather and its source words one ``node_words`` gather of its head
-    nodes; each seed walks into its orbit's segment, and the segments of a
-    batch lie end to end.
+    Seed s lies on the node ``nodes[s]`` (P, y), id P m + y, and carries
+    the row ``rows[s]`` of ``rows_below``, each a row on the degree-(k-1)
+    orbit ``orbits_below`` names; those rows are concatenated once.  It
+    walks into the segment, of its orbit's size, at ``offsets[s]`` inside
+    the output of its group ``groups[s]``, and seeds that share a segment
+    sum there.  Group g lies on the degree-k orbit ``orbits[g]`` and its
+    output is ``lengths[g]`` long.  The seeds are ordered by group, and the
+    outputs of the groups lie end to end, so a range of groups walks into
+    one array.
     """
 
-    def __init__(self, engine: "_Engine", prev_rows: "OrbitRows", k: int) -> None:
-        m, below = engine.m, engine.orbits(k - 1)
-        self.here = engine.orbits(k)
-        kept = np.asarray(prev_rows.orbits, dtype=np.int64)
-        row_of = np.full(below.count, -1, dtype=np.int64)
-        row_of[kept] = np.arange(kept.size)
-        if np.count_nonzero(row_of >= 0) < kept.size:
-            raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
-        rows = row_of[self.here.heads // m]
-        self.orbits = np.flatnonzero(rows >= 0)
-        self.sizes = self.here.sizes[self.orbits]
-        self.nodes = self.here.heads[self.orbits]
-        rows = rows[self.orbits]
-        lengths = below.sizes[kept]
-        self.widths = lengths[rows]
-        self.first = (np.cumsum(lengths) - lengths)[rows]  # each seed's first value in flat
+    def __init__(self, here, rows_below, orbits_below, nodes, rows, groups, offsets,
+                 orbits, lengths) -> None:
+        self.here, self.nodes, self.orbits, self.lengths = here, nodes, orbits, lengths
+        self.bounds = np.searchsorted(groups, np.arange(orbits.size + 1))  # group -> first seed
+        self.ends = np.cumsum(lengths)
+        self.starts = self.ends - lengths  # each group's output, degree-wide
+        self.segments = self.starts[groups] + offsets  # each seed's segment, degree-wide
+        widths = here.below.sizes[orbits_below]
+        self.widths = widths[rows]
+        self.first = (np.cumsum(widths) - widths)[rows]  # each seed's first value in flat
+        # a seed opens a block of columns, its node's words, unless the seed
+        # before it in its group lies on the same node
+        self.fresh = np.ones(nodes.size, dtype=bool)
+        self.fresh[1:] = (nodes[1:] != nodes[:-1]) | (groups[1:] != groups[:-1])
         # object when some row below is; then each seed notes its row's dtype
-        self.flat = np.concatenate(prev_rows or [np.zeros(0, dtype=np.int64)])
+        self.flat = np.concatenate(rows_below or [np.zeros(0, dtype=np.int64)])
         self.objects = None
         if self.flat.dtype == object:
-            self.objects = np.array([row.dtype == object for row in prev_rows])[rows]
+            self.objects = np.array([row.dtype == object for row in rows_below])[rows]
 
     def entries(self, part: range) -> _Entries:
-        """The walk entries of the seeds ``part``: every word of each head
-        node, each seed's output segment its orbit's, end to end."""
-        at = slice(part.start, part.stop)
-        widths, sizes = self.widths[at], self.sizes[at]
-        ends = np.cumsum(widths)
-        index = np.repeat(self.first[at] - ends + widths, widths)
+        """The walk entries of the groups ``part``: one per nonzero value of
+        each seed's row, on its node's words in orbit order.  A block of
+        seeds on one node shares the node's words, and only the words that
+        carry an entry are walked (on w1 at degree 9, 18,144 of the 396,288
+        words of the seeded nodes).  On the paper's class every value is
+        nonzero (the module docstring), so the walk takes whole nodes."""
+        seeds = slice(self.bounds[part.start], self.bounds[part.stop])
+        widths, fresh = self.widths[seeds], self.fresh[seeds]
+        starts = np.cumsum(widths) - widths  # each seed's first entry
+        index = np.repeat(self.first[seeds] - starts, widths)
         index += np.arange(index.size)
         vals = self.flat[index]
         mixed = False
         if self.objects is not None:
-            objects = self.objects[at]
+            objects = self.objects[seeds]
             mixed = bool(objects.any() and not objects.all())
             if not objects.any():
                 vals = vals.astype(np.int64)
-        base = np.repeat(np.cumsum(sizes) - sizes, widths)
-        words = self.here.node_words(self.nodes[at])
-        return _Entries(words, slice(None), base, vals, int(sizes.sum()), mixed)
+        first_out = self.starts[part.start]
+        base = np.repeat(self.segments[seeds] - first_out, widths)
+        n_out = int(self.ends[part.stop - 1] - first_out)
+        nodes = self.nodes[seeds]
+        live = (vals.reshape(len(vals), -1) != 0).any(axis=1)
+        if live.all() and fresh.all():  # one entry per word, in order: no gathers
+            return _Entries(self.here.node_words(nodes), slice(None), base, vals, n_out, mixed)
+        nodes = nodes[fresh]
+        # src numbers an entry's column over the blocks' words, block after block
+        block_widths = widths[fresh]
+        block_starts = np.cumsum(block_widths) - block_widths
+        src = np.repeat(block_starts[np.cumsum(fresh) - 1] - starts, widths)
+        src += np.arange(src.size)
+        live = np.flatnonzero(live)
+        src, base, vals = src[live], base[live], vals[live]
+        # keep the columns that carry an entry, and number them anew
+        used = np.zeros(int(block_widths.sum()), dtype=bool)
+        used[src] = True
+        kept = np.flatnonzero(used)
+        if kept.size < used.size:  # else the numbering is the identity
+            # a scatter: numpy's cumsum of a mask is slow
+            number = np.empty(used.size, dtype=np.int64)
+            number[kept] = np.arange(kept.size)
+            src = number[src]
+        words = self.here.column_words(nodes, kept)
+        if src.size == words.size and (src[1:] > src[:-1]).all():
+            src = slice(None)
+        return _Entries(words, src, base, vals, n_out, mixed)
+
+    def outputs(self, part: range, out) -> list:
+        """A walk output of the groups ``part`` cut into (orbit, output) per
+        group, each output shaped (segments, orbit size[, phi])."""
+        at = slice(part.start, part.stop)
+        pieces = zip(self.orbits[at].tolist(), np.cumsum(self.lengths[at]).tolist(),
+                     self.lengths[at].tolist(), self.here.sizes[self.orbits[at]].tolist())
+        return [(orbit, out[end - length : end].reshape(length // size, size, *out.shape[1:]))
+                for orbit, end, length, size in pieces]
 
 
 class OrbitRows(list):
@@ -774,27 +814,40 @@ class _Engine:
         spans its image; see the module docstring."""
         return self.hypotheses is not None and self.hypotheses.pairing_holds
 
-    def _seed_blocks(self, prev_rows: OrbitRows, k: int):
-        """Group the seeds (row (x) w_j) of degree k by the orbit they lie in,
-        off the paper's class (on it, ``_HeadSeeds`` selects one per orbit).
-
-        Yields (orbit, size, blocks), orbit by orbit in ascending id; each
-        block is (node, stacked rows).  A row on the degree-(k-1) orbit P
-        seeds the node (P, j), with id P m + j, in orbit ``links[P m + j]``,
-        as a vector over the node's words in orbit order.  Every node of a
-        seeded P gets P's rows, in ascending node id within each orbit.
-        """
-        m = self.m
+    def _head_seeds(self, prev_rows: OrbitRows, k: int) -> _SeedTable:
+        """The seeds of a degree-k step on the paper's class: orbit O is
+        seeded once, at its head node (P, y) (``_Orbits.heads``), by the row
+        of P, and only when P kept one (see the module docstring)."""
         here = self.orbits(k)
-        rows_of: dict[int, list] = {}
-        for row, orbit in zip(prev_rows, prev_rows.orbits):
-            rows_of.setdefault(orbit, []).append(row)
-        stacked = {orbit: np.stack(rows) for orbit, rows in rows_of.items()}
-        nodes = (np.array(sorted(stacked), dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
-        nodes = nodes[np.argsort(here.links[nodes], kind="stable")]
-        sizes = here.sizes.tolist()
-        for orbit, group in groupby(zip(here.links[nodes].tolist(), nodes.tolist()), itemgetter(0)):
-            yield orbit, sizes[orbit], [(node, stacked[node // m]) for _, node in group]
+        kept = np.asarray(prev_rows.orbits, dtype=np.int64)
+        row_of = np.full(here.below.count, -1, dtype=np.int64)
+        row_of[kept] = np.arange(kept.size)
+        if np.count_nonzero(row_of >= 0) < kept.size:
+            raise AssertionError(f"an orbit of degree {k - 1} kept more than one row")
+        rows = row_of[here.heads // self.m]
+        orbits = np.flatnonzero(rows >= 0)
+        seeds = np.arange(orbits.size)
+        return _SeedTable(here, prev_rows, kept, here.heads[orbits], rows[orbits], seeds,
+                          np.zeros_like(seeds), orbits, here.sizes[orbits])
+
+    def _node_seeds(self, prev_rows: OrbitRows, k: int) -> _SeedTable:
+        """The seeds of a degree-k step off the paper's class: a row on the
+        degree-(k-1) orbit P seeds every node (P, y), id P m + y, in orbit
+        ``links[P m + y]``.  The seeds are ordered by (orbit, node, row), each
+        walks into its own segment, and each orbit is one group."""
+        m, here = self.m, self.orbits(k)
+        kept = np.asarray(prev_rows.orbits, dtype=np.int64)
+        rows = np.repeat(np.arange(kept.size), m)
+        nodes = (kept[:, None] * m + np.arange(m)).ravel()
+        order = np.lexsort((rows, nodes, here.links[nodes]))
+        rows, nodes = rows[order], nodes[order]
+        orbits, groups = _runs(here.links[nodes])
+        counts = np.bincount(groups, minlength=orbits.size)
+        sizes = here.sizes[orbits]
+        offsets = (np.arange(nodes.size) - (np.cumsum(counts) - counts)[groups]) * sizes[groups]
+        return _SeedTable(
+            here, prev_rows, kept, nodes, rows, groups, offsets, orbits, counts * sizes
+        )
 
     # -- exact chain
 
@@ -855,84 +908,30 @@ class _Engine:
             peak = None if scal.dtype == object else _max_abs(scal)
             yield cur, scal, den, peak
 
-    def _staircase(self, k: int, batch, flatten):
-        """T_k applied to the seeds of a batch, scaled by r_den^(k-1) to
-        integers: yields (part, walk output) for the parts the batch was
-        walked in.
+    def _staircase(self, k: int, seeds: _SeedTable, part: range):
+        """T_k applied to the seeds of the groups ``part``, scaled by
+        r_den^(k-1) to integers: yields (part, walk output) for the parts the
+        groups were walked in.
 
-        ``batch`` is a sequence of orbit groups that slices into halves (a
-        list of ``_seed_blocks`` groups, or a range of ``_HeadSeeds``), and
-        ``flatten(part)`` gives a part's ``_Entries``.  The groups are walked
-        together; an orbit's arithmetic turns object exactly where its own
-        int64 bound would be crossed, so a batch whose seeds mix int64 and
-        object rows, or whose walk would cross the bound, is bisected, and
-        an orbit turns object only when it is walked alone.
+        The groups are walked together; an orbit's arithmetic turns object
+        exactly where its own int64 bound would be crossed, so a part whose
+        seeds mix int64 and object rows, or whose walk would cross the bound,
+        is bisected, and an orbit turns object only when it is walked alone.
         """
-        out = self._staircase_walk(k, flatten(batch), promote=len(batch) == 1)
+        out = self._staircase_walk(k, seeds.entries(part), promote=len(part) == 1)
         if out is not None:
-            yield batch, out
+            yield part, out
             return
-        half = len(batch) // 2
-        yield from self._staircase(k, batch[:half], flatten)
-        yield from self._staircase(k, batch[half:], flatten)
+        half = len(part) // 2
+        yield from self._staircase(k, seeds, part[:half])
+        yield from self._staircase(k, seeds, part[half:])
 
-    def _walks(self, k: int, batch, flatten, p: int | None):
-        """(part, walk output) pairs of a batch, exactly (``_staircase``) or
-        over F_p (``_mod_walk``, one walk per batch)."""
+    def _walks(self, k: int, seeds: _SeedTable, part: range, p: int | None):
+        """(part, walk output) pairs of the groups ``part``, exactly
+        (``_staircase``) or over F_p (``_mod_walk``, one walk per part)."""
         if p is None:
-            return self._staircase(k, batch, flatten)
-        return [(batch, self._mod_walk(p, k, flatten(batch)))]
-
-    def _entries(self, k: int, batch, summed: bool = False) -> _Entries:
-        """Flatten a batch of orbit groups (orbit, size, blocks), as
-        ``_seed_blocks`` yields them, into entries, one per nonzero seed
-        coefficient.  The output holds one segment of the orbit's size per
-        seed row, group after group; when ``summed``, every block holds one
-        row and a group's rows walk into one segment, where they add up.
-
-        A block's columns are its node's words, in orbit order.  Only the
-        columns that carry an entry gather their words (on w1 at degree 9,
-        18,144 of the 396,288 columns of the seed blocks)."""
-        below, m = self.orbits(k - 1), self.m
-        nodes, vals, spans, dtypes = [], [], [], set()
-        n_out = 0
-        for _, size, blocks in batch:
-            for node, rows in blocks:
-                nodes.append(node)
-                spans.append((n_out, size))  # first output offset, stride
-                # (phi,) per entry for exact rows, (1,) for mod-p rows
-                vals.append(rows.reshape(rows.shape[0] * rows.shape[1], -1))
-                dtypes.add(rows.dtype == object)
-                if not summed:
-                    n_out += len(rows) * size
-            if summed:
-                n_out += size
-        nodes = np.array(nodes, dtype=np.int64)
-        # entry e of a block is its row e // width on column e % width;
-        # only the nonzero entries get indices, and src numbers an entry's
-        # column over all blocks
-        width = below.sizes[nodes // m]
-        lengths = np.array([len(v) for v in vals])
-        ends = np.cumsum(lengths)
-        vals = np.concatenate(vals)
-        nonzero = np.flatnonzero((vals != 0).any(axis=1))
-        block = np.searchsorted(ends, nonzero, side="right")
-        row, col = np.divmod(nonzero - (ends - lengths)[block], width[block])
-        first_out, stride = np.array(spans, dtype=np.int64)[block].T
-        col_ends = np.cumsum(width)
-        src, base = (col_ends - width)[block] + col, first_out + row * stride
-        # keep the columns that carry an entry, and number them anew
-        used = np.zeros(int(col_ends[-1]), dtype=bool)
-        used[src] = True
-        kept = np.flatnonzero(used)
-        if kept.size < used.size:  # else the numbering is the identity
-            number = np.empty(used.size, dtype=np.int64)  # a scatter: numpy's cumsum of a mask is slow
-            number[kept] = np.arange(kept.size)
-            src = number[src]
-        words = self.orbits(k).column_words(nodes, kept)
-        if src.size == words.size and (src[1:] > src[:-1]).all():
-            src = slice(None)  # one entry per word, in order: no gathers
-        return _Entries(words, src, base, vals[nonzero], n_out, len(dtypes) > 1)
+            return self._staircase(k, seeds, part)
+        return [(part, self._mod_walk(p, k, seeds.entries(part)))]
 
     def _staircase_walk(self, k: int, entries: _Entries, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
@@ -1004,31 +1003,26 @@ class _Engine:
         (previous basis) (x) (generators), exactly or over F_p.  Returns
         (basis rows, dim).
 
-        On the paper's class the seeds are whole-degree arrays
-        (``_HeadSeeds``), and ``lone_rows`` reduces each batch's output where
-        it lies: an orbit's row is a view of its segment, or none.  Off it,
-        each orbit's seed images are eliminated (``OrbitRows.add_span``)."""
+        On the paper's class each orbit has one seed (``_head_seeds``), and
+        ``lone_rows`` reduces each batch's output where it lies: an orbit's
+        row is a view of its segment, or none.  Off it, each orbit's seed
+        images are eliminated (``OrbitRows.add_span``)."""
         out = OrbitRows()
-        if self.rank_one:
-            seeds = _HeadSeeds(self, prev_rows, k)
-            for run in _batches(seeds.sizes):
-                for part, acc in self._walks(k, run, seeds.entries, p):
+        seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
+        space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
+        for run in _batches(seeds.lengths):
+            for part, acc in self._walks(k, seeds, run, p):
+                if self.rank_one:
                     at = slice(part.start, part.stop)
-                    sizes = seeds.sizes[at]
+                    sizes = seeds.lengths[at]
                     keep, rows = lone_rows(acc, sizes, p)
                     kept = (a[keep].tolist() for a in (seeds.orbits[at], np.cumsum(sizes), sizes))
                     for orbit, end, size in zip(*kept):
                         out.append(rows[end - size : end])
                         out.orbits.append(orbit)
-            return out, len(out)
-        space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
-        groups = list(self._seed_blocks(prev_rows, k))
-        weights = [size * sum(len(rows) for _, rows in blocks) for _, size, blocks in groups]
-        for run in _batches(weights):
-            batch = groups[run.start : run.stop]
-            for part, acc in self._walks(k, batch, partial(self._entries, k), p):
-                for (orbit, *_), seeds in zip(part, _split(acc, part)):
-                    out.add_span(orbit, seeds, space)
+                else:
+                    for orbit, images in seeds.outputs(part, acc):
+                        out.add_span(orbit, images, space)
         return out, len(out)
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
@@ -1044,33 +1038,33 @@ class _Engine:
         (n, phi) integer power-basis vectors (int64 or object).  Before
         degree j the element is a sum of pieces v (x) t: a tail t of its last
         k-j+1 letters and a row v on one degree-(j-1) orbit P.  With t = y t',
-        the piece seeds the node (P, y) of degree j, tagged with t'; the
-        seeds of one tail and one degree-j orbit walk T_j together into one
-        output segment, where they sum to that orbit's row.  The orbits of
-        degree 0 and 1 are single words.  Returns (den, blocks): each block is (degree-k orbit, integer row)
-        and the image is row / den, with den = r_den^(k(k-1)/2).
+        the piece seeds the node (P, y) of degree j; one group per tail t'
+        and degree-j orbit, whose seeds walk T_j into one output segment and
+        sum there to that orbit's row.  The orbits of degree 0 and 1 are
+        single words.  Returns (den, blocks): each block is (degree-k orbit,
+        integer row) and the image is row / den, with den = r_den^(k(k-1)/2).
         """
         m, first = self.m, min(k, 1)
         heads, tails = np.divmod(words, m ** (k - first))
         orbits = self.orbits(first).label[heads]
-        pieces = list(zip(tails.tolist(), orbits.tolist(), coeffs[:, None]))
+        rows = list(coeffs[:, None])
         for j in range(2, k + 1):
-            here, span = self.orbits(j), m ** (k - j)
-            groups: dict[tuple, list] = {}
-            for tail, orbit, row in pieces:
-                letter, rest = divmod(tail, span)
-                node = orbit * m + letter
-                groups.setdefault((rest, int(here.links[node])), []).append((node, row[None]))
-            keys = sorted(groups)
-            batch = [(orbit, int(here.sizes[orbit]), groups[rest, orbit]) for rest, orbit in keys]
-            flatten = partial(self._entries, j, summed=True)
+            here = self.orbits(j)
+            letters, tails = np.divmod(tails, m ** (k - j))
+            nodes = orbits * m + letters
+            keys = tails * here.count + here.links[nodes]
+            order = np.lexsort((nodes, keys))
+            keys, groups = _runs(keys[order])
+            tails, placed = np.divmod(keys, here.count)
+            seeds = _SeedTable(here, rows, orbits, nodes[order], order, groups,
+                               np.zeros_like(order), placed, here.sizes[placed])
             rows = []
-            for run in _batches([size for _, size, _ in batch]):
-                for part, acc in self._staircase(j, batch[run.start : run.stop], flatten):
-                    rows += np.split(acc, np.cumsum([size for _, size, _ in part[:-1]]))
-            pieces = [(rest, orbit, row) for (rest, orbit), row in zip(keys, rows)]
+            for run in _batches(seeds.lengths):
+                for part, acc in self._staircase(j, seeds, run):
+                    rows += [images[0] for _, images in seeds.outputs(part, acc)]
+            orbits = placed
         den = self.r_den ** (k * (k - 1) // 2)
-        return den, [(orbit, row) for _, orbit, row in pieces]
+        return den, list(zip(orbits.tolist(), rows))
 
     def specialize_rows(self, rows: OrbitRows, p: int) -> OrbitRows:
         """Mod-p images of exact basis rows (rows are primitive integers)."""

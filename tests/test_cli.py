@@ -312,6 +312,10 @@ def test_relations_commands():
     # off the documented point there is no published relation list
     code, _, err = run_cli(["relations", "z2-shift", "--param", "a=2"])
     assert code == 2
+    # at q = zeta25 the power relations have degree 25: past the 2^22-word
+    # limit, an input error instead of a run out of memory
+    code, _, err = run_cli(["relations", "z2-shift", "--q", "zeta25", "--json"])
+    assert code == 2 and "dimension limit" in err and "Traceback" not in err
 
 
 def test_phi_command():

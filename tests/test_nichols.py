@@ -25,6 +25,7 @@ from ybnichols.catalog import ConstraintViolation
 from ybnichols.linalg import ExactIntRows, ModRows, _max_abs, apply, mul_rows_elementwise, rank
 from ybnichols.nichols import (
     _Engine,
+    _SeedTable,
     _relation_engine,
     OrbitRows,
     CapExceeded,
@@ -229,6 +230,28 @@ def test_graded_dims_dimension_limit_guard(monkeypatch):
     g = graded_dims(cs, cap=30, mode="exact", exact_cap=2 ** 12)
     assert g.terminated == "cap" and g.total is None
     assert len(g.dims) == 7  # degrees 0..6; 2^7 exceeds the limit
+
+
+def test_relation_checks_stop_at_the_dimension_limit(monkeypatch):
+    # a relation check walks every degree up to its own, so one of more than
+    # 2^22 words is refused before any word array is built
+    cs = build_entry("z2-shift").system
+    element = [(1, (0,) * 23)]
+    tracemalloc.start()
+    try:
+        for check in (check_relation, relation_image):
+            with pytest.raises(CapExceeded):
+                check(cs, element)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    # the limit itself still runs
+    monkeypatch.setattr(nichols, "_DIMENSION_LIMIT", 2 ** 6)
+    image = relation_image(cs, [(1, (0,) * 6)])
+    assert len(image) == 2 ** 6 and check_relation(cs, [(1, (0,) * 6)]) == (not any(image))
+    with pytest.raises(CapExceeded):
+        check_relation(cs, [(1, (0,) * 7)])
 
 
 def test_check_relation_examples():
@@ -797,14 +820,16 @@ def test_relation_path_matches_reference_symmetrizer(monkeypatch):
     rng = random.Random(11)
     seen = {True: 0, False: 0}
     shared = []
-    entries = _Engine._entries
+    entries = _SeedTable.entries
 
-    def recording(self, k, batch, summed=False):
-        if summed:
-            shared.extend(len(blocks) for _, _, blocks in batch if len(blocks) > 1)
-        return entries(self, k, batch, summed)
+    def recording(self, part):
+        # the number of seeds on each output segment the walk shares
+        segments = self.segments[self.bounds[part.start] : self.bounds[part.stop]]
+        counts = np.unique(segments, return_counts=True)[1]
+        shared.extend(counts[counts > 1].tolist())
+        return entries(self, part)
 
-    monkeypatch.setattr(_Engine, "_entries", recording)
+    monkeypatch.setattr(_SeedTable, "entries", recording)
     for name in catalog_names():
         entry = build_entry(name)
         for k in range(5):
@@ -1077,6 +1102,24 @@ def test_exact_walk_visits_only_words_with_an_entry(monkeypatch):
     assert 0 < sum(mapped) <= 9 * 6048, sum(mapped)
 
 
+def test_walks_visit_each_source_word_once(monkeypatch):
+    # the rows of one orbit below seed its nodes together: off the paper's
+    # class the table 2 keeps up to 6 rows per degree-4 orbit, and each
+    # degree-5 walk still visits every source word once
+    words = []
+    walk = _Engine._staircase_walk
+
+    def recording(self, k, entries, promote):
+        words.append(entries.words)
+        return walk(self, k, entries, promote)
+
+    monkeypatch.setattr(_Engine, "_staircase_walk", recording)
+    cs = validate_coefficients(SetSolution.cyclic_shift(2), [[2, 2], [2, 2]])
+    assert graded_dims(cs, cap=5, mode="exact").dims == (1, 2, 4, 8, 16, 32)
+    assert all(np.unique(w).size == w.size for w in words)
+    assert sum(w.size for w in words) == sum(2 ** k for k in range(2, 6))
+
+
 def _per_orbit_mod_step(engine, prev_vecs, k, p):
     """mod_step evaluated one orbit and one seed block at a time: one running
     product per source word, and every term reduces the whole accumulator."""
@@ -1201,6 +1244,41 @@ def _compare_to_full_seeds(cs, max_words):
                 assert space.rank == 1, (k, p, orbit)
             steps += 1
     return steps
+
+
+def test_rank_one_seed_entries_are_all_nonzero(monkeypatch):
+    # by Young's factorization (module docstring) a kept row on the paper's
+    # class is nonzero on every word of its orbit, so the shared nonzero
+    # filter drops nothing there: every walk takes its head nodes whole, with
+    # no gather and no renumbered column, in exact and in modular steps
+    walked = []
+    entries = _SeedTable.entries
+
+    def recording(self, part):
+        out = entries(self, part)
+        walked.append(out)
+        return out
+
+    monkeypatch.setattr(_SeedTable, "entries", recording)
+    steps = 0
+    for cs in _involutive_systems((None,)):
+        engine = _Engine(cs)
+        assert engine.rank_one
+        start = engine.identity_rows()
+        chains = [(None, start)]
+        chains += [(p, engine.specialize_rows(start, p)) for p in primes_for_order(cs.order, count=2)]
+        for p, rows in chains:
+            k = 1
+            while engine.m ** (k + 1) <= 2 ** 12 and len(rows):
+                k += 1
+                walked.clear()
+                rows, _ = engine.exact_step(rows, k) if p is None else engine.mod_step(rows, k, p)
+                assert walked, (k, p)
+                for out in walked:
+                    assert out.src == slice(None) and out.words.size == len(out.vals), (k, p)
+                    assert (out.vals.reshape(len(out.vals), -1) != 0).any(axis=1).all(), (k, p)
+                steps += 1
+    assert steps >= 60, steps
 
 
 def test_rank_one_seeds_match_full_seeds():
