@@ -48,9 +48,12 @@ batches and words with one running product per word, and keeps the products
 and the sums reduced mod p at every term.  Off the paper's class (below),
 elimination runs orbit by orbit on the positions some seed image reaches,
 not the whole orbit (on w1 at degree 9, 1,512 of the 229,632 positions of
-the seeded orbits), and each kept row is expanded back to the orbit's
-length.  Full-length rows are built only when a caller asks for the image
-itself.
+the seeded orbits), and each kept row stays on its support: its nonzero
+values and their ascending positions in the orbit (``OrbitRows.columns``).
+The next degree's seed table gathers those values only (over ``graded_dims``
+of w1 and w6, 116,468 values, where rows expanded back to the orbit's length
+made it gather 2,140,352 and drop the zeros).  Full-length rows are built
+only in ``_Engine.expand``, when a caller asks for the image itself.
 
 On the paper's class, one seed per orbit suffices.  Let the solution be
 involutive and the table satisfy the pairing R[i][j] R[a][b] = 1 for every
@@ -635,15 +638,21 @@ class _SeedTable:
     """
 
     def __init__(self, here, rows_below, orbits_below, nodes, rows, groups, offsets,
-                 orbits, lengths) -> None:
+                 orbits, lengths, columns=None) -> None:
         self.here, self.nodes, self.orbits, self.lengths = here, nodes, orbits, lengths
         self.bounds = np.searchsorted(groups, np.arange(orbits.size + 1))  # group -> first seed
         self.ends = np.cumsum(lengths)
         self.starts = self.ends - lengths  # each group's output, degree-wide
         self.segments = self.starts[groups] + offsets  # each seed's segment, degree-wide
-        widths = here.below.sizes[orbits_below]
+        sizes = here.below.sizes[orbits_below]
+        self.sizes = sizes[rows]  # the words of each seed's node
+        # a whole row holds a value per word of its orbit, a support row
+        # (``OrbitRows.columns``) its nonzero values only
+        widths = sizes if columns is None else np.array([c.size for c in columns], dtype=np.int64)
         self.widths = widths[rows]
         self.first = (np.cumsum(widths) - widths)[rows]  # each seed's first value in flat
+        self.columns = None if columns is None else np.concatenate(
+            columns or [np.zeros(0, dtype=np.int64)])
         # a seed opens a block of columns, its node's words, unless the seed
         # before it in its group lies on the same node
         self.fresh = np.ones(nodes.size, dtype=bool)
@@ -659,8 +668,11 @@ class _SeedTable:
         each seed's row, on its node's words in orbit order.  A block of
         seeds on one node shares the node's words, and only the words that
         carry an entry are walked (on w1 at degree 9, 18,144 of the 396,288
-        words of the seeded nodes).  On the paper's class every value is
-        nonzero (the module docstring), so the walk takes whole nodes."""
+        words of the seeded nodes).  A support row is gathered at its stored
+        values only, each on the word of its stored column, so no zero is
+        gathered; a whole row is gathered in full and its zeros dropped.  On
+        the paper's class every value is nonzero (the module docstring), so
+        the walk takes whole nodes."""
         seeds = slice(self.bounds[part.start], self.bounds[part.stop])
         widths, fresh = self.widths[seeds], self.fresh[seeds]
         starts = np.cumsum(widths) - widths  # each seed's first entry
@@ -677,17 +689,23 @@ class _SeedTable:
         base = np.repeat(self.segments[seeds] - first_out, widths)
         n_out = int(self.ends[part.stop - 1] - first_out)
         nodes = self.nodes[seeds]
-        live = (vals.reshape(len(vals), -1) != 0).any(axis=1)
-        if live.all() and fresh.all():  # one entry per word, in order: no gathers
-            return _Entries(self.here.node_words(nodes), slice(None), base, vals, n_out, mixed)
+        if self.columns is None:
+            live = (vals.reshape(len(vals), -1) != 0).any(axis=1)
+            if live.all() and fresh.all():  # one entry per word, in order: no gathers
+                return _Entries(self.here.node_words(nodes), slice(None), base, vals, n_out, mixed)
         nodes = nodes[fresh]
         # src numbers an entry's column over the blocks' words, block after block
-        block_widths = widths[fresh]
+        block_widths = self.sizes[seeds][fresh]
         block_starts = np.cumsum(block_widths) - block_widths
-        src = np.repeat(block_starts[np.cumsum(fresh) - 1] - starts, widths)
-        src += np.arange(src.size)
-        live = np.flatnonzero(live)
-        src, base, vals = src[live], base[live], vals[live]
+        blocks = block_starts[np.cumsum(fresh) - 1]
+        if self.columns is None:  # an entry's column is its place in its row
+            src = np.repeat(blocks - starts, widths)
+            src += np.arange(src.size)
+            live = np.flatnonzero(live)
+            src, base, vals = src[live], base[live], vals[live]
+        else:
+            src = np.repeat(blocks, widths)
+            src += self.columns[index]
         # keep the columns that carry an entry, and number them anew
         used = np.zeros(int(block_widths.sum()), dtype=bool)
         used[src] = True
@@ -715,34 +733,39 @@ class _SeedTable:
 class OrbitRows(list):
     """Basis rows of one degree, each local to one braid-group orbit.
 
-    Row t is a vector on the words of orbit ``orbits[t]`` in node-major
-    order (``orbits._Orbits``): the orbit's nodes (P, y) in ascending id,
-    and within a node the words u y in the order the orbit P lists u.  A
-    word's index there is its ``pos``.
+    Row t lives on the words of orbit ``orbits[t]`` in node-major order
+    (``orbits._Orbits``): the orbit's nodes (P, y) in ascending id, and
+    within a node the words u y in the order the orbit P lists u.  A word's
+    index there is its ``pos``.  With ``columns`` None every row is whole,
+    a value per word of its orbit.  Otherwise every row is a support row:
+    its nonzero values only, at the strictly ascending indices
+    ``columns[t]``.  Only ``_Engine.expand`` builds full-length rows.
     """
 
-    def __init__(self, rows=(), orbits=()) -> None:
+    def __init__(self, rows=(), orbits=(), columns=None) -> None:
         super().__init__(rows)
         self.orbits = list(orbits)
+        self.columns = None if columns is None else list(columns)
 
     def add_span(self, orbit: int, seeds, space) -> None:
         """Append the basis the seed rows (seeds, orbit size[, phi]) span on
-        the orbit: ``space(width)`` is an empty row space of that width.
+        the orbit, as support rows: ``space(width)`` is an empty row space
+        of that width.
 
         The seeds are inserted on their support only, the positions where
         some seed is nonzero, in ascending order, and each kept row is
-        expanded back to the orbit's size.  A position that is zero in every
-        seed stays zero under every row operation, and the support keeps the
-        positions' order, so the rows, pivots, dtypes and int64 bounds are
-        those of inserting the full seed rows."""
+        stored at its own nonzero positions.  A position that is zero in
+        every seed stays zero under every row operation, and the support
+        keeps the positions' order, so the rows, pivots, dtypes and int64
+        bounds are those of inserting the full seed rows."""
         support = np.flatnonzero((seeds != 0).reshape(len(seeds), seeds.shape[1], -1).any(axis=(0, 2)))
         basis = space(support.size)
         for seed in seeds[:, support]:
             basis.insert(seed)
         for row in basis.rows:
-            full = np.zeros(seeds.shape[1:], dtype=row.dtype)
-            full[support] = row
-            self.append(full)
+            nonzero = np.flatnonzero((row != 0).reshape(len(row), -1).any(axis=1))
+            self.append(row[nonzero])
+            self.columns.append(support[nonzero])
         self.orbits += [orbit] * basis.rank
 
 
@@ -788,12 +811,14 @@ class _Engine:
         return idx + self.braid.pair_shift[pair] * low, pair
 
     def expand(self, rows: OrbitRows, k: int) -> list[np.ndarray]:
-        """Orbit-local rows as full-length vectors on all m^k words."""
+        """Orbit-local rows, whole or support rows, as full-length vectors
+        on all m^k words: the one place full-length rows are built."""
         orbits = self.orbits(k)
+        columns = [slice(None)] * len(rows) if rows.columns is None else rows.columns
         out = []
-        for row, orbit in zip(rows, rows.orbits):
+        for row, orbit, cols in zip(rows, rows.orbits, columns):
             full = np.zeros((self.m ** k,) + row.shape[1:], dtype=row.dtype)
-            full[orbits.words(orbit)] = row
+            full[orbits.words(orbit)[cols]] = row
             out.append(full)
         return out
 
@@ -828,7 +853,7 @@ class _Engine:
         orbits = np.flatnonzero(rows >= 0)
         seeds = np.arange(orbits.size)
         return _SeedTable(here, prev_rows, kept, here.heads[orbits], rows[orbits], seeds,
-                          np.zeros_like(seeds), orbits, here.sizes[orbits])
+                          np.zeros_like(seeds), orbits, here.sizes[orbits], prev_rows.columns)
 
     def _node_seeds(self, prev_rows: OrbitRows, k: int) -> _SeedTable:
         """The seeds of a degree-k step off the paper's class: a row on the
@@ -845,9 +870,8 @@ class _Engine:
         counts = np.bincount(groups, minlength=orbits.size)
         sizes = here.sizes[orbits]
         offsets = (np.arange(nodes.size) - (np.cumsum(counts) - counts)[groups]) * sizes[groups]
-        return _SeedTable(
-            here, prev_rows, kept, nodes, rows, groups, offsets, orbits, counts * sizes
-        )
+        return _SeedTable(here, prev_rows, kept, nodes, rows, groups, offsets, orbits,
+                          counts * sizes, prev_rows.columns)
 
     # -- exact chain
 
@@ -1006,8 +1030,8 @@ class _Engine:
         On the paper's class each orbit has one seed (``_head_seeds``), and
         ``lone_rows`` reduces each batch's output where it lies: an orbit's
         row is a view of its segment, or none.  Off it, each orbit's seed
-        images are eliminated (``OrbitRows.add_span``)."""
-        out = OrbitRows()
+        images are eliminated (``OrbitRows.add_span``) into support rows."""
+        out = OrbitRows(columns=None if self.rank_one else [])
         seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
         space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
         for run in _batches(seeds.lengths):
@@ -1067,9 +1091,10 @@ class _Engine:
         return den, list(zip(orbits.tolist(), rows))
 
     def specialize_rows(self, rows: OrbitRows, p: int) -> OrbitRows:
-        """Mod-p images of exact basis rows (rows are primitive integers)."""
+        """Mod-p images of exact basis rows (rows are primitive integers).
+        Support rows keep their columns, less any whose value vanishes mod p."""
         omega = unity_root_mod(self.ctx.order, p)
-        out = []
+        out, columns = [], rows.columns
         for arr in rows:
             total = np.zeros(arr.shape[0], dtype=np.int64)
             w = 1
@@ -1078,7 +1103,11 @@ class _Engine:
                 total = (total + col * w) % p
                 w = w * omega % p
             out.append(total)
-        return OrbitRows(out, rows.orbits)
+        if columns is not None:
+            nonzero = [np.flatnonzero(total) for total in out]
+            out = [total[at] for total, at in zip(out, nonzero)]
+            columns = [cols[at] for cols, at in zip(columns, nonzero)]
+        return OrbitRows(out, rows.orbits, columns)
 
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
         """One degree step over F_p (``_step``).  Returns (basis rows, dim)."""
@@ -1148,6 +1177,8 @@ def graded_dims(
     """
     if mode not in ("auto", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     if primes is not None:
         primes = tuple(primes)
         if len(primes) < 2 or len(set(primes)) < len(primes):

@@ -439,16 +439,32 @@ def _sparse_seeds(rng, count, size, trailing, low, high, dtype=np.int64):
     return seeds if dtype == object else seeds.astype(dtype)
 
 
+def orbit_length_rows(rows, sizes):
+    """The rows of an OrbitRows over their whole orbits, of ``sizes[t]``
+    words each: a support row is scattered onto its columns, a whole row is
+    kept as it is."""
+    if rows.columns is None:
+        return list(rows)
+    out = []
+    for row, columns, size in zip(rows, rows.columns, sizes):
+        full = np.zeros((size,) + row.shape[1:], dtype=row.dtype)
+        full[columns] = row
+        out.append(full)
+    return out
+
+
 def _support_and_dense_spans(seeds, space):
-    """The rows OrbitRows.add_span keeps, and those of inserting every full
-    seed row into one space of the orbit's size."""
-    got = OrbitRows()
+    """The rows OrbitRows.add_span keeps, over the whole orbit, and those of
+    inserting every full seed row into one space of the orbit's size."""
+    got = OrbitRows(columns=[])
     got.add_span(5, seeds, space)
     dense = space(seeds.shape[1])
     for seed in seeds:
         dense.insert(seed)
     assert got.orbits == [5] * dense.rank
-    return got, dense
+    for row, columns in zip(got, got.columns):
+        assert (np.diff(columns) > 0).all() and (row != 0).reshape(len(row), -1).any(axis=1).all()
+    return orbit_length_rows(got, [seeds.shape[1]] * len(got)), dense
 
 
 @pytest.mark.parametrize("order", [2, 3])

@@ -55,6 +55,7 @@ from ybnichols.nichols import (
 from ybnichols.orbits import BraidOrbits, classify, maximal_blocks
 from ybnichols.ybe import NotInvolutive, SetSolution, diagonal
 
+from test_linalg import orbit_length_rows
 from test_orbits import partitions
 
 ONE2 = CycloElement.one(2)
@@ -222,6 +223,16 @@ def test_graded_dims_cap_truncates_without_total():
     g = graded_dims(cs, cap=5, mode="exact")
     assert g.total is None and g.terminated == "cap"
     assert g.dims == (1, 2, 3, 4, 5, 6)
+
+
+def test_graded_dims_refuses_a_cap_below_one():
+    # every answer holds degrees 0 and 1, so a cap below 1 cannot be kept
+    cs = z2_system()
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap"):
+            graded_dims(cs, cap=cap)
+    g = graded_dims(cs, cap=1)
+    assert g.dims == (1, 2) and g.terminated == "cap" and g.total is None
 
 
 def test_graded_dims_dimension_limit_guard(monkeypatch):
@@ -959,10 +970,18 @@ def _per_orbit_step(engine, prev_rows, k):
     return out, len(out)
 
 
-def _assert_same_rows(got, expected):
+def _whole_rows(engine, k, rows):
+    """The engine's degree-k rows over their whole orbits, as the per-orbit
+    references take and give them."""
+    return OrbitRows(orbit_length_rows(rows, engine.orbits(k).sizes[rows.orbits]), rows.orbits)
+
+
+def _assert_same_rows(engine, k, got, expected):
+    """The engine's degree-k rows, over their whole orbits, against the
+    reference's."""
     assert got.orbits == expected.orbits
     assert len(got) == len(expected)
-    for a, b in zip(got, expected):
+    for a, b in zip(_whole_rows(engine, k, got), expected):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tolist() == b.tolist()
 
@@ -974,9 +993,9 @@ def _checked_chain(engine, max_words):
     k = 1
     while engine.m ** (k + 1) <= max_words and len(rows):
         k += 1
-        expected, _ = _per_orbit_step(engine, rows, k)
+        expected, _ = _per_orbit_step(engine, _whole_rows(engine, k - 1, rows), k)
         rows, dim = engine.exact_step(rows, k)
-        _assert_same_rows(rows, expected)
+        _assert_same_rows(engine, k, rows, expected)
         assert dim == len(expected)
         yield k, rows
 
@@ -1083,6 +1102,47 @@ def test_exact_step_matches_per_orbit_reference_on_sparse_seeds():
         assert [k for k, _ in _checked_chain(engine, 4 ** 10)] == list(range(2, 11))
 
 
+def test_off_class_rows_gather_no_zero(monkeypatch):
+    # off the paper's class a kept row stores its nonzero values only, at
+    # strictly ascending columns inside its orbit, and the seed table gathers
+    # those values alone: on w1 and w6, exactly and at both primes of the
+    # order, every value gathered is an entry walked
+    counts = [0, 0]  # values gathered, entries walked
+    entries = _SeedTable.entries
+
+    def recording(self, part):
+        out = entries(self, part)
+        counts[0] += int(self.widths[self.bounds[part.start] : self.bounds[part.stop]].sum())
+        counts[1] += len(out.vals)
+        return out
+
+    monkeypatch.setattr(_SeedTable, "entries", recording)
+    for name in ("w1", "w6"):
+        engine = _Engine(build_entry(name).system)
+        assert not engine.rank_one
+        primes = primes_for_order(engine.cs.order, count=2)
+        start = engine.identity_rows()
+        for p, rows in [(None, start)] + [(p, engine.specialize_rows(start, p)) for p in primes]:
+            dims = []
+            for k in range(2, 11):
+                rows, dim = engine.exact_step(rows, k) if p is None else engine.mod_step(rows, k, p)
+                dims.append(dim)
+                assert len(rows.columns) == dim
+                sizes = engine.orbits(k).sizes[rows.orbits]
+                for row, columns, size in zip(rows, rows.columns, sizes):
+                    assert columns.size == len(row) and (np.diff(columns) > 0).all()
+                    assert 0 <= columns[0] and columns[-1] < size
+                    assert (row != 0).reshape(len(row), -1).any(axis=1).all()
+            assert dims == [8, 11, 12, 12, 11, 8, 4, 1, 0], (name, p)
+    assert counts[0] == counts[1] > 0, counts
+    # a support row specialized mod p keeps the columns whose value survives
+    phi, p = engine.ctx.phi, primes[0]
+    row = np.zeros((3, phi), dtype=np.int64)
+    row[:, 0] = [1, p, 2]
+    special = engine.specialize_rows(OrbitRows([row], [0], [np.array([0, 3, 5])]), p)
+    assert special[0].tolist() == [1, 2] and special.columns[0].tolist() == [0, 5]
+
+
 def test_exact_walk_visits_only_words_with_an_entry(monkeypatch):
     # exact_step(rows_9, 10) on w1: 6,048 of the 132,096 source words carry
     # a seed entry, and each of the 9 mapped staircase terms sees only those
@@ -1182,9 +1242,10 @@ def test_batched_mod_step_matches_per_orbit_reference():
                 k = 1
                 while engine.m ** (k + 1) <= 2 ** 14 and len(rows):
                     k += 1
-                    expected, _ = _per_orbit_mod_step(engine, rows, k, p)
+                    whole = _whole_rows(engine, k - 1, rows)
+                    expected, _ = _per_orbit_mod_step(engine, whole, k, p)
                     rows, dim = engine.mod_step(rows, k, p)
-                    _assert_same_rows(rows, expected)
+                    _assert_same_rows(engine, k, rows, expected)
                     assert dim == len(expected)
                     steps += 1
     assert steps >= 350, steps
@@ -1236,7 +1297,8 @@ def _compare_to_full_seeds(cs, max_words):
                 ref, ref_dim = full.mod_step(ref, k, p)
             assert dim == ref_dim and rows.orbits == ref.orbits, (k, p)
             assert len(set(ref.orbits)) == len(ref.orbits), (k, p)
-            for a, b, orbit in zip(rows, ref, ref.orbits):
+            pairs = zip(_whole_rows(fast, k, rows), _whole_rows(full, k, ref))
+            for (a, b), orbit in zip(pairs, ref.orbits):
                 size = int(here.starts[orbit + 1] - here.starts[orbit])
                 space = ExactIntRows(fast.ctx, size) if p is None else ModRows(p, size)
                 space.insert(a)
