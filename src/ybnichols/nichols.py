@@ -96,16 +96,19 @@ when q_j != 1 has finite order at most l_j.  In ESS coordinates an orbit is
 a multiset mu of y-letters and its blocks are the runs of equal y-letters,
 one of length mu_a per letter a, all in one part of ``full_decomposition``
 (an orbit of the group the sigma and tau maps generate).  So when q is
-constant on each part, of order n_a on the part of a, an orbit keeps a row
-exactly when mu_a < n_a for every a, and
-sum_k dim B_k t^k = prod_a (1 + t + ... + t^(n_a - 1)): the multinomial
-expansion ``expected_profile`` returns.
+constant on each part, of order n_a on the part of a (n_a infinite when
+q = 1 or q has infinite order, as then no [l]_q! vanishes), an orbit keeps
+a row exactly when mu_a < n_a for every a, and
+sum_k dim B_k t^k = prod_a (1 + t + ... + t^(n_a - 1)), a factor
+1 / (1 - t) for each letter of infinite n_a: the series ``expected_series``
+returns, a finite numerator over (1 - t)^pole.
 
 Degrees run exactly while the tensor space is small, then modular at two
 distinct primes.  A modular degree is kept only when the primes agree on a
-nonzero rank that also equals ``expected_profile`` wherever that exists;
-otherwise the exact chain resumes from the last exact degree and runs every
-later degree, so a finiteness claim is only ever made with exact backing.
+nonzero rank that also equals the coefficient of ``expected_series``
+wherever that exists; otherwise the exact chain resumes from the last exact
+degree and runs every later degree, so a finiteness claim is only ever made
+with exact backing.
 
 Relation checks run on the same engine, with the walks of the degree
 steps.  ``check_relation`` and ``relation_image`` build
@@ -322,11 +325,8 @@ def validate_coefficients(s: SetSolution, R) -> CoefficientSystem:
 
 @dataclass(frozen=True)
 class DiagonalCoefficientReport:
-    """Outcome of the fixed-pair coefficient identity R[D(j)][j] = R[D(t)][t]
-    along every tau-translate t = tau_k(j), plus whether those diagonal
-    values are one constant q."""
+    """The diagonal values R[D(j)][j], and whether they are one constant q."""
 
-    identity_holds: bool
     q_constant: bool
     q: CycloElement | None
     values: tuple
@@ -335,17 +335,9 @@ class DiagonalCoefficientReport:
 def diagonal_coefficient_check(cs: CoefficientSystem) -> DiagonalCoefficientReport:
     s = cs.solution
     D = diagonal(s)
-    m = s.size
-    values = tuple(cs.entry(D(j), j) for j in range(m))
-    holds = True
-    for j in range(m):
-        for k in range(m):
-            t = s.tau(k, j)
-            if values[j] != values[t]:
-                holds = False
+    values = tuple(cs.entry(D(j), j) for j in range(s.size))
     constant = all(v == values[0] for v in values)
     return DiagonalCoefficientReport(
-        identity_holds=holds,
         q_constant=constant,
         q=values[0] if constant else None,
         values=values,
@@ -372,27 +364,14 @@ def canonical_coefficients(s: SetSolution, q: CycloElement) -> CoefficientSystem
 class TheoremHypotheses:
     q_constant: bool
     q: CycloElement | None
-    root_order: int | None  # n with q a primitive n-th root, else None
     pairing_holds: bool  # R[i][j] * R[sigma_i(j)][tau_j(i)] = 1 off fixed pairs
-
-    @property
-    def finite_type(self) -> bool:
-        return (
-            self.q_constant
-            and self.pairing_holds
-            and self.root_order is not None
-            and self.root_order >= 2
-        )
-
-    @property
-    def growth_type(self) -> bool:
-        return self.q_constant and self.pairing_holds and self.root_order is None
 
 
 @lru_cache(maxsize=SOLUTION_CACHE_SIZE)
 def theorem_hypotheses(cs: CoefficientSystem) -> TheoremHypotheses:
     """Detect the dimension-theorem hypotheses (involutive base required);
-    computed once per system, since the oracles ask for them per degree."""
+    computed once per system, as the engine, the series and the theorem
+    checks all read them."""
     s = cs.solution
     D = diagonal(s)
     m = s.size
@@ -406,15 +385,7 @@ def theorem_hypotheses(cs: CoefficientSystem) -> TheoremHypotheses:
             a, b = s.r(i, j)
             if cs.entry(i, j) * cs.entry(a, b) != one:
                 pairing = False
-    root_order = diag.q.multiplicative_order() if diag.q_constant else None
-    if root_order == 1:
-        root_order = None  # q = 1 is outside both regimes
-    return TheoremHypotheses(
-        q_constant=diag.q_constant,
-        q=diag.q,
-        root_order=root_order,
-        pairing_holds=pairing,
-    )
+    return TheoremHypotheses(q_constant=diag.q_constant, q=diag.q, pairing_holds=pairing)
 
 
 def _times_boxes(a, n: int, m: int) -> list:
@@ -427,35 +398,51 @@ def _times_boxes(a, n: int, m: int) -> list:
     return a
 
 
+class HilbertSeries(NamedTuple):
+    """sum_k dim B_k t^k = numerator(t) / (1 - t)^pole, the numerator as its
+    coefficients from t^0 up."""
+
+    numerator: tuple
+    pole: int
+
+    def coefficient(self, k: int) -> int:
+        """dim B_k: sum_j numerator[j] C(k - j + pole - 1, pole - 1)."""
+        if self.pole == 0:
+            return self.numerator[k] if 0 <= k < len(self.numerator) else 0
+        return sum(c * math.comb(k - j + self.pole - 1, self.pole - 1)
+                   for j, c in enumerate(self.numerator[: max(k + 1, 0)]))
+
+    @property
+    def total(self) -> int | None:
+        """dim B, or None when the algebra is infinite."""
+        return sum(self.numerator) if self.pole == 0 else None
+
+
 @lru_cache(maxsize=SOLUTION_CACHE_SIZE)
-def _expansion(m: int, n: int) -> tuple:
-    """The coefficients of (1 + t + ... + t^(n-1))^m."""
-    return tuple(_times_boxes([1], n, m))
-
-
-def _coefficient(coeffs, k: int) -> int:
-    return coeffs[k] if 0 <= k < len(coeffs) else 0
-
-
-@lru_cache(maxsize=SOLUTION_CACHE_SIZE)
-def expected_profile(cs: CoefficientSystem) -> tuple | None:
-    """The graded dimensions the multinomial expansion predicts: the
-    coefficients of prod_p (1 + t + ... + t^(n_p - 1))^|p| over the parts p
-    of ``full_decomposition``, when the pairing holds and q_a = R[D(a)][a]
-    is constant on every part with finite order n_p >= 2 (a theorem; see
-    the module docstring).  None otherwise.  Needs an involutive base, and
-    is computed once per system, as the escalation check reads it."""
+def expected_series(cs: CoefficientSystem) -> HilbertSeries | None:
+    """The Hilbert series the multinomial expansion predicts:
+    prod_p ((1 - t^(n_p)) / (1 - t))^|p| over the parts p of
+    ``full_decomposition``, when the pairing holds and q_a = R[D(a)][a] is
+    constant on every part, of order n_p (a theorem; see the module
+    docstring).  A part of finite order n_p >= 2 multiplies the numerator by
+    its boxes; one where q is 1 or of infinite order has n_p infinite and
+    adds |p| to the pole.  None off the pairing, or where q varies inside a
+    part (no proof excludes that).  Needs an involutive base, and is
+    computed once per system, as the escalation check reads it."""
     if not theorem_hypotheses(cs).pairing_holds:
         return None
     q = diagonal_coefficient_check(cs).values
-    profile = [1]
+    numerator, pole = [1], 0
     for part in full_decomposition(cs.solution):
         values = {q[a] for a in part}
-        n = values.pop().multiplicative_order() if len(values) == 1 else None
-        if n is None or n < 2:
+        if len(values) > 1:
             return None
-        profile = _times_boxes(profile, n, len(part))
-    return tuple(profile)
+        n = values.pop().multiplicative_order()
+        if n is None or n == 1:
+            pole += len(part)
+        else:
+            numerator = _times_boxes(numerator, n, len(part))
+    return HilbertSeries(tuple(numerator), pole)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,8 +1156,9 @@ def graded_dims(
 
     ``mode``: "auto" runs degrees with m^k <= exact_cap exactly and larger
     ones modular, keeping a modular degree only when every prime gives the
-    same nonzero rank and that rank equals ``expected_profile`` wherever it
-    exists; otherwise it escalates back to exact arithmetic for good.
+    same nonzero rank and that rank equals the coefficient of
+    ``expected_series`` wherever it exists; otherwise it escalates back to
+    exact arithmetic for good.
     "exact" runs every degree exactly.  Given ``primes`` are checked up
     front (BadPrime unless they are at least two distinct primes, each below
     2^31 and 1 mod the order).
@@ -1192,7 +1180,7 @@ def graded_dims(
     exact_rows = engine.identity_rows()  # exact basis of degree exact_degree
     exact_degree = 1
     mod_rows: dict[int, list] | None = None
-    profile = None  # expected_profile, read when the first modular degree runs
+    series = None  # expected_series, read when the first modular degree runs
     escalated_permanently = False
     terminated = "cap"
 
@@ -1218,12 +1206,12 @@ def graded_dims(
         if mod_rows is None:
             mod_rows = {p: engine.specialize_rows(exact_rows, p) for p in primes}
             if engine.hypotheses is not None:
-                profile = expected_profile(cs)
+                series = expected_series(cs)
         step_results = {p: engine.mod_step(mod_rows[p], k, p) for p in primes}
         mod_dims = tuple(step_results[p][1] for p in primes)
         agreed = len(set(mod_dims)) == 1
         dim = mod_dims[0]
-        if agreed and dim != 0 and (profile is None or _coefficient(profile, k) == dim):
+        if agreed and dim != 0 and (series is None or series.coefficient(k) == dim):
             dims.append(dim)
             records.append(
                 DegreeRecord(
@@ -1303,31 +1291,25 @@ def symmetrizer_image(cs: CoefficientSystem, k: int, exact_cap: int = 4096) -> R
 # combinatorial oracle and theorem checks
 
 
-def predicted_dimension(m: int, n: int, k: int) -> int:
-    """The coefficient of t^k in (1 + t + ... + t^(n-1))^m: the degree-k
-    dimension under the finite-type hypotheses (constant q of order n on m
-    letters), read from the expansion cached per (m, n)."""
-    return _coefficient(_expansion(m, n), k)
-
-
 def orbit_count_oracle(cs: CoefficientSystem, k: int) -> int:
-    hyp = theorem_hypotheses(cs)
-    if not hyp.finite_type:
-        raise HypothesesNotMet("oracle needs constant q in G_n and unit pairing")
-    return predicted_dimension(cs.size, hyp.root_order, k)
+    """dim B_k read from ``expected_series`` (HypothesesNotMet where it has none)."""
+    series = expected_series(cs)
+    if series is None:
+        raise HypothesesNotMet("oracle needs the pairing and q constant on each part")
+    return series.coefficient(k)
 
 
 def theorem_relations(cs: CoefficientSystem) -> list:
-    """The defining relations predicted for a finite-type system: quadratic
-    straightening relations off the fixed pairs, plus one diagonal-power
-    word per generator."""
+    """The defining relations predicted for constant q of finite order
+    n >= 2: quadratic straightening relations off the fixed pairs, plus one
+    diagonal-power word of length n per generator."""
     s = cs.solution
     D = diagonal(s)
     m = s.size
     hyp = theorem_hypotheses(cs)
-    if hyp.root_order is None:
-        raise HypothesesNotMet("relation schema needs q a root of unity")
-    n = hyp.root_order
+    n = hyp.q.multiplicative_order() if hyp.q_constant else None
+    if n is None or n < 2:
+        raise HypothesesNotMet("relation schema needs constant q a root of unity other than 1")
     one = CycloElement.one(cs.order)
     relations = []
     for i in range(m):
@@ -1366,7 +1348,6 @@ def degree2_relation_rank(cs: CoefficientSystem, relations) -> int:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    mode: str  # "finite" | "growth" | "product"
     passed: bool
     checks: dict
     graded: GradedDims | None = None
@@ -1379,42 +1360,29 @@ def theorem_suite(
     exact_cap: int = 4096,
     dims_mode: str = "auto",
 ) -> TheoremReport:
-    """Run the dimension checks the detected hypotheses call for.
+    """Check the graded dimensions through degree 16 against
+    ``expected_series`` (HypothesesNotMet where it has none).
 
-    Constant q of infinite order: degree dimensions must follow the binomial
-    profile C(k+m-1, m-1) through degree 8 (the computable growth evidence),
-    in exact arithmetic.  Otherwise ``expected_profile`` must exist (q
-    constant on each part of the full decomposition, of finite order >= 2),
-    and the dimensions through degree 16 must be its coefficients ("profile")
-    with its total ("total"); for constant q ("finite", total n^m) every
-    schema relation must also vanish under the symmetrizer
-    ("relations_vanish"), and a q that varies between parts is "product".
+    "profile": every computed dimension is the series' coefficient;
+    "total": when the series is finite, the dimensions vanish and sum to its
+    total; "relations_vanish": when q is constant of finite order >= 2,
+    every schema relation lies in the kernel of the symmetrizer.
     """
-    hyp = theorem_hypotheses(cs)
-    if not hyp.pairing_holds:
-        raise HypothesesNotMet("pairing R[i][j] R[r(i,j)] = 1 fails off fixed pairs")
-    if hyp.growth_type:
-        m = cs.size
-        graded = graded_dims(cs, cap=8, mode="exact")
-        expected = [math.comb(k + m - 1, m - 1) for k in range(len(graded.dims))]
-        checks = {"binomial_growth": list(graded.dims) == expected}
-        return TheoremReport(
-            mode="growth", passed=all(checks.values()), checks=checks, graded=graded
-        )
-    profile = expected_profile(cs)
-    if profile is None:
-        raise HypothesesNotMet("q is not constant of finite order >= 2 on every part")
+    series = expected_series(cs)
+    if series is None:
+        raise HypothesesNotMet("needs the pairing off fixed pairs and q constant on each part")
     graded = graded_dims(cs, cap=16, mode=dims_mode, exact_cap=exact_cap)
-    # graded_dims stops at the first zero degree
-    checks = {"total": graded.total == sum(profile), "profile": graded.dims == profile + (0,)}
-    if hyp.q_constant:
-        checks["relations_vanish"] = all(
-            check_relation(cs, terms) for _, terms in theorem_relations(cs)
-        )
+    checks = {"profile": all(d == series.coefficient(k) for k, d in enumerate(graded.dims))}
+    if series.total is not None:
+        checks["total"] = graded.total == series.total
+        # constant q with no pole is of finite order >= 2
+        if theorem_hypotheses(cs).q_constant:
+            checks["relations_vanish"] = all(
+                check_relation(cs, terms) for _, terms in theorem_relations(cs)
+            )
     return TheoremReport(
-        mode="finite" if hyp.q_constant else "product",
         passed=all(checks.values()),
         checks=checks,
         graded=graded,
-        expected_total=sum(profile),
+        expected_total=series.total,
     )

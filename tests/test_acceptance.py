@@ -23,7 +23,7 @@ from ybnichols.nichols import (
     braiding_ops,
     check_relation,
     degree2_relation_rank,
-    expected_profile,
+    expected_series,
     graded_dims,
     hexagon_failures,
     orbit_count_oracle,
@@ -80,9 +80,11 @@ def test_criterion_1_dimension_formula():
         assert graded.terminated == "zero"
         assert graded.total == n ** m, (name, q, graded.total)
         # the multinomial expansion (1 + t + ... + t^(n-1))^m, degree by degree
-        assert graded.dims == expected_profile(entry.system) + (0,), (name, q)
+        series = expected_series(entry.system)
+        assert series.pole == 0 and graded.dims == series.numerator + (0,), (name, q)
         report = theorem_suite(entry.system)
-        assert report.mode == "finite" and report.passed, (name, q, report.checks)
+        assert report.passed, (name, q, report.checks)
+        assert set(report.checks) == {"total", "profile", "relations_vanish"}, (name, q)
         assert report.expected_total == n ** m
         assert all(rec.mode in ("trivial", "exact") for rec in graded.provenance)
         assert time.time() - case_start < 60, (name, q)
@@ -200,7 +202,7 @@ def test_criterion_7_product_formula():
     assert graded.total == 36
     assert all(rec.mode in ("trivial", "exact") for rec in graded.provenance)
     report = theorem_suite(entry.system, dims_mode="exact", exact_cap=4 ** 8)
-    assert report.mode == "product" and report.passed
+    assert report.passed and report.checks == {"total": True, "profile": True}
     _report("7 (product formula 36 = 2^2 * 3^2, exact)", t0, 60)
 
 
@@ -337,13 +339,18 @@ def test_criterion_9_property_suites():
         assert compose_word(w1_word) == compose_word(w2_word), theta
     matsumoto_done = time.time()
 
-    # fixed-pair coefficient identity on every validated involutive system
+    # fixed-pair coefficient identity R[D(j)][j] = R[D(t)][t] along every
+    # tau-translate t = tau_k(j), on every validated involutive system
     from ybnichols.nichols import diagonal_coefficient_check
 
     for name in catalog_names():
         entry = build_entry(name)
         if entry.involutive:
-            assert diagonal_coefficient_check(entry.system).identity_holds, name
+            s, values = entry.solution, diagonal_coefficient_check(entry.system).values
+            m = s.size
+            assert all(
+                values[j] == values[s.tau(k, j)] for j in range(m) for k in range(m)
+            ), name
 
     # the hexagon validator rejects 100 genuinely broken single-entry mutations
     sources = [build_entry(n) for n in catalog_names() if n != "z2-shift"]

@@ -305,6 +305,21 @@ def test_dims_bad_parameter_is_input_error():
     assert "constraint" in err
 
 
+@pytest.mark.parametrize("extra", [["--param", "q=3"], ["--param", " q =3"], ["--q", "3"]])
+def test_parameter_given_twice_is_input_error(extra):
+    # neither the last --param nor --q may silently win
+    for command in ("dims", "relations"):
+        code, out, err = run_cli([command, "z3-shift", "--param", "q=2"] + extra)
+        assert code == 2 and out == ""
+        assert "parameter 'q' given more than once" in err
+
+
+def test_empty_q_is_input_error():
+    # an empty --q is a bad scalar, not the entry's default q
+    code, out, err = run_cli(["dims", "z3-shift", "--q", ""])
+    assert code == 2 and out == "" and "cannot parse scalar ''" in err
+
+
 def test_relations_commands():
     code, out, _ = run_cli(["relations", "z3-shift"])
     assert code == 0

@@ -28,9 +28,11 @@ from ybnichols.nichols import (
     _SeedTable,
     _relation_engine,
     OrbitRows,
+    _times_boxes,
     CapExceeded,
     CoefficientSystem,
     HexagonViolation,
+    HilbertSeries,
     HypothesesNotMet,
     InhomogeneousElement,
     braiding_ops,
@@ -38,11 +40,10 @@ from ybnichols.nichols import (
     check_relation,
     degree2_relation_rank,
     diagonal_coefficient_check,
-    expected_profile,
+    expected_series,
     graded_dims,
     hexagon_failures,
     orbit_count_oracle,
-    predicted_dimension,
     relation_image,
     symmetrizer_apply,
     symmetrizer_image,
@@ -102,6 +103,14 @@ def test_zero_entries_rejected():
         )
 
 
+def _translate_identity_holds(cs):
+    # the fixed-pair coefficient identity R[D(j)][j] = R[D(t)][t] along every
+    # tau-translate t = tau_k(j), over the report's diagonal values
+    s, values = cs.solution, diagonal_coefficient_check(cs).values
+    m = s.size
+    return all(values[j] == values[s.tau(k, j)] for j in range(m) for k in range(m))
+
+
 def test_diagonal_coefficient_identity_on_catalog():
     from ybnichols.catalog import catalog_names
 
@@ -109,13 +118,12 @@ def test_diagonal_coefficient_identity_on_catalog():
         entry = build_entry(name)
         if not entry.involutive:
             continue
-        report = diagonal_coefficient_check(entry.system)
-        assert report.identity_holds
+        assert _translate_identity_holds(entry.system), name
     # all-ones: constant q = 1
     one = CycloElement.one(1)
     cs = validate_coefficients(SetSolution.flip(2), [[one, one], [one, one]])
     report = diagonal_coefficient_check(cs)
-    assert report.identity_holds and report.q_constant and report.q == 1
+    assert _translate_identity_holds(cs) and report.q_constant and report.q == 1
 
 
 def test_diagonal_coefficient_non_constant_on_flip():
@@ -126,7 +134,8 @@ def test_diagonal_coefficient_non_constant_on_flip():
     three = CycloElement.from_rational(3)
     cs = validate_coefficients(SetSolution.flip(2), [[two, one], [one, three]])
     report = diagonal_coefficient_check(cs)
-    assert report.identity_holds and not report.q_constant
+    assert _translate_identity_holds(cs) and not report.q_constant
+    assert report.values == (two, three) and report.q is None
 
 
 def test_canonical_coefficients_examples():
@@ -138,7 +147,7 @@ def test_canonical_coefficients_examples():
     assert cs3 == entry.system
     # flip gives a diagonal braiding with total 2^m at q = -1
     csf = canonical_coefficients(SetSolution.flip(3), MINUS1)
-    assert theorem_hypotheses(csf).finite_type
+    assert expected_series(csf) == HilbertSeries((1, 3, 3, 1), 0)
     assert graded_dims(csf).total == 8
 
 
@@ -404,15 +413,18 @@ def test_degree2_relation_rank_matches_dense_reference():
 
 
 def test_oracle_examples():
-    assert predicted_dimension(2, 2, 2) == 1
-    assert predicted_dimension(2, 3, 2) == 3
-    for m in (2, 3, 4):
-        assert predicted_dimension(m, 5, 1) == m
+    assert orbit_count_oracle(z2_system(), 2) == 1
+    assert orbit_count_oracle(build_entry("z2-shift", {"q": "zeta3"}).system, 2) == 3
+    for name, m in (("z2-shift", 2), ("z3-shift", 3), ("z4-shift1", 4)):
+        assert orbit_count_oracle(build_entry(name, {"q": "zeta5"}).system, 1) == m
     entry = build_entry("z3-shift")
     assert orbit_count_oracle(entry.system, 2) == 6
+    # q of infinite order: k + 1 on two letters
     cs2 = z2_system(q=CycloElement.from_rational(2))
+    assert [orbit_count_oracle(cs2, k) for k in range(5)] == [1, 2, 3, 4, 5]
+    # a table off the pairing has no series
     with pytest.raises(HypothesesNotMet):
-        orbit_count_oracle(cs2, 2)
+        orbit_count_oracle(z2_system(a=2, e=1), 2)
 
 
 def test_expansion_matches_partition_sum():
@@ -424,25 +436,62 @@ def test_expansion_matches_partition_sum():
         for n in range(1, 7):
             for k in range(m * (n - 1) + 2):
                 reference = sum(p.perm_count(m) for p in partitions(k, m, n - 1))
-                assert predicted_dimension(m, n, k) == reference, (m, n, k)
+                series = HilbertSeries(tuple(_times_boxes([1], n, m)), 0)
+                assert series.coefficient(k) == reference, (m, n, k)
 
 
 def test_expected_profile_matches_exact_dims():
     # z4-shift2 splits into two parts of two letters, each with its own q:
-    # the profile is the product of one expansion per part
+    # the series is the product of one expansion per part
     for overrides, profile in (
         (None, (1, 4, 8, 10, 8, 4, 1)),  # q1 = -1, q2 = zeta3
         ({"q1": "zeta4", "q2": "-1"}, (1, 4, 8, 12, 14, 12, 8, 4, 1)),
     ):
         cs = build_entry("z4-shift2", overrides).system
-        assert expected_profile(cs) == profile
+        assert expected_series(cs) == HilbertSeries(profile, 0)
+        assert expected_series(cs).total == sum(profile)
         assert graded_dims(cs, cap=16, mode="exact").dims == profile + (0,)
-        assert expected_profile(build_entry("z4-shift2", overrides).system) is expected_profile(cs)
+        assert expected_series(build_entry("z4-shift2", overrides).system) is expected_series(cs)
     # constant q: one part, (1 + ... + t^(n-1))^m
-    assert expected_profile(build_entry("z3-shift").system) == (1, 3, 6, 7, 6, 3, 1)
-    # q of infinite order, and a table off the pairing, have none
-    assert expected_profile(build_entry("z3-shift", {"q": "2"}).system) is None
-    assert expected_profile(z2_system(a=2, e=1)) is None
+    assert expected_series(build_entry("z3-shift").system) == HilbertSeries((1, 3, 6, 7, 6, 3, 1), 0)
+    # q of infinite order: one factor 1 / (1 - t) per letter, no total
+    growth = expected_series(build_entry("z3-shift", {"q": "2"}).system)
+    assert growth == HilbertSeries((1,), 3) and growth.total is None
+    assert [growth.coefficient(k) for k in range(-1, 5)] == [0, 1, 3, 6, 10, 15]
+    # a table off the pairing has none
+    assert expected_series(z2_system(a=2, e=1)) is None
+
+
+def _series_points():
+    # every involutive catalog entry at q = default, zeta3, -1, 2, zeta4 and 3
+    # (z4-shift2, with a q per part, at its default), and z4-shift2 where a
+    # part has q of infinite order or q = 1
+    for name in catalog_names():
+        entry = build_entry(name)
+        if not entry.involutive:
+            continue
+        yield name, None, entry.system
+        if "q" in entry.params:
+            for q in ("zeta3", "-1", "2", "zeta4", "3"):
+                yield name, q, build_entry(name, {"q": q}).system
+    for q1, q2 in (("-1", "2"), ("2", "zeta3"), ("1", "-1")):
+        yield "z4-shift2", (q1, q2), build_entry("z4-shift2", {"q1": q1, "q2": q2}).system
+
+
+def test_expected_series_matches_exact_dims():
+    # the series against exact graded_dims through degree 9, or to the
+    # first zero, on finite, growth and mixed points alike
+    points = list(_series_points())
+    assert len(points) == 28
+    kinds = Counter()
+    for name, q, cs in points:
+        series = expected_series(cs)
+        g = graded_dims(cs, cap=9, mode="exact", exact_cap=cs.size ** 9)
+        assert g.dims == tuple(series.coefficient(k) for k in range(len(g.dims))), (name, q)
+        assert g.total == series.total or g.terminated == "cap", (name, q)
+        kinds[series.pole == 0, len(series.numerator) == 1] += 1
+    # finite, growth (numerator 1) and mixed series all occur
+    assert kinds[True, False] and kinds[False, True] and kinds[False, False]
 
 
 def test_oracle_agrees_with_ranks():
@@ -455,28 +504,45 @@ def test_oracle_agrees_with_ranks():
 
 def test_theorem_suite_finite():
     report = theorem_suite(build_entry("z3-shift", {"q": "-1"}).system)
-    assert report.mode == "finite" and report.passed
+    assert report.passed
     assert report.expected_total == 8
     assert set(report.checks) == {"total", "profile", "relations_vanish"}
 
 
 def test_theorem_suite_growth():
-    report = theorem_suite(z2_system(q=CycloElement.from_rational(2)))
-    assert report.mode == "growth" and report.passed
+    # a part with q of infinite order (or q = 1) puts a pole in the series:
+    # the profile check alone, through degree 16 or the word limit (z4-shift2
+    # stops after degree 11), with modular degrees kept on the series
+    for name, overrides, dims in (
+        ("z2-shift", {"q": "2"}, tuple(range(1, 18))),
+        ("z4-shift2", {"q1": "-1", "q2": "2"}, (1,) + tuple(4 * k for k in range(1, 12))),
+        ("z4-shift2", {"q1": "2", "q2": "zeta3"}, (1, 4, 10, 18) + tuple(9 * k for k in range(3, 11))),
+        ("z4-shift2", {"q1": "1", "q2": "-1"}, (1,) + tuple(4 * k for k in range(1, 12))),
+    ):
+        report = theorem_suite(build_entry(name, overrides).system)
+        assert report.passed and report.checks == {"profile": True}, (name, overrides)
+        assert report.graded.dims == dims and report.expected_total is None
+        assert any(r.mode == "modular" for r in report.graded.provenance)
 
 
 def test_theorem_suite_product():
     report = theorem_suite(build_entry("z4-shift2").system)
-    assert report.mode == "product" and report.passed
+    assert report.passed
     assert report.expected_total == 36
     assert report.checks == {"total": True, "profile": True}
 
 
 def test_theorem_hypotheses_flags():
     hyp = theorem_hypotheses(z2_system())
-    assert hyp.finite_type and hyp.root_order == 2
-    hyp = theorem_hypotheses(z2_system(q=CycloElement.from_rational(2)))
-    assert hyp.growth_type and not hyp.finite_type
+    assert hyp.q_constant and hyp.q == MINUS1 and hyp.pairing_holds
+    two = CycloElement.from_rational(2)
+    hyp = theorem_hypotheses(z2_system(q=two))
+    assert hyp.q_constant and hyp.q == two and hyp.pairing_holds
+    # the relation schema needs a constant q of finite order >= 2
+    for q in (two, CycloElement.one(1)):
+        with pytest.raises(HypothesesNotMet):
+            theorem_relations(z2_system(q=q))
+    assert len(theorem_relations(z2_system())) == 4
     bad = z2_system(a=2, e=1)  # pairing a*e != 1
     assert not theorem_hypotheses(bad).pairing_holds
     with pytest.raises(HypothesesNotMet):
@@ -1613,21 +1679,26 @@ def test_hexagon_failures_match_reference_beyond_int64():
 
 
 def test_graded_dims_predicts_finite_type_dimensions(monkeypatch):
-    # graded_dims reads expected_profile itself, also where q varies between
-    # the parts (z4-shift2): a wrong profile escalates the first modular
-    # degree, and a non-involutive base (w1) has none
+    # graded_dims reads expected_series itself, also where q varies between
+    # the parts (z4-shift2) and where a part has q of infinite order
+    # (z4-shift2 at (-1, 2)): a wrong coefficient escalates the first modular
+    # degree, and a non-involutive base (w1) has no series
     import ybnichols.nichols as nichols
 
-    z4 = build_entry("z4-shift2").system
-    plain = graded_dims(z4, cap=5, exact_cap=16)
-    assert [r.mode for r in plain.provenance[3:]] == ["modular"] * 3
-    wrong = list(expected_profile(z4))
-    wrong[3] += 1
-    monkeypatch.setattr(nichols, "expected_profile", lambda cs: tuple(wrong))
-    g = graded_dims(z4, cap=5, exact_cap=16)
-    assert g.dims == plain.dims
-    assert [r.mode for r in g.provenance[3:]] == ["modular+exact", "exact", "exact"]
-    assert g.provenance[3].agreed and g.provenance[3].modular_dims[0] != 0
+    right = nichols.expected_series
+    for overrides in (None, {"q1": "-1", "q2": "2"}):
+        z4 = build_entry("z4-shift2", overrides).system
+        plain = graded_dims(z4, cap=5, exact_cap=16)
+        assert [r.mode for r in plain.provenance[3:]] == ["modular"] * 3
+        numerator, pole = right(z4)
+        wrong = list(numerator) + [0] * (4 - len(numerator))
+        wrong[3] += 1  # off from degree 3, the first modular degree, on
+        monkeypatch.setattr(nichols, "expected_series", lambda cs: HilbertSeries(tuple(wrong), pole))
+        g = graded_dims(z4, cap=5, exact_cap=16)
+        assert g.dims == plain.dims
+        assert [r.mode for r in g.provenance[3:]] == ["modular+exact", "exact", "exact"]
+        assert g.provenance[3].agreed and g.provenance[3].modular_dims[0] != 0
+        monkeypatch.setattr(nichols, "expected_series", right)
     g = graded_dims(build_entry("w1").system, cap=9)
     assert g.dims[7:] == (8, 4, 1)
     assert [r.mode for r in g.provenance[7:]] == ["modular"] * 3
