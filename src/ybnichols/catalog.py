@@ -35,14 +35,16 @@ class ConstraintViolation(ValueError):
 
 
 def parse_scalar(text: str) -> CycloElement:
-    """Parse "zetaN", "zetaN^k", "-zetaN^k" or a rational like "-1", "2/3"."""
+    """Parse "zetaN", "zetaN^k", "-zetaN^k" (N >= 1) or a rational like "-1",
+    "2/3"; ValueError quoting the text as given otherwise."""
+    given = text
     text = text.strip()
     sign = 1
     if text.startswith("-") and "zeta" in text:
         sign = -1
         text = text[1:]
     match = re.fullmatch(r"zeta(\d+)(?:\^(-?\d+))?", text)
-    if match:
+    if match and int(match.group(1)) >= 1:
         order = int(match.group(1))
         power = int(match.group(2)) if match.group(2) else 1
         value = CycloElement.zeta(order) ** power
@@ -50,7 +52,7 @@ def parse_scalar(text: str) -> CycloElement:
     try:
         return CycloElement.from_rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse scalar {text!r}") from exc
+        raise ValueError(f"cannot parse scalar {given!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -38,22 +38,36 @@ T_k = id + (T_{k-1} (x) id) c_{k-1}, every term after c_{k-1} moves only
 u within its degree-(k-1) orbit, so from there on the node and its offset
 stay fixed.  A degree-k step therefore reads word-length arrays of degree
 k-1 only, and the top degree of a run (w1 at degree 10: 1,048,576 words)
-never builds any.  A batch closes only when its accumulators would pass the
-larger of ``_BATCH_BUDGET`` entries and the largest single orbit's, so a
-degree of many small orbits costs a few walks.  A batch whose seeds mix
-int64 and object rows, or that would leave int64, is bisected, so
-arithmetic turns object orbit by orbit.  Exact and
-modular steps are one step with two walks: the modular walk visits the same
-batches and words with one running product per word, and keeps the products
-and the sums reduced mod p at every term.  Off the paper's class (below),
-elimination runs orbit by orbit on the positions some seed image reaches,
-not the whole orbit (on w1 at degree 9, 1,512 of the 229,632 positions of
-the seeded orbits), and each kept row stays on its support: its nonzero
-values and their ascending positions in the orbit (``OrbitRows.columns``).
-The next degree's seed table gathers those values only (over ``graded_dims``
-of w1 and w6, 116,468 values, where rows expanded back to the orbit's length
-made it gather 2,140,352 and drop the zeros).  Full-length rows are built
-only in ``_Engine.expand``, when a caller asks for the image itself.
+never builds any.
+
+A walk writes its output in one of two shapes.  A dense walk writes
+whole-orbit segments: on the paper's class (one seed per orbit, whose image
+is a whole row) and in relation checks (whose output is the image).  Its
+batch closes before the output would pass the larger of
+``_DENSE_BATCH_BUDGET`` entries and the largest single orbit's, so a degree
+of many small orbits costs a few walks.  Off the paper's class every seed
+of an orbit has its own segment, and the walk is compact: one index pass
+over the staircase terms keeps each term's output indices, after marking
+the orbit positions the terms reach and numbering them in ascending order
+per orbit, so a segment holds the reached positions only.  A compact batch
+weighs what its walk holds, the stored indices plus a bound on its output,
+and closes at ``_BATCH_BUDGET``: over ``graded_dims`` of w1 and w6 each
+degree is one walk per arithmetic, 34 walks writing 1,042,376 entries, where
+walks of one orbit into whole-orbit segments took 132 and wrote 8,493,056.
+A batch whose seeds mix int64 and object rows, or that would leave int64,
+is bisected, so arithmetic turns object orbit by orbit.  Exact and modular
+steps are one step with two walks: the modular walk visits the same batches
+and words with one running product per word, and keeps the products and the
+sums reduced mod p at every term.  Off the paper's class (below),
+elimination runs orbit by orbit on the reached positions where some seed
+image is nonzero, not the whole orbit (on w1 at degree 9, 1,512 of the
+229,632 positions of the seeded orbits), and each kept row stays on its
+support: its nonzero values and their ascending positions in the orbit
+(``OrbitRows.columns``).  The next degree's seed table gathers those values
+only (over ``graded_dims`` of w1 and w6, 116,468 values, where rows expanded
+back to the orbit's length made it gather 2,140,352 and drop the zeros).
+Full-length rows are built only in ``_Engine.expand``, when a caller asks
+for the image itself.
 
 On the paper's class, one seed per orbit suffices.  Let the solution be
 involutive and the table satisfy the pairing R[i][j] R[a][b] = 1 for every
@@ -174,9 +188,18 @@ from .ybe import (
 )
 
 
-# a batch of orbits walks the staircase together until its accumulators
-# would pass this many entries (or the largest single orbit's, if larger)
-_BATCH_BUDGET = 2 ** 14
+# a batch of groups walks the staircase together until what its walk holds
+# would pass this many entries (or the largest single group's, if larger).
+# Off the paper's class a walk holds its compact output and each term's
+# stored output indices: on the racks w1 and w6 a whole degree, at most
+# 193,536 entries, is one walk per arithmetic, where a dense walk of one
+# orbit held up to 132,096 (``_SeedTable.batches``)
+_BATCH_BUDGET = 2 ** 18
+
+# a walk into whole-orbit segments (rank-one steps and relation checks)
+# closes when its output would pass this many entries; at 2^18 the rank-one
+# steps of the q = 2 growth cases ran slower and held more
+_DENSE_BATCH_BUDGET = 2 ** 14
 
 # graded_dims stops (terminated "cap") before a degree of more words than this
 _DIMENSION_LIMIT = 2 ** 22
@@ -579,14 +602,14 @@ def _runs(keys):
     return keys[fresh], np.cumsum(fresh) - 1
 
 
-def _batches(weights):
-    """Cut consecutive groups, of ``weights`` accumulator entries each, into
-    runs that stay within the larger of the largest group's and
-    ``_BATCH_BUDGET`` entries: a run closes before a group would pass that,
-    so a degree of many small orbits costs a few walks, not one per orbit.
-    Yields each run as a range of group indices."""
+def _batches(weights, budget: int):
+    """Cut consecutive groups, of ``weights`` entries each, into runs that
+    stay within the larger of the largest group's and ``budget`` entries: a
+    run closes before a group would pass that, so a degree of many small
+    orbits costs a few walks, not one per orbit.  Yields each run as a range
+    of group indices."""
     ends = np.cumsum(weights, dtype=np.int64)
-    limit = max(int(np.max(weights, initial=0)), _BATCH_BUDGET)
+    limit = max(int(np.max(weights, initial=0)), budget)
     lo = 0
     while lo < ends.size:
         hi = int(np.searchsorted(ends, limit + (ends[lo - 1] if lo else 0), side="right"))
@@ -594,19 +617,46 @@ def _batches(weights):
         lo = hi
 
 
-class _Entries(NamedTuple):
-    """A batch's seeds flattened for one staircase walk: the source words
-    that carry an entry, entry -> index into those words (a full slice when
-    that is the identity), entry -> the start of its output segment, entry
-    values ((phi,) exactly, one value mod p), the output length, and whether
-    the seeds mix int64 and object rows."""
+def _marked(index, size: int):
+    """Mark the positions in range(size) that ``index`` takes and number them
+    in ascending order: returns (the marked positions, ``index`` with each
+    position replaced by its number).  The numbering is a scatter (numpy's
+    cumsum of a mask is slow) into the smallest integer type that holds it,
+    and is skipped when every position is marked."""
+    used = np.zeros(size, dtype=bool)
+    used[index] = True
+    kept = np.flatnonzero(used)
+    if kept.size == size:
+        return kept, index
+    number = np.empty(size, dtype=np.min_scalar_type(kept.size))
+    number[kept] = np.arange(kept.size, dtype=number.dtype)
+    return kept, number[index]
 
+
+class _Entries(NamedTuple):
+    """A batch's seeds flattened for one staircase walk of the groups
+    ``part``: the source words that carry an entry, entry -> index into those
+    words (a full slice when that is the identity), entry -> its place, entry
+    values ((phi,) exactly, one value mod p), the output length, and whether
+    the seeds mix int64 and object rows.
+
+    A dense walk writes whole-orbit segments: an entry's place is the start
+    of its segment, and each term adds at place + the term's orbit positions.
+    A compact walk (``_SeedTable.compacted``) writes only the orbit positions
+    some term reaches: ``terms`` holds each term's output indices and pair
+    indices, stored by one index pass, and ``columns`` each group's positions
+    in ascending order; before that pass an entry's place is its seed,
+    counted from the part's first."""
+
+    part: range
     words: np.ndarray
     src: object
-    base: np.ndarray
+    place: np.ndarray
     vals: np.ndarray
     n_out: int
     mixed: bool
+    terms: list | None = None
+    columns: list | None = None
 
 
 class _SeedTable:
@@ -616,21 +666,29 @@ class _SeedTable:
     Seed s lies on the node ``nodes[s]`` (P, y), id P m + y, and carries
     the row ``rows[s]`` of ``rows_below``, each a row on the degree-(k-1)
     orbit ``orbits_below`` names; those rows are concatenated once.  It
-    walks into the segment, of its orbit's size, at ``offsets[s]`` inside
-    the output of its group ``groups[s]``, and seeds that share a segment
-    sum there.  Group g lies on the degree-k orbit ``orbits[g]`` and its
-    output is ``lengths[g]`` long.  The seeds are ordered by group, and the
-    outputs of the groups lie end to end, so a range of groups walks into
-    one array.
+    walks into segment ``segment[s]`` of the output of its group
+    ``groups[s]``, and seeds that share a segment sum there.  Group g lies
+    on the degree-k orbit ``orbits[g]`` and writes ``counts[g]`` segments.
+    The seeds are ordered by group, and the outputs of the groups lie end to
+    end, so a range of groups walks into one array.
+
+    A dense table's segments span their whole orbit, so group g's output is
+    ``lengths[g]`` long.  A ``compact`` table (off the paper's class, where
+    each seed has its own segment) is walked into compact outputs: a
+    segment holds only the orbit positions some staircase term of its
+    group's walk reaches (``compacted``).
     """
 
-    def __init__(self, here, rows_below, orbits_below, nodes, rows, groups, offsets,
-                 orbits, lengths, columns=None) -> None:
-        self.here, self.nodes, self.orbits, self.lengths = here, nodes, orbits, lengths
+    def __init__(self, here, rows_below, orbits_below, nodes, rows, groups, segment,
+                 orbits, counts, columns=None, compact=False) -> None:
+        self.here, self.nodes, self.orbits, self.counts = here, nodes, orbits, counts
+        self.groups, self.segment, self.compact = groups, segment, compact
         self.bounds = np.searchsorted(groups, np.arange(orbits.size + 1))  # group -> first seed
-        self.ends = np.cumsum(lengths)
-        self.starts = self.ends - lengths  # each group's output, degree-wide
-        self.segments = self.starts[groups] + offsets  # each seed's segment, degree-wide
+        self.lengths = counts * here.sizes[orbits]
+        self.ends = np.cumsum(self.lengths)
+        self.starts = self.ends - self.lengths  # each group's dense output, degree-wide
+        # each seed's dense segment, degree-wide
+        self.segments = self.starts[groups] + segment * here.sizes[orbits][groups]
         sizes = here.below.sizes[orbits_below]
         self.sizes = sizes[rows]  # the words of each seed's node
         # a whole row holds a value per word of its orbit, a support row
@@ -650,6 +708,20 @@ class _SeedTable:
         if self.flat.dtype == object:
             self.objects = np.array([row.dtype == object for row in rows_below])[rows]
 
+    def batches(self, k: int):
+        """The runs of groups that walk together (``_batches``), weighed by
+        what their walk holds.  A dense walk holds its output, ``lengths``
+        entries, within ``_DENSE_BATCH_BUDGET``.  A compact walk holds one
+        stored output index per entry and term, and an output of at most
+        min(orbit size, k x entries) positions per segment, as each of the k
+        terms sends an entry's word to one position; within
+        ``_BATCH_BUDGET``."""
+        if not self.compact:
+            return _batches(self.lengths, _DENSE_BATCH_BUDGET)
+        entries = np.diff(np.append(0, np.cumsum(self.widths))[self.bounds])
+        reach = np.minimum(self.here.sizes[self.orbits], k * entries)
+        return _batches(k * entries + self.counts * reach, _BATCH_BUDGET)
+
     def entries(self, part: range) -> _Entries:
         """The walk entries of the groups ``part``: one per nonzero value of
         each seed's row, on its node's words in orbit order.  A block of
@@ -659,7 +731,8 @@ class _SeedTable:
         values only, each on the word of its stored column, so no zero is
         gathered; a whole row is gathered in full and its zeros dropped.  On
         the paper's class every value is nonzero (the module docstring), so
-        the walk takes whole nodes."""
+        the walk takes whole nodes.  The entries are placed densely, or,
+        from a compact table, by their seeds (``compacted`` places them)."""
         seeds = slice(self.bounds[part.start], self.bounds[part.stop])
         widths, fresh = self.widths[seeds], self.fresh[seeds]
         starts = np.cumsum(widths) - widths  # each seed's first entry
@@ -673,13 +746,17 @@ class _SeedTable:
             if not objects.any():
                 vals = vals.astype(np.int64)
         first_out = self.starts[part.start]
-        base = np.repeat(self.segments[seeds] - first_out, widths)
         n_out = int(self.ends[part.stop - 1] - first_out)
+        if self.compact:
+            place = np.repeat(np.arange(widths.size), widths)
+        else:
+            place = np.repeat(self.segments[seeds] - first_out, widths)
         nodes = self.nodes[seeds]
         if self.columns is None:
             live = (vals.reshape(len(vals), -1) != 0).any(axis=1)
             if live.all() and fresh.all():  # one entry per word, in order: no gathers
-                return _Entries(self.here.node_words(nodes), slice(None), base, vals, n_out, mixed)
+                return _Entries(part, self.here.node_words(nodes), slice(None), place, vals,
+                                n_out, mixed)
         nodes = nodes[fresh]
         # src numbers an entry's column over the blocks' words, block after block
         block_widths = self.sizes[seeds][fresh]
@@ -689,32 +766,65 @@ class _SeedTable:
             src = np.repeat(blocks - starts, widths)
             src += np.arange(src.size)
             live = np.flatnonzero(live)
-            src, base, vals = src[live], base[live], vals[live]
+            src, place, vals = src[live], place[live], vals[live]
         else:
             src = np.repeat(blocks, widths)
             src += self.columns[index]
         # keep the columns that carry an entry, and number them anew
-        used = np.zeros(int(block_widths.sum()), dtype=bool)
-        used[src] = True
-        kept = np.flatnonzero(used)
-        if kept.size < used.size:  # else the numbering is the identity
-            # a scatter: numpy's cumsum of a mask is slow
-            number = np.empty(used.size, dtype=np.int64)
-            number[kept] = np.arange(kept.size)
-            src = number[src]
+        kept, src = _marked(src, int(block_widths.sum()))
+        src = src.astype(np.int64, copy=False)
         words = self.here.column_words(nodes, kept)
         if src.size == words.size and (src[1:] > src[:-1]).all():
             src = slice(None)
-        return _Entries(words, src, base, vals, n_out, mixed)
+        return _Entries(part, words, src, place, vals, n_out, mixed)
 
-    def outputs(self, part: range, out) -> list:
-        """A walk output of the groups ``part`` cut into (orbit, output) per
-        group, each output shaped (segments, orbit size[, phi])."""
+    def compacted(self, entries: _Entries, positions, pairs) -> _Entries:
+        """The entries of a compact table placed in a compact output, from
+        one index pass over the staircase terms of their walk: row t of
+        ``positions`` holds the orbit positions term t sends the entries to,
+        and ``pairs[t]`` its pair indices.
+
+        The positions the terms reach are marked over the words of the
+        part's orbits, the sum of their sizes, and numbered in ascending
+        order per orbit.  Group g then writes counts[g] segments of its
+        reached positions, not of its orbit's size, and ``positions`` turns
+        into each term's output indices, kept for the walks
+        (``_Engine._placed``)."""
+        part = entries.part
         at = slice(part.start, part.stop)
-        pieces = zip(self.orbits[at].tolist(), np.cumsum(self.lengths[at]).tolist(),
-                     self.lengths[at].tolist(), self.here.sizes[self.orbits[at]].tolist())
-        return [(orbit, out[end - length : end].reshape(length // size, size, *out.shape[1:]))
-                for orbit, end, length, size in pieces]
+        sizes = self.here.sizes[self.orbits[at]]
+        seeds = slice(self.bounds[part.start], self.bounds[part.stop])
+        groups = self.groups[seeds] - part.start
+        firsts = np.cumsum(sizes) - sizes  # each orbit's first word in the marks
+        positions += firsts[groups][entries.place]
+        kept, number = _marked(positions, int(sizes.sum()))
+        heads = np.searchsorted(kept, firsts)  # each orbit's first reached position
+        widths = np.diff(np.append(heads, kept.size))
+        lengths = self.counts[at] * widths
+        # seed s of group g writes its segment at starts[g] + segment[s] * widths[g]
+        base = (np.cumsum(lengths) - lengths - heads)[groups] + self.segment[seeds] * widths[groups]
+        np.add(number, base[entries.place], out=positions)
+        columns = np.split(kept - np.repeat(firsts, widths), np.cumsum(widths)[:-1])
+        return entries._replace(n_out=int(lengths.sum()), columns=columns,
+                                terms=list(zip(positions, pairs)))
+
+    def outputs(self, entries: _Entries, out) -> list:
+        """A walk output of the groups ``entries.part`` cut into (orbit,
+        block, columns) per group: the block is shaped (segments, width[,
+        phi]) and holds the values at the ascending orbit positions
+        ``columns`` (a compact walk's), or at every position of the orbit,
+        in order (a dense walk's, with columns None)."""
+        at = slice(entries.part.start, entries.part.stop)
+        orbits, counts, columns = self.orbits[at], self.counts[at], entries.columns
+        if columns is None:
+            widths, columns = self.here.sizes[orbits], [None] * orbits.size
+        else:
+            widths = np.array([c.size for c in columns], dtype=np.int64)
+        lengths = counts * widths
+        pieces = zip(orbits.tolist(), np.cumsum(lengths).tolist(), lengths.tolist(),
+                     counts.tolist(), widths.tolist(), columns)
+        return [(orbit, out[end - length : end].reshape(count, width, *out.shape[1:]), cols)
+                for orbit, end, length, count, width, cols in pieces]
 
 
 class OrbitRows(list):
@@ -734,20 +844,22 @@ class OrbitRows(list):
         self.orbits = list(orbits)
         self.columns = None if columns is None else list(columns)
 
-    def add_span(self, orbit: int, seeds, space) -> None:
-        """Append the basis the seed rows (seeds, orbit size[, phi]) span on
-        the orbit, as support rows: ``space(width)`` is an empty row space
-        of that width.
+    def add_span(self, orbit: int, seeds, columns, space) -> None:
+        """Append the basis the seed rows span on the orbit, as support rows:
+        ``seeds`` (seeds, width[, phi]) holds their values at the strictly
+        ascending orbit positions ``columns`` and is zero elsewhere, and
+        ``space(width)`` is an empty row space of that width.
 
-        The seeds are inserted on their support only, the positions where
-        some seed is nonzero, in ascending order, and each kept row is
-        stored at its own nonzero positions.  A position that is zero in
-        every seed stays zero under every row operation, and the support
-        keeps the positions' order, so the rows, pivots, dtypes and int64
-        bounds are those of inserting the full seed rows."""
-        support = np.flatnonzero((seeds != 0).reshape(len(seeds), seeds.shape[1], -1).any(axis=(0, 2)))
-        basis = space(support.size)
-        for seed in seeds[:, support]:
+        The seeds are inserted on their support only, the columns where
+        some seed is nonzero (a walk's column can cancel in every seed), and
+        each kept row is stored at its own nonzero positions.  A position
+        that is zero in every seed stays zero under every row operation, and
+        the support keeps the positions' order, so the rows, pivots, dtypes
+        and int64 bounds are those of inserting the full seed rows."""
+        live = np.flatnonzero((seeds != 0).reshape(len(seeds), seeds.shape[1], -1).any(axis=(0, 2)))
+        support = columns[live]
+        basis = space(live.size)
+        for seed in seeds[:, live]:
             basis.insert(seed)
         for row in basis.rows:
             nonzero = np.flatnonzero((row != 0).reshape(len(row), -1).any(axis=1))
@@ -840,13 +952,14 @@ class _Engine:
         orbits = np.flatnonzero(rows >= 0)
         seeds = np.arange(orbits.size)
         return _SeedTable(here, prev_rows, kept, here.heads[orbits], rows[orbits], seeds,
-                          np.zeros_like(seeds), orbits, here.sizes[orbits], prev_rows.columns)
+                          np.zeros_like(seeds), orbits, np.ones_like(orbits), prev_rows.columns)
 
     def _node_seeds(self, prev_rows: OrbitRows, k: int) -> _SeedTable:
         """The seeds of a degree-k step off the paper's class: a row on the
         degree-(k-1) orbit P seeds every node (P, y), id P m + y, in orbit
         ``links[P m + y]``.  The seeds are ordered by (orbit, node, row), each
-        walks into its own segment, and each orbit is one group."""
+        walks into its own segment, and each orbit is one group; the table
+        is compact."""
         m, here = self.m, self.orbits(k)
         kept = np.asarray(prev_rows.orbits, dtype=np.int64)
         rows = np.repeat(np.arange(kept.size), m)
@@ -855,10 +968,9 @@ class _Engine:
         rows, nodes = rows[order], nodes[order]
         orbits, groups = _runs(here.links[nodes])
         counts = np.bincount(groups, minlength=orbits.size)
-        sizes = here.sizes[orbits]
-        offsets = (np.arange(nodes.size) - (np.cumsum(counts) - counts)[groups]) * sizes[groups]
-        return _SeedTable(here, prev_rows, kept, nodes, rows, groups, offsets, orbits,
-                          counts * sizes, prev_rows.columns)
+        segment = np.arange(nodes.size) - (np.cumsum(counts) - counts)[groups]
+        return _SeedTable(here, prev_rows, kept, nodes, rows, groups, segment, orbits, counts,
+                          prev_rows.columns, compact=True)
 
     # -- exact chain
 
@@ -882,7 +994,7 @@ class _Engine:
 
     def _located(self, k: int, terms):
         """Pair each term of a staircase walk (a tuple led by its image
-        words, as ``_images`` and ``_terms_exact`` yield) with the positions
+        words, as ``_images`` yields) with the positions
         of those words within their degree-k orbits.
 
         A word u y sits at the offset of its node (orbit of u, y) plus the
@@ -898,51 +1010,82 @@ class _Engine:
                 offset = here.offsets[below.label[prefix] * m + term[0] - prefix * m]
             yield term, offset + below.pos[prefix]
 
-    def _terms_exact(self, k: int, src, object_mode: bool):
-        """Yield (image words, scalars, denominator, peak) of each term of the
-        staircase T_k on the degree-k source words.  ``peak`` is the largest
-        absolute scalar while the scalars are int64, else None.  The scalars
-        turn object before a product could leave int64."""
+    def _entries(self, k: int, seeds: _SeedTable, part: range) -> _Entries:
+        """The walk entries of the groups ``part``; those of a compact table
+        placed by one index pass over the staircase terms, which keeps each
+        term's orbit positions and pair indices (``_SeedTable.compacted``)."""
+        entries = seeds.entries(part)
+        if not seeds.compact:
+            return entries
+        src = entries.src
+        positions = np.empty((k, len(entries.vals)), dtype=np.int64)
+        pairs = []
+        located = self._located(k, self._images(k, entries.words))
+        for row, ((_, sidx), at) in zip(positions, located):
+            row[:] = at[src]
+            pairs.append(sidx)
+        return seeds.compacted(entries, positions, pairs)
+
+    def _placed(self, k: int, entries: _Entries):
+        """(output indices, pair indices) of each staircase term of a walk,
+        the identity's pair indices None: a compact walk's stored terms, else
+        each term's orbit positions (``_located``) past its entries' segment
+        starts.  Both walks read their output indices here."""
+        if entries.terms is not None:
+            return iter(entries.terms)
+        src, place = entries.src, entries.place
+        return ((place + at[src], sidx)
+                for (_, sidx), at in self._located(k, self._images(k, entries.words)))
+
+    def _terms_exact(self, terms, n: int, object_mode: bool):
+        """Yield (t, scalars, denominator, peak) for each (t, pair indices) of
+        ``terms``, the staircase terms of a walk over n source words, the
+        identity first with pair indices None (as ``_images`` and ``_placed``
+        yield them): the scalars are each word's running product of the
+        table's entries.  ``peak`` is the largest absolute scalar while the
+        scalars are int64, else None.  The scalars turn object before a
+        product could leave int64."""
         ctx = self.ctx
-        terms = self._images(k, src)
-        cur, _ = next(terms)
-        scal = np.zeros((src.size, ctx.phi), dtype=object if object_mode else np.int64)
+        scal = np.zeros((n, ctx.phi), dtype=object if object_mode else np.int64)
         scal[:, 0] = 1
         den = 1
         peak = None if object_mode else _max_abs(scal)
-        yield cur, scal, den, peak
-        for cur, sidx in terms:
-            if peak is not None and peak * self.r_int_max * ctx.mul_bound >= _INT64_GUARD:
-                scal = _as_object(scal)
-            scal = mul_rows_elementwise(scal, self.r_int[sidx].astype(scal.dtype, copy=False), ctx)
-            den *= self.r_den
-            peak = None if scal.dtype == object else _max_abs(scal)
-            yield cur, scal, den, peak
+        for t, sidx in terms:
+            if sidx is not None:
+                if peak is not None and peak * self.r_int_max * ctx.mul_bound >= _INT64_GUARD:
+                    scal = _as_object(scal)
+                r = self.r_int[sidx].astype(scal.dtype, copy=False)
+                scal = mul_rows_elementwise(scal, r, ctx)
+                den *= self.r_den
+                peak = None if scal.dtype == object else _max_abs(scal)
+            yield t, scal, den, peak
 
     def _staircase(self, k: int, seeds: _SeedTable, part: range):
         """T_k applied to the seeds of the groups ``part``, scaled by
-        r_den^(k-1) to integers: yields (part, walk output) for the parts the
-        groups were walked in.
+        r_den^(k-1) to integers: yields (entries, walk output) for the parts
+        the groups were walked in.
 
         The groups are walked together; an orbit's arithmetic turns object
         exactly where its own int64 bound would be crossed, so a part whose
         seeds mix int64 and object rows, or whose walk would cross the bound,
         is bisected, and an orbit turns object only when it is walked alone.
         """
-        out = self._staircase_walk(k, seeds.entries(part), promote=len(part) == 1)
+        entries = self._entries(k, seeds, part)
+        out = self._staircase_walk(k, entries, promote=len(part) == 1)
         if out is not None:
-            yield part, out
+            yield entries, out
             return
         half = len(part) // 2
         yield from self._staircase(k, seeds, part[:half])
         yield from self._staircase(k, seeds, part[half:])
 
     def _walks(self, k: int, seeds: _SeedTable, part: range, p: int | None):
-        """(part, walk output) pairs of the groups ``part``, exactly
+        """(entries, walk output) pairs of the groups ``part``, exactly
         (``_staircase``) or over F_p (``_mod_walk``, one walk per part)."""
         if p is None:
             return self._staircase(k, seeds, part)
-        return [(part, self._mod_walk(p, k, seeds.entries(part)))]
+        entries = self._entries(k, seeds, part)
+        return [(entries, self._mod_walk(p, k, entries))]
 
     def _staircase_walk(self, k: int, entries: _Entries, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
@@ -961,14 +1104,14 @@ class _Engine:
         ctx = self.ctx
         if entries.mixed and not promote:
             return None
-        words, src, base, vals, n_out, _ = entries
+        src, vals = entries.src, entries.vals
         object_mode = vals.dtype == object
         seed_max = 0 if object_mode else _max_abs(vals)
-        out = np.zeros((n_out, ctx.phi), dtype=object if object_mode else np.int64)
+        out = np.zeros((entries.n_out, ctx.phi), dtype=object if object_mode else np.int64)
         total_den = self.r_den ** (k - 1)
         bound = 0  # bounds every accumulated entry while in int64
-        terms = self._terms_exact(k, words, object_mode)
-        for (_, scal, den, peak), at in self._located(k, terms):
+        terms = self._placed(k, entries)
+        for idx, scal, den, peak in self._terms_exact(terms, entries.words.size, object_mode):
             scale = total_den // den
             if not object_mode:
                 if peak is not None:
@@ -982,7 +1125,7 @@ class _Engine:
                 scal = _as_object(scal)
             if scale != 1:
                 scal = scal * scale
-            out[base + at[src]] += mul_rows_elementwise(vals, scal[src], ctx)
+            out[idx] += mul_rows_elementwise(vals, scal[src], ctx)
         return out
 
     def _mod_walk(self, p: int, k: int, entries: _Entries):
@@ -991,11 +1134,11 @@ class _Engine:
         term reduces the sums it adds to, on the entries it touches only, so
         the output lies in [0, p) without a pass over the whole of it."""
         rmod = self.r_mod(p)
-        words, src, base, vals, n_out, _ = entries
-        acc = np.zeros(n_out, dtype=np.int64)
-        vals = vals.reshape(-1)
-        scal = np.ones(words.size, dtype=np.int64)
-        for (_, sidx), at in self._located(k, self._images(k, words)):
+        src = entries.src
+        acc = np.zeros(entries.n_out, dtype=np.int64)
+        vals = entries.vals.reshape(-1)
+        scal = np.ones(entries.words.size, dtype=np.int64)
+        for idx, sidx in self._placed(k, entries):  # idx distinct within a term
             if sidx is None:
                 term = vals
             else:  # x -= x // p * p reduces in half the time of numpy's %
@@ -1003,7 +1146,6 @@ class _Engine:
                 scal -= scal // p * p
                 term = vals * scal[src]
                 term -= term // p * p
-            idx = base + at[src]  # distinct within a term
             term = acc[idx] + term  # below 2p
             np.subtract(term, p, out=term, where=term >= p)
             acc[idx] = term
@@ -1017,14 +1159,15 @@ class _Engine:
         On the paper's class each orbit has one seed (``_head_seeds``), and
         ``lone_rows`` reduces each batch's output where it lies: an orbit's
         row is a view of its segment, or none.  Off it, each orbit's seed
-        images are eliminated (``OrbitRows.add_span``) into support rows."""
+        images, written compactly, are eliminated (``OrbitRows.add_span``)
+        into support rows."""
         out = OrbitRows(columns=None if self.rank_one else [])
         seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
         space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
-        for run in _batches(seeds.lengths):
-            for part, acc in self._walks(k, seeds, run, p):
+        for run in seeds.batches(k):
+            for entries, acc in self._walks(k, seeds, run, p):
                 if self.rank_one:
-                    at = slice(part.start, part.stop)
+                    at = slice(entries.part.start, entries.part.stop)
                     sizes = seeds.lengths[at]
                     keep, rows = lone_rows(acc, sizes, p)
                     kept = (a[keep].tolist() for a in (seeds.orbits[at], np.cumsum(sizes), sizes))
@@ -1032,8 +1175,8 @@ class _Engine:
                         out.append(rows[end - size : end])
                         out.orbits.append(orbit)
                 else:
-                    for orbit, images in seeds.outputs(part, acc):
-                        out.add_span(orbit, images, space)
+                    for orbit, block, columns in seeds.outputs(entries, acc):
+                        out.add_span(orbit, block, columns, space)
         return out, len(out)
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
@@ -1068,11 +1211,11 @@ class _Engine:
             keys, groups = _runs(keys[order])
             tails, placed = np.divmod(keys, here.count)
             seeds = _SeedTable(here, rows, orbits, nodes[order], order, groups,
-                               np.zeros_like(order), placed, here.sizes[placed])
+                               np.zeros_like(order), placed, np.ones_like(placed))
             rows = []
-            for run in _batches(seeds.lengths):
-                for part, acc in self._staircase(j, seeds, run):
-                    rows += [images[0] for _, images in seeds.outputs(part, acc)]
+            for run in seeds.batches(j):
+                for entries, acc in self._staircase(j, seeds, run):
+                    rows += [block[0] for _, block, _ in seeds.outputs(entries, acc)]
             orbits = placed
         den = self.r_den ** (k * (k - 1) // 2)
         return den, list(zip(orbits.tolist(), rows))

@@ -320,6 +320,16 @@ def test_empty_q_is_input_error():
     assert code == 2 and out == "" and "cannot parse scalar ''" in err
 
 
+@pytest.mark.parametrize("q", ["zeta0", "-zeta0", "zeta0^2", "--zeta3"])
+def test_bad_zeta_is_input_error_quoting_the_text(q):
+    # a root of unity of order below 1 names the input, and the message
+    # quotes the text as given, not as stripped of a sign
+    for command in ("dims", "relations"):
+        code, out, err = run_cli([command, "z2-shift", f"--q={q}"])
+        assert code == 2 and out == ""
+        assert f"cannot parse scalar {q!r}" in err
+
+
 def test_relations_commands():
     code, out, _ = run_cli(["relations", "z3-shift"])
     assert code == 0

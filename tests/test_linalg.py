@@ -455,9 +455,15 @@ def orbit_length_rows(rows, sizes):
 
 def _support_and_dense_spans(seeds, space):
     """The rows OrbitRows.add_span keeps, over the whole orbit, and those of
-    inserting every full seed row into one space of the orbit's size."""
+    inserting every full seed row into one space of the orbit's size.
+    add_span takes the seeds on ascending columns as a walk writes them:
+    every column where some seed is nonzero, and every third column, so
+    that some columns it is handed are zero in every seed."""
+    size = seeds.shape[1]
+    nonzero = (seeds != 0).reshape(len(seeds), size, -1).any(axis=(0, 2))
+    columns = np.flatnonzero(nonzero | (np.arange(size) % 3 == 0))
     got = OrbitRows(columns=[])
-    got.add_span(5, seeds, space)
+    got.add_span(5, seeds[:, columns], columns, space)
     dense = space(seeds.shape[1])
     for seed in seeds:
         dense.insert(seed)

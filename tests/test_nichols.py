@@ -785,9 +785,10 @@ def test_orbits_match_reference_beyond_small_id_types():
 
 def _staircase_scalars(engine, k, object_mode):
     words = np.arange(engine.m ** k, dtype=np.int64)
+    terms = engine._images(k, words)
     return [
         (cur.tolist(), [int(v) for v in scal.reshape(-1)], den)
-        for cur, scal, den, _ in engine._terms_exact(k, words, object_mode)
+        for cur, scal, den, _ in engine._terms_exact(terms, words.size, object_mode)
     ]
 
 
@@ -1020,7 +1021,8 @@ def _per_orbit_step(engine, prev_rows, k):
         seed_max = max(_max_abs(rows) for _, rows in blocks)
         accs = [np.zeros((len(rows), size, ctx.phi), dtype=np.int64) for _, rows in blocks]
         bound = 0
-        for cur, scal, den, _ in engine._terms_exact(k, sources, object_mode):
+        terms = engine._images(k, sources)
+        for cur, scal, den, _ in engine._terms_exact(terms, sources.size, object_mode):
             scale = total_den // den
             if not object_mode:
                 bound += seed_max * _max_abs(scal) * ctx.mul_bound * scale
@@ -1315,6 +1317,72 @@ def test_batched_mod_step_matches_per_orbit_reference():
                     assert dim == len(expected)
                     steps += 1
     assert steps >= 350, steps
+
+
+def test_compact_steps_drop_columns_cancelled_in_every_seed(monkeypatch):
+    # off the paper's class a walk writes each orbit position some staircase
+    # term reaches; on w1, and on w3 at zeta3 (phi = 2), some of them cancel
+    # in every seed of their orbit.  Elimination drops those columns, and the
+    # rows match the dense per-orbit references bit for bit, exactly and at
+    # both primes of the order
+    cancelled = Counter()
+    arithmetic = [None]
+    add_span = OrbitRows.add_span
+
+    def recording(self, orbit, seeds, columns, space):
+        assert columns.size == seeds.shape[1] and (np.diff(columns) > 0).all()
+        live = (seeds != 0).reshape(len(seeds), seeds.shape[1], -1).any(axis=(0, 2))
+        cancelled[arithmetic[0]] += int(np.count_nonzero(~live))
+        return add_span(self, orbit, seeds, columns, space)
+
+    monkeypatch.setattr(OrbitRows, "add_span", recording)
+    for name, q, top in (("w1", None, 6), ("w3", "zeta3", 5)):
+        engine = _Engine(build_entry(name, None if q is None else {"q": q}).system)
+        assert not engine.rank_one
+        arithmetic[0] = (name, None)
+        assert [k for k, _ in _checked_chain(engine, engine.m ** top)] == list(range(2, top + 1))
+        for p in primes_for_order(engine.cs.order, count=2):
+            arithmetic[0] = (name, p)
+            rows = engine.specialize_rows(engine.identity_rows(), p)
+            for k in range(2, top + 1):
+                expected, _ = _per_orbit_mod_step(engine, _whole_rows(engine, k - 1, rows), k, p)
+                rows, dim = engine.mod_step(rows, k, p)
+                _assert_same_rows(engine, k, rows, expected)
+                assert dim == len(expected)
+    assert len(cancelled) == 6 and all(cancelled.values()), cancelled
+
+
+def test_off_class_degrees_walk_once_per_arithmetic(monkeypatch):
+    # graded_dims of the racks w1 and w6 (auto: exact, both primes of the
+    # order, then the exact replay from degree 7) walks each off-class degree
+    # in one batch per arithmetic into compact outputs: 34 walks writing
+    # 1,042,376 entries, where walks of one orbit into whole-orbit segments
+    # took 132 and wrote 8,493,056
+    walks = Counter()
+    written = []
+    exact, modular = _Engine._staircase_walk, _Engine._mod_walk
+
+    def recording_exact(self, k, entries, promote):
+        out = exact(self, k, entries, promote)
+        walks[self.cs, k, None] += 1
+        written.append(0 if out is None else len(out))
+        return out
+
+    def recording_mod(self, p, k, entries):
+        out = modular(self, p, k, entries)
+        walks[self.cs, k, p] += 1
+        written.append(len(out))
+        return out
+
+    monkeypatch.setattr(_Engine, "_staircase_walk", recording_exact)
+    monkeypatch.setattr(_Engine, "_mod_walk", recording_mod)
+    for name in ("w1", "w6"):
+        cs = build_entry(name).system
+        graded = graded_dims(cs, primes=primes_for_order(cs.order, count=2))
+        assert graded.dims == (1, 4, 8, 11, 12, 12, 11, 8, 4, 1, 0)
+        assert any(r.mode == "modular+exact" for r in graded.provenance)
+    assert max(walks.values()) <= 2, walks
+    assert sum(written) <= 1_100_000, sum(written)
 
 
 def _full_seed_engine(cs):
