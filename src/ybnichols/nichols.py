@@ -628,17 +628,19 @@ def _marked(index, size: int):
     kept = np.flatnonzero(used)
     if kept.size == size:
         return kept, index
+    del used  # free the marks before the numbering is allocated
     number = np.empty(size, dtype=np.min_scalar_type(kept.size))
     number[kept] = np.arange(kept.size, dtype=number.dtype)
     return kept, number[index]
 
 
 class _Entries(NamedTuple):
-    """A batch's seeds flattened for one staircase walk of the groups
-    ``part``: the source words that carry an entry, entry -> index into those
-    words (a full slice when that is the identity), entry -> its place, entry
-    values ((phi,) exactly, one value mod p), the output length, and whether
-    the seeds mix int64 and object rows.
+    """A batch's seeds flattened for one staircase walk: the source words
+    that carry an entry, entry -> index into those words (a full slice when
+    that is the identity), entry -> its place, entry
+    values ((phi,) exactly, one value mod p), the output length (0 for a
+    compact walk until its index pass), and whether the seeds mix int64 and
+    object rows.
 
     A dense walk writes whole-orbit segments: an entry's place is the start
     of its segment, and each term adds at place + the term's orbit positions.
@@ -646,9 +648,8 @@ class _Entries(NamedTuple):
     some term reaches: ``terms`` holds each term's output indices and pair
     indices, stored by one index pass, and ``columns`` each group's positions
     in ascending order; before that pass an entry's place is its seed,
-    counted from the part's first."""
+    counted from the batch's first."""
 
-    part: range
     words: np.ndarray
     src: object
     place: np.ndarray
@@ -666,29 +667,30 @@ class _SeedTable:
     Seed s lies on the node ``nodes[s]`` (P, y), id P m + y, and carries
     the row ``rows[s]`` of ``rows_below``, each a row on the degree-(k-1)
     orbit ``orbits_below`` names; those rows are concatenated once.  It
-    walks into segment ``segment[s]`` of the output of its group
-    ``groups[s]``, and seeds that share a segment sum there.  Group g lies
-    on the degree-k orbit ``orbits[g]`` and writes ``counts[g]`` segments.
-    The seeds are ordered by group, and the outputs of the groups lie end to
-    end, so a range of groups walks into one array.
+    belongs to group ``groups[s]``, and group g lies on the degree-k orbit
+    ``orbits[g]``.  The seeds are ordered by group, and the outputs of the
+    groups lie end to end, so a range of groups walks into one array.
 
-    A dense table's segments span their whole orbit, so group g's output is
-    ``lengths[g]`` long.  A ``compact`` table (off the paper's class, where
-    each seed has its own segment) is walked into compact outputs: a
-    segment holds only the orbit positions some staircase term of its
-    group's walk reaches (``compacted``).
+    In a dense table the seeds of group g sum into one segment over its
+    whole orbit, ``lengths[g]`` long (rank-one steps, relation checks).  In
+    a ``compact`` table (off the paper's class) each seed writes a segment
+    of its own, ``counts[g]`` per group, that holds only the orbit positions
+    some staircase term of its group's walk reaches (``compacted``).
     """
 
-    def __init__(self, here, rows_below, orbits_below, nodes, rows, groups, segment,
-                 orbits, counts, columns=None, compact=False) -> None:
-        self.here, self.nodes, self.orbits, self.counts = here, nodes, orbits, counts
-        self.groups, self.segment, self.compact = groups, segment, compact
+    def __init__(self, here, rows_below, orbits_below, nodes, rows, groups, orbits,
+                 columns=None, compact=False) -> None:
+        self.here, self.nodes, self.orbits = here, nodes, orbits
+        self.groups, self.compact = groups, compact
         self.bounds = np.searchsorted(groups, np.arange(orbits.size + 1))  # group -> first seed
-        self.lengths = counts * here.sizes[orbits]
-        self.ends = np.cumsum(self.lengths)
-        self.starts = self.ends - self.lengths  # each group's dense output, degree-wide
-        # each seed's dense segment, degree-wide
-        self.segments = self.starts[groups] + segment * here.sizes[orbits][groups]
+        if compact:
+            self.counts = np.diff(self.bounds)
+            self.segment = np.arange(nodes.size) - self.bounds[groups]  # each seed's, in its group
+        else:
+            self.lengths = here.sizes[orbits]
+            self.ends = np.cumsum(self.lengths)
+            self.starts = self.ends - self.lengths  # each group's output, degree-wide
+            self.segments = self.starts[groups]  # each seed's segment, degree-wide
         sizes = here.below.sizes[orbits_below]
         self.sizes = sizes[rows]  # the words of each seed's node
         # a whole row holds a value per word of its orbit, a support row
@@ -745,18 +747,17 @@ class _SeedTable:
             mixed = bool(objects.any() and not objects.all())
             if not objects.any():
                 vals = vals.astype(np.int64)
-        first_out = self.starts[part.start]
-        n_out = int(self.ends[part.stop - 1] - first_out)
-        if self.compact:
-            place = np.repeat(np.arange(widths.size), widths)
+        if self.compact:  # ``compacted`` sizes the output
+            place, n_out = np.repeat(np.arange(widths.size), widths), 0
         else:
+            first_out = self.starts[part.start]
             place = np.repeat(self.segments[seeds] - first_out, widths)
+            n_out = int(self.ends[part.stop - 1] - first_out)
         nodes = self.nodes[seeds]
         if self.columns is None:
             live = (vals.reshape(len(vals), -1) != 0).any(axis=1)
             if live.all() and fresh.all():  # one entry per word, in order: no gathers
-                return _Entries(part, self.here.node_words(nodes), slice(None), place, vals,
-                                n_out, mixed)
+                return _Entries(self.here.node_words(nodes), slice(None), place, vals, n_out, mixed)
         nodes = nodes[fresh]
         # src numbers an entry's column over the blocks' words, block after block
         block_widths = self.sizes[seeds][fresh]
@@ -776,13 +777,13 @@ class _SeedTable:
         words = self.here.column_words(nodes, kept)
         if src.size == words.size and (src[1:] > src[:-1]).all():
             src = slice(None)
-        return _Entries(part, words, src, place, vals, n_out, mixed)
+        return _Entries(words, src, place, vals, n_out, mixed)
 
-    def compacted(self, entries: _Entries, positions, pairs) -> _Entries:
-        """The entries of a compact table placed in a compact output, from
-        one index pass over the staircase terms of their walk: row t of
-        ``positions`` holds the orbit positions term t sends the entries to,
-        and ``pairs[t]`` its pair indices.
+    def compacted(self, part: range, entries: _Entries, positions, pairs) -> _Entries:
+        """The entries of the groups ``part`` of a compact table placed in a
+        compact output, from one index pass over the staircase terms of
+        their walk: row t of ``positions`` holds the orbit positions term t
+        sends the entries to, and ``pairs[t]`` its pair indices.
 
         The positions the terms reach are marked over the words of the
         part's orbits, the sum of their sizes, and numbered in ascending
@@ -790,7 +791,6 @@ class _SeedTable:
         reached positions, not of its orbit's size, and ``positions`` turns
         into each term's output indices, kept for the walks
         (``_Engine._placed``)."""
-        part = entries.part
         at = slice(part.start, part.stop)
         sizes = self.here.sizes[self.orbits[at]]
         seeds = slice(self.bounds[part.start], self.bounds[part.stop])
@@ -802,28 +802,31 @@ class _SeedTable:
         widths = np.diff(np.append(heads, kept.size))
         lengths = self.counts[at] * widths
         # seed s of group g writes its segment at starts[g] + segment[s] * widths[g]
-        base = (np.cumsum(lengths) - lengths - heads)[groups] + self.segment[seeds] * widths[groups]
+        base = (np.cumsum(lengths) - lengths - heads)[groups]
+        base += self.segment[seeds] * widths[groups]
         np.add(number, base[entries.place], out=positions)
         columns = np.split(kept - np.repeat(firsts, widths), np.cumsum(widths)[:-1])
         return entries._replace(n_out=int(lengths.sum()), columns=columns,
                                 terms=list(zip(positions, pairs)))
 
-    def outputs(self, entries: _Entries, out) -> list:
-        """A walk output of the groups ``entries.part`` cut into (orbit,
-        block, columns) per group: the block is shaped (segments, width[,
-        phi]) and holds the values at the ascending orbit positions
-        ``columns`` (a compact walk's), or at every position of the orbit,
-        in order (a dense walk's, with columns None)."""
-        at = slice(entries.part.start, entries.part.stop)
-        orbits, counts, columns = self.orbits[at], self.counts[at], entries.columns
+    def outputs(self, part: range, out, columns) -> list:
+        """A walk output of the groups ``part`` cut into (orbit, block,
+        columns) per group: the block is shaped (segments, width[, phi]) and
+        holds the values at the ascending orbit positions of ``columns``, a
+        compact walk's (``_Entries``), or at every position of the orbit, in
+        order (a dense walk's one segment, with columns None)."""
+        at = slice(part.start, part.stop)
+        orbits, rest = self.orbits[at].tolist(), out.shape[1:]
         if columns is None:
-            widths, columns = self.here.sizes[orbits], [None] * orbits.size
-        else:
-            widths = np.array([c.size for c in columns], dtype=np.int64)
-        lengths = counts * widths
-        pieces = zip(orbits.tolist(), np.cumsum(lengths).tolist(), lengths.tolist(),
-                     counts.tolist(), widths.tolist(), columns)
-        return [(orbit, out[end - length : end].reshape(count, width, *out.shape[1:]), cols)
+            sizes = self.lengths[at]
+            pieces = zip(orbits, np.cumsum(sizes).tolist(), sizes.tolist())
+            return [(orbit, out[end - size : end].reshape(1, size, *rest), None)
+                    for orbit, end, size in pieces]
+        counts = self.counts[at].tolist()
+        widths = [c.size for c in columns]
+        lengths = [count * width for count, width in zip(counts, widths)]
+        pieces = zip(orbits, accumulate(lengths), lengths, counts, widths, columns)
+        return [(orbit, out[end - length : end].reshape(count, width, *rest), cols)
                 for orbit, end, length, count, width, cols in pieces]
 
 
@@ -951,8 +954,8 @@ class _Engine:
         rows = row_of[here.heads // self.m]
         orbits = np.flatnonzero(rows >= 0)
         seeds = np.arange(orbits.size)
-        return _SeedTable(here, prev_rows, kept, here.heads[orbits], rows[orbits], seeds,
-                          np.zeros_like(seeds), orbits, np.ones_like(orbits), prev_rows.columns)
+        return _SeedTable(here, prev_rows, kept, here.heads[orbits], rows[orbits], seeds, orbits,
+                          prev_rows.columns)
 
     def _node_seeds(self, prev_rows: OrbitRows, k: int) -> _SeedTable:
         """The seeds of a degree-k step off the paper's class: a row on the
@@ -967,10 +970,8 @@ class _Engine:
         order = np.lexsort((rows, nodes, here.links[nodes]))
         rows, nodes = rows[order], nodes[order]
         orbits, groups = _runs(here.links[nodes])
-        counts = np.bincount(groups, minlength=orbits.size)
-        segment = np.arange(nodes.size) - (np.cumsum(counts) - counts)[groups]
-        return _SeedTable(here, prev_rows, kept, nodes, rows, groups, segment, orbits, counts,
-                          prev_rows.columns, compact=True)
+        return _SeedTable(here, prev_rows, kept, nodes, rows, groups, orbits, prev_rows.columns,
+                          compact=True)
 
     # -- exact chain
 
@@ -1010,21 +1011,28 @@ class _Engine:
                 offset = here.offsets[below.label[prefix] * m + term[0] - prefix * m]
             yield term, offset + below.pos[prefix]
 
-    def _entries(self, k: int, seeds: _SeedTable, part: range) -> _Entries:
-        """The walk entries of the groups ``part``; those of a compact table
-        placed by one index pass over the staircase terms, which keeps each
-        term's orbit positions and pair indices (``_SeedTable.compacted``)."""
+    def _walk(self, k: int, seeds: _SeedTable, part: range, p: int | None = None,
+              promote: bool = False):
+        """One walk over the seeds of the groups ``part``, exactly
+        (``_staircase_walk``) or over F_p (``_mod_walk``): returns (output,
+        columns), the columns of a compact walk (``_Entries``) or None.  A
+        compact table's entries are first placed by one index pass over the
+        staircase terms, which keeps each term's orbit positions and pair
+        indices (``_SeedTable.compacted``).  The entries end here, before
+        the caller reads the output."""
         entries = seeds.entries(part)
-        if not seeds.compact:
-            return entries
-        src = entries.src
-        positions = np.empty((k, len(entries.vals)), dtype=np.int64)
-        pairs = []
-        located = self._located(k, self._images(k, entries.words))
-        for row, ((_, sidx), at) in zip(positions, located):
-            row[:] = at[src]
-            pairs.append(sidx)
-        return seeds.compacted(entries, positions, pairs)
+        if seeds.compact:
+            src = entries.src
+            positions = np.empty((k, len(entries.vals)), dtype=np.int64)
+            pairs = []
+            located = self._located(k, self._images(k, entries.words))
+            for row, ((_, sidx), at) in zip(positions, located):
+                row[:] = at[src]
+                pairs.append(sidx)
+            entries = seeds.compacted(part, entries, positions, pairs)
+        if p is None:
+            return self._staircase_walk(k, entries, promote), entries.columns
+        return self._mod_walk(p, k, entries), entries.columns
 
     def _placed(self, k: int, entries: _Entries):
         """(output indices, pair indices) of each staircase term of a walk,
@@ -1032,10 +1040,13 @@ class _Engine:
         each term's orbit positions (``_located``) past its entries' segment
         starts.  Both walks read their output indices here."""
         if entries.terms is not None:
-            return iter(entries.terms)
+            yield from entries.terms
+            return
         src, place = entries.src, entries.place
-        return ((place + at[src], sidx)
-                for (_, sidx), at in self._located(k, self._images(k, entries.words)))
+        for term, at in self._located(k, self._images(k, entries.words)):
+            at = at[src]  # each term's positions are a fresh array: shift them in place
+            at += place
+            yield at, term[1]
 
     def _terms_exact(self, terms, n: int, object_mode: bool):
         """Yield (t, scalars, denominator, peak) for each (t, pair indices) of
@@ -1054,38 +1065,36 @@ class _Engine:
             if sidx is not None:
                 if peak is not None and peak * self.r_int_max * ctx.mul_bound >= _INT64_GUARD:
                     scal = _as_object(scal)
-                r = self.r_int[sidx].astype(scal.dtype, copy=False)
-                scal = mul_rows_elementwise(scal, r, ctx)
+                scal = mul_rows_elementwise(
+                    scal, self.r_int[sidx].astype(scal.dtype, copy=False), ctx)
                 den *= self.r_den
                 peak = None if scal.dtype == object else _max_abs(scal)
             yield t, scal, den, peak
 
     def _staircase(self, k: int, seeds: _SeedTable, part: range):
         """T_k applied to the seeds of the groups ``part``, scaled by
-        r_den^(k-1) to integers: yields (entries, walk output) for the parts
-        the groups were walked in.
+        r_den^(k-1) to integers: yields (part, walk output, columns) for the
+        parts the groups were walked in.
 
         The groups are walked together; an orbit's arithmetic turns object
         exactly where its own int64 bound would be crossed, so a part whose
         seeds mix int64 and object rows, or whose walk would cross the bound,
         is bisected, and an orbit turns object only when it is walked alone.
         """
-        entries = self._entries(k, seeds, part)
-        out = self._staircase_walk(k, entries, promote=len(part) == 1)
+        out, columns = self._walk(k, seeds, part, promote=len(part) == 1)
         if out is not None:
-            yield entries, out
+            yield part, out, columns
             return
         half = len(part) // 2
         yield from self._staircase(k, seeds, part[:half])
         yield from self._staircase(k, seeds, part[half:])
 
     def _walks(self, k: int, seeds: _SeedTable, part: range, p: int | None):
-        """(entries, walk output) pairs of the groups ``part``, exactly
-        (``_staircase``) or over F_p (``_mod_walk``, one walk per part)."""
+        """(part, walk output, columns) of the groups ``part``, exactly
+        (``_staircase``) or over F_p (one walk per part)."""
         if p is None:
             return self._staircase(k, seeds, part)
-        entries = self._entries(k, seeds, part)
-        return [(entries, self._mod_walk(p, k, entries))]
+        return [(part, *self._walk(k, seeds, part, p))]
 
     def _staircase_walk(self, k: int, entries: _Entries, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
@@ -1165,9 +1174,9 @@ class _Engine:
         seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
         space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
         for run in seeds.batches(k):
-            for entries, acc in self._walks(k, seeds, run, p):
+            for part, acc, columns in self._walks(k, seeds, run, p):
                 if self.rank_one:
-                    at = slice(entries.part.start, entries.part.stop)
+                    at = slice(part.start, part.stop)
                     sizes = seeds.lengths[at]
                     keep, rows = lone_rows(acc, sizes, p)
                     kept = (a[keep].tolist() for a in (seeds.orbits[at], np.cumsum(sizes), sizes))
@@ -1175,8 +1184,8 @@ class _Engine:
                         out.append(rows[end - size : end])
                         out.orbits.append(orbit)
                 else:
-                    for orbit, block, columns in seeds.outputs(entries, acc):
-                        out.add_span(orbit, block, columns, space)
+                    for orbit, block, cols in seeds.outputs(part, acc, columns):
+                        out.add_span(orbit, block, cols, space)
         return out, len(out)
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
@@ -1210,12 +1219,11 @@ class _Engine:
             order = np.lexsort((nodes, keys))
             keys, groups = _runs(keys[order])
             tails, placed = np.divmod(keys, here.count)
-            seeds = _SeedTable(here, rows, orbits, nodes[order], order, groups,
-                               np.zeros_like(order), placed, np.ones_like(placed))
+            seeds = _SeedTable(here, rows, orbits, nodes[order], order, groups, placed)
             rows = []
             for run in seeds.batches(j):
-                for entries, acc in self._staircase(j, seeds, run):
-                    rows += [block[0] for _, block, _ in seeds.outputs(entries, acc)]
+                for part, acc, columns in self._staircase(j, seeds, run):
+                    rows += [block[0] for _, block, _ in seeds.outputs(part, acc, columns)]
             orbits = placed
         den = self.r_den ** (k * (k - 1) // 2)
         return den, list(zip(orbits.tolist(), rows))
