@@ -343,16 +343,24 @@ class CycloElement:
 
     @classmethod
     def from_json(cls, data: dict, what: str = "cyclotomic element") -> "CycloElement":
-        """Read {"order": N, "coeffs": [...]}: N a JSON integer and every
-        coefficient a JSON integer or a rational string such as "-3/4" (a
-        JSON float is binary: 0.1 is not 1/10), else ValueError names ``what``."""
-        coeffs = data["coeffs"]
+        """Read {"order": N, "coeffs": [...]}: N a positive JSON integer and
+        phi(N) coefficients, each a JSON integer or a rational string such as
+        "-3/4" (a JSON float is binary: 0.1 is not 1/10), else ValueError
+        names ``what``."""
+        if not isinstance(data, dict):
+            raise ValueError(f'{what}: {data!r} is not an object with keys "order" and "coeffs"')
+        for key in ("order", "coeffs"):
+            if key not in data:
+                raise ValueError(f'{what} needs key "{key}"')
+        order, coeffs = _json_int(data["order"], f"{what} order"), data["coeffs"]
+        if order < 1:
+            raise ValueError(f"{what} order: {order} is not positive")
         if not isinstance(coeffs, list):
             raise ValueError(f"{what} coeffs: {coeffs!r} is not a list")
-        return cls(
-            _json_int(data["order"], f"{what} order"),
-            [_json_rational(c, f"{what} coefficient") for c in coeffs],
-        )
+        phi = checked_phi(order)
+        if len(coeffs) != phi:
+            raise ValueError(f"{what}: need {phi} coefficients for order {order}, got {len(coeffs)}")
+        return cls(order, [_json_rational(c, f"{what} coefficient") for c in coeffs])
 
     def __repr__(self) -> str:
         terms = []

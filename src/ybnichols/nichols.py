@@ -58,10 +58,19 @@ A batch whose seeds mix int64 and object rows, or that would leave int64,
 is bisected, so arithmetic turns object orbit by orbit.  Exact and modular
 steps are one step with two walks: the modular walk visits the same batches
 and words with one running product per word, and keeps the products and the
-sums reduced mod p at every term.  Off the paper's class (below),
-elimination runs orbit by orbit on the reached positions where some seed
-image is nonzero, not the whole orbit (on w1 at degree 9, 1,512 of the
-229,632 positions of the seeded orbits), and each kept row stays on its
+sums reduced mod p at every term.  The two primes of a modular degree
+mostly step rows of one support (on w1 and w6 at every degree), which walk
+the same words to the same positions, so an off-class modular degree builds
+its value-free part once: the seed table, each entry's gather index and the
+stored index pass, kept by the engine as its walk plan (``_WalkPlan``).  The
+second prime gathers its own values and walks from it.  The plan is rebuilt
+when the rows' support differs (at small primes it can), dropped by a step
+at another degree and by every exact step, and kept only for a degree that
+walks in one batch, so it holds no more than one walk holds.  Off the
+paper's class (below), elimination runs orbit by orbit on the reached
+positions where some seed image is nonzero, not the whole orbit (on w1 at
+degree 9, 1,512 of the 229,632 positions of the seeded orbits), inserting
+only the seeds that are nonzero there, and each kept row stays on its
 support: its nonzero values and their ascending positions in the orbit
 (``OrbitRows.columns``).  The next degree's seed table gathers those values
 only (over ``graded_dims`` of w1 and w6, 116,468 values, where rows expanded
@@ -278,9 +287,20 @@ class CoefficientSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "CoefficientSystem":
+        """Read {"solution": ..., "R": [[entry, ...], ...]}, each entry as
+        ``CycloElement.from_json`` reads it; ValueError names a missing key
+        or the bad entry."""
+        if not isinstance(data, dict):
+            raise ValueError("coefficient JSON must be an object")
+        for key in ("solution", "R"):
+            if key not in data:
+                raise ValueError(f'coefficient JSON needs key "{key}"')
+        table = data["R"]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ValueError("coefficient table R must be a list of rows, each a list of entries")
         solution = SetSolution.from_json(data["solution"])
         R = [[CycloElement.from_json(e, f"entry R[{i}][{j}]") for j, e in enumerate(row)]
-             for i, row in enumerate(data["R"])]
+             for i, row in enumerate(table)]
         return validate_coefficients(solution, R)
 
 
@@ -648,16 +668,20 @@ class _Entries(NamedTuple):
     some term reaches: ``terms`` holds each term's output indices and pair
     indices, stored by one index pass, and ``columns`` each group's positions
     in ascending order; before that pass an entry's place is its seed,
-    counted from the batch's first."""
+    counted from the batch's first, and after it the entry has no place.
+    ``index`` is each entry's value in the seed table's concatenated rows; a
+    compact walk keeps it, so that a walk plan (``_WalkPlan``) can gather
+    the values of other rows of the same support."""
 
-    words: np.ndarray
+    words: np.ndarray | None
     src: object
-    place: np.ndarray
-    vals: np.ndarray
+    place: np.ndarray | None
+    vals: np.ndarray | None
     n_out: int
     mixed: bool
     terms: list | None = None
     columns: list | None = None
+    index: np.ndarray | None = None
 
 
 class _SeedTable:
@@ -757,7 +781,8 @@ class _SeedTable:
         if self.columns is None:
             live = (vals.reshape(len(vals), -1) != 0).any(axis=1)
             if live.all() and fresh.all():  # one entry per word, in order: no gathers
-                return _Entries(self.here.node_words(nodes), slice(None), place, vals, n_out, mixed)
+                return _Entries(self.here.node_words(nodes), slice(None), place, vals, n_out, mixed,
+                                index=index)
         nodes = nodes[fresh]
         # src numbers an entry's column over the blocks' words, block after block
         block_widths = self.sizes[seeds][fresh]
@@ -767,7 +792,7 @@ class _SeedTable:
             src = np.repeat(blocks - starts, widths)
             src += np.arange(src.size)
             live = np.flatnonzero(live)
-            src, place, vals = src[live], place[live], vals[live]
+            src, place, vals, index = src[live], place[live], vals[live], index[live]
         else:
             src = np.repeat(blocks, widths)
             src += self.columns[index]
@@ -777,7 +802,7 @@ class _SeedTable:
         words = self.here.column_words(nodes, kept)
         if src.size == words.size and (src[1:] > src[:-1]).all():
             src = slice(None)
-        return _Entries(words, src, place, vals, n_out, mixed)
+        return _Entries(words, src, place, vals, n_out, mixed, index=index)
 
     def compacted(self, part: range, entries: _Entries, positions, pairs) -> _Entries:
         """The entries of the groups ``part`` of a compact table placed in a
@@ -806,7 +831,7 @@ class _SeedTable:
         base += self.segment[seeds] * widths[groups]
         np.add(number, base[entries.place], out=positions)
         columns = np.split(kept - np.repeat(firsts, widths), np.cumsum(widths)[:-1])
-        return entries._replace(n_out=int(lengths.sum()), columns=columns,
+        return entries._replace(place=None, n_out=int(lengths.sum()), columns=columns,
                                 terms=list(zip(positions, pairs)))
 
     def outputs(self, part: range, out, columns) -> list:
@@ -828,6 +853,28 @@ class _SeedTable:
         pieces = zip(orbits, accumulate(lengths), lengths, counts, widths, columns)
         return [(orbit, out[end - length : end].reshape(count, width, *rest), cols)
                 for orbit, end, length, count, width, cols in pieces]
+
+
+class _WalkPlan(NamedTuple):
+    """The value-free part of an off-class degree-k step over F_p, built
+    from rows on ``orbits`` with the support ``columns``: its seed table and
+    its one batch ``part``, whose ``entries`` keep their gather index, src,
+    output length, stored terms and columns, but no values, words or
+    places.  Rows of the same support have the same seed table and walk the
+    same words to the same positions, at any prime, so they walk from the
+    plan (``_Engine._mod_walks``)."""
+
+    k: int
+    orbits: list
+    columns: list
+    seeds: _SeedTable
+    part: range
+    entries: _Entries
+
+    def fits(self, rows: "OrbitRows", k: int) -> bool:
+        """Whether the degree-k step from ``rows`` walks from this plan."""
+        return (k == self.k and rows.columns is not None and rows.orbits == self.orbits
+                and all(map(np.array_equal, rows.columns, self.columns)))
 
 
 class OrbitRows(list):
@@ -858,11 +905,15 @@ class OrbitRows(list):
         each kept row is stored at its own nonzero positions.  A position
         that is zero in every seed stays zero under every row operation, and
         the support keeps the positions' order, so the rows, pivots, dtypes
-        and int64 bounds are those of inserting the full seed rows."""
-        live = np.flatnonzero((seeds != 0).reshape(len(seeds), seeds.shape[1], -1).any(axis=(0, 2)))
+        and int64 bounds are those of inserting the full seed rows.  A seed
+        that is zero on the support is not inserted: it changes no basis,
+        and a block's seeds share one dtype, so an object block still turns
+        its space object at its first nonzero seed."""
+        nonzero = (seeds != 0).reshape(len(seeds), seeds.shape[1], -1).any(axis=2)
+        live = np.flatnonzero(nonzero.any(axis=0))
         support = columns[live]
         basis = space(live.size)
-        for seed in seeds[:, live]:
+        for seed in seeds[np.ix_(nonzero.any(axis=1), live)]:
             basis.insert(seed)
         for row in basis.rows:
             nonzero = np.flatnonzero((row != 0).reshape(len(row), -1).any(axis=1))
@@ -893,6 +944,7 @@ class _Engine:
         self.r_int_max = max(1, _max_abs(self.r_int))
         self._r_mod: dict[int, np.ndarray] = {}
         self._flat = flat
+        self._plan: _WalkPlan | None = None  # of the degree last stepped over F_p
 
     def r_mod(self, p: int) -> np.ndarray:
         if p not in self._r_mod:
@@ -1011,25 +1063,30 @@ class _Engine:
                 offset = here.offsets[below.label[prefix] * m + term[0] - prefix * m]
             yield term, offset + below.pos[prefix]
 
+    def _entries(self, k: int, seeds: _SeedTable, part: range) -> _Entries:
+        """The walk entries of the groups ``part`` (``_SeedTable.entries``).
+        A compact table's are then placed by one index pass over the
+        staircase terms, which keeps each term's orbit positions and pair
+        indices (``_SeedTable.compacted``)."""
+        entries = seeds.entries(part)
+        if not seeds.compact:  # a dense walk keeps no gather index
+            return entries._replace(index=None)
+        src = entries.src
+        positions = np.empty((k, len(entries.vals)), dtype=np.int64)
+        pairs = []
+        located = self._located(k, self._images(k, entries.words))
+        for row, ((_, sidx), at) in zip(positions, located):
+            row[:] = at[src]
+            pairs.append(sidx)
+        return seeds.compacted(part, entries, positions, pairs)
+
     def _walk(self, k: int, seeds: _SeedTable, part: range, p: int | None = None,
               promote: bool = False):
         """One walk over the seeds of the groups ``part``, exactly
         (``_staircase_walk``) or over F_p (``_mod_walk``): returns (output,
-        columns), the columns of a compact walk (``_Entries``) or None.  A
-        compact table's entries are first placed by one index pass over the
-        staircase terms, which keeps each term's orbit positions and pair
-        indices (``_SeedTable.compacted``).  The entries end here, before
-        the caller reads the output."""
-        entries = seeds.entries(part)
-        if seeds.compact:
-            src = entries.src
-            positions = np.empty((k, len(entries.vals)), dtype=np.int64)
-            pairs = []
-            located = self._located(k, self._images(k, entries.words))
-            for row, ((_, sidx), at) in zip(positions, located):
-                row[:] = at[src]
-                pairs.append(sidx)
-            entries = seeds.compacted(part, entries, positions, pairs)
+        columns), the columns of a compact walk (``_Entries``) or None.  The
+        entries end here, before the caller reads the output."""
+        entries = self._entries(k, seeds, part)
         if p is None:
             return self._staircase_walk(k, entries, promote), entries.columns
         return self._mod_walk(p, k, entries), entries.columns
@@ -1146,7 +1203,7 @@ class _Engine:
         src = entries.src
         acc = np.zeros(entries.n_out, dtype=np.int64)
         vals = entries.vals.reshape(-1)
-        scal = np.ones(entries.words.size, dtype=np.int64)
+        scal = 1  # the first mapped term makes it one product per word
         for idx, sidx in self._placed(k, entries):  # idx distinct within a term
             if sidx is None:
                 term = vals
@@ -1169,24 +1226,58 @@ class _Engine:
         ``lone_rows`` reduces each batch's output where it lies: an orbit's
         row is a view of its segment, or none.  Off it, each orbit's seed
         images, written compactly, are eliminated (``OrbitRows.add_span``)
-        into support rows."""
+        into support rows; over F_p they are walked by ``_mod_walks``.  An
+        exact step drops the engine's walk plan and neither reads nor keeps
+        one."""
         out = OrbitRows(columns=None if self.rank_one else [])
-        seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
+        if p is not None and not self.rank_one:
+            seeds, walks = self._mod_walks(prev_rows, k, p)
+        else:
+            self._plan = None
+            seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
+            walks = (walk for run in seeds.batches(k) for walk in self._walks(k, seeds, run, p))
         space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
-        for run in seeds.batches(k):
-            for part, acc, columns in self._walks(k, seeds, run, p):
-                if self.rank_one:
-                    at = slice(part.start, part.stop)
-                    sizes = seeds.lengths[at]
-                    keep, rows = lone_rows(acc, sizes, p)
-                    kept = (a[keep].tolist() for a in (seeds.orbits[at], np.cumsum(sizes), sizes))
-                    for orbit, end, size in zip(*kept):
-                        out.append(rows[end - size : end])
-                        out.orbits.append(orbit)
-                else:
-                    for orbit, block, cols in seeds.outputs(part, acc, columns):
-                        out.add_span(orbit, block, cols, space)
+        for part, acc, columns in walks:
+            if self.rank_one:
+                at = slice(part.start, part.stop)
+                sizes = seeds.lengths[at]
+                keep, rows = lone_rows(acc, sizes, p)
+                kept = (a[keep].tolist() for a in (seeds.orbits[at], np.cumsum(sizes), sizes))
+                for orbit, end, size in zip(*kept):
+                    out.append(rows[end - size : end])
+                    out.orbits.append(orbit)
+            else:
+                for orbit, block, cols in seeds.outputs(part, acc, columns):
+                    out.add_span(orbit, block, cols, space)
         return out, len(out)
+
+    def _mod_walks(self, prev_rows: OrbitRows, k: int, p: int):
+        """The seed table of an off-class degree-k step over F_p and its
+        walks, (part, output, columns) per batch.
+
+        Rows that fit the engine's walk plan (``_WalkPlan.fits``) walk from
+        it: the step gathers their values and walks, with no seed table,
+        entries or index pass of its own, so the second prime of a degree
+        reuses the first prime's.  Otherwise the plan is dropped first, so
+        the engine never holds two, and the step is built from the rows.  It
+        is kept as the new plan when the rows are support rows and the
+        degree walks in one batch: a plan then holds what one walk holds,
+        where a degree of many batches would hold all their index passes at
+        once (on w3 at zeta3, degree 9 walks in 8 batches, and holding them
+        all doubled the traced peak of its ``graded_dims``)."""
+        plan = self._plan
+        if plan is None or not plan.fits(prev_rows, k):
+            self._plan = None
+            seeds = self._node_seeds(prev_rows, k)
+            runs = list(seeds.batches(k))
+            if len(runs) != 1 or prev_rows.columns is None:
+                return seeds, ((part, *self._walk(k, seeds, part, p)) for part in runs)
+            entries = self._entries(k, seeds, runs[0])
+            plan = self._plan = _WalkPlan(k, prev_rows.orbits, prev_rows.columns, seeds, runs[0],
+                                          entries._replace(words=None, vals=None))
+        else:
+            entries = plan.entries._replace(vals=np.concatenate(prev_rows)[plan.entries.index])
+        return plan.seeds, [(plan.part, self._mod_walk(p, k, entries), entries.columns)]
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
         """One exact degree step (``_step``).  Returns (basis rows, dim)."""
@@ -1248,7 +1339,9 @@ class _Engine:
         return OrbitRows(out, rows.orbits, columns)
 
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
-        """One degree step over F_p (``_step``).  Returns (basis rows, dim)."""
+        """One degree step over F_p (``_step``); off the paper's class it
+        walks from the engine's walk plan when its rows fit it
+        (``_mod_walks``).  Returns (basis rows, dim)."""
         return self._step(prev_vecs, k, p)
 
 

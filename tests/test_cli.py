@@ -461,12 +461,13 @@ def test_dims_infinite_solution_entry_is_input_error(tmp_path):
         ("order", 2.7, "entry R[0][1] order: 2.7 is not an integer"),
         ("order", "2", "entry R[0][1] order: '2' is not an integer"),
         ("order", True, "entry R[0][1] order: True is not an integer"),
+        ("order", 0, "entry R[0][1] order: 0 is not positive"),
         ("coeffs", [0.1], "entry R[0][1] coefficient: 0.1 is not an integer"),
         ("coeffs", ["abc"], "entry R[0][1] coefficient: 'abc' is not a rational number"),
         ("coeffs", ["1/0"], "entry R[0][1] coefficient: '1/0' is not a rational number"),
     ],
-    ids=["float-order", "string-order", "bool-order", "float-coefficient", "malformed-rational",
-         "zero-denominator-rational"],
+    ids=["float-order", "string-order", "bool-order", "zero-order", "float-coefficient",
+         "malformed-rational", "zero-denominator-rational"],
 )
 def test_dims_coefficient_entry_needs_integers_or_rational_strings(tmp_path, key, value, message):
     # int() and Fraction() would read these as 2, 2, 1 and a 2^-55 fraction
@@ -477,6 +478,49 @@ def test_dims_coefficient_entry_needs_integers_or_rational_strings(tmp_path, key
     code, _, err = run_cli(["dims", str(path)])
     assert code == 2
     assert message in err
+
+
+def _without(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _set_entry(value):
+    def edit(data):
+        data["R"][0][1] = value
+    return edit
+
+
+def _drop_coeffs(data):
+    del data["R"][0][1]["coeffs"]
+
+
+def _two_coefficients(data):
+    data["R"][0][1]["coeffs"] = ["-1", "0"]
+
+
+@pytest.mark.parametrize("command", ["dims", "relations"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_entry(5), 'entry R[0][1]: 5 is not an object with keys "order" and "coeffs"'),
+        (_drop_coeffs, 'entry R[0][1] needs key "coeffs"'),
+        (_two_coefficients, "entry R[0][1]: need 1 coefficients for order 2, got 2"),
+        (_without("solution"), 'coefficient JSON needs key "solution"'),
+    ],
+    ids=["bare-number-entry", "entry-without-coeffs", "coefficient-count", "no-solution"],
+)
+def test_coefficient_file_errors_name_the_entry_or_key(tmp_path, command, edit, message):
+    # these leaked 'int' object is not subscriptable, 'coeffs', a count with
+    # no entry named, and 'solution'
+    data = build_entry("z2-shift").system.to_json()
+    edit(data)
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli([command, str(path)])
+    assert code == 2
+    assert f"{path}: {message}" in err, err
 
 
 def test_dims_coefficient_table_needs_m_rows_of_m_entries(tmp_path):

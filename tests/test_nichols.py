@@ -1385,6 +1385,148 @@ def test_off_class_degrees_walk_once_per_arithmetic(monkeypatch):
     assert sum(written) <= 1_100_000, sum(written)
 
 
+def _small_primes(order, count=2):
+    """The first ``count`` primes that are 1 mod ``order``."""
+    found, p = [], 1
+    while len(found) < count:
+        p += order
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            found.append(p)
+    return tuple(found)
+
+
+def _assert_identical_rows(got, expected):
+    assert got.orbits == expected.orbits and len(got) == len(expected)
+    assert (got.columns is None) == (expected.columns is None)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+    for a, b in zip(got.columns or (), expected.columns or ()):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_second_prime_walks_from_the_first_primes_plan(monkeypatch):
+    # every catalog entry at its default point, at the two primes of its
+    # order and at two small primes, plus two points where the primes'
+    # supports part: the second prime's step on the engine that just stepped
+    # the first equals its step on a fresh engine, rows, dtypes and columns.
+    # It walks from the first prime's plan when its rows have the plan's
+    # support, and rebuilds the step otherwise
+    built = []
+    node_seeds = _Engine._node_seeds
+
+    def recording(self, prev_rows, k):
+        built.append(k)
+        return node_seeds(self, prev_rows, k)
+
+    monkeypatch.setattr(_Engine, "_node_seeds", recording)
+    points = [(build_entry(name).system, None) for name in catalog_names()]
+    points += [(build_entry("w3", {"q": "zeta3"}).system, (7, 13)),
+               (build_entry("w1", {"q": "-1"}).system, (2, 3))]
+    reused = rebuilt = 0
+    for cs, given in points:
+        for first, second in [given] if given else [primes_for_order(cs.order, count=2),
+                                                    _small_primes(cs.order)]:
+            engine = _Engine(cs)
+            start = engine.identity_rows()
+            rows = [engine.specialize_rows(start, p) for p in (first, second)]
+            k = 1
+            while engine.m ** (k + 1) <= 4 ** 7 and len(rows[0]) and len(rows[1]):
+                k += 1
+                rows[0], _ = engine.mod_step(rows[0], k, first)
+                plan = engine._plan
+                assert plan is None or (plan.k == k and not engine.rank_one)
+                built.clear()
+                got, dim = engine.mod_step(rows[1], k, second)
+                if plan is not None:
+                    same = plan.fits(rows[1], k)
+                    assert built == ([] if same else [k]), (cs, k)
+                    reused += same
+                    rebuilt += not same
+                expected, _ = _Engine(cs).mod_step(rows[1], k, second)
+                _assert_identical_rows(got, expected)
+                assert dim == len(expected)
+                rows[1] = got
+    assert (reused, rebuilt) == (84, 4)
+
+
+def test_modular_degrees_make_one_index_pass(monkeypatch):
+    # graded_dims of w1 (auto): degrees 2-6 exact, 7-10 at two primes, then
+    # the exact replay of 7-10.  Each modular degree makes one index pass
+    # (one walk plan), not one per prime, so the staircase maps 75 word
+    # arrays where each prime's own pass mapped 105
+    passes = Counter()
+    mapped = [0]
+    compacted, c_arrays = _SeedTable.compacted, _Engine._c_arrays
+
+    def recording_pass(self, part, entries, positions, pairs):
+        passes[int(positions.shape[0])] += 1
+        return compacted(self, part, entries, positions, pairs)
+
+    def counting(self, k, i, idx=None):
+        mapped[0] += 1
+        return c_arrays(self, k, i, idx)
+
+    monkeypatch.setattr(_SeedTable, "compacted", recording_pass)
+    monkeypatch.setattr(_Engine, "_c_arrays", counting)
+    graded = graded_dims(build_entry("w1").system)
+    assert [r.mode for r in graded.provenance[7:]] == ["modular+exact"] * 4
+    assert passes == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2, 9: 2, 10: 2}, passes
+    assert mapped[0] == 75, mapped
+
+
+def _recording_engines(monkeypatch):
+    engines = []
+    init = _Engine.__init__
+
+    def recording(self, cs):
+        init(self, cs)
+        engines.append(self)
+
+    monkeypatch.setattr(_Engine, "__init__", recording)
+    return engines
+
+
+def test_exact_steps_and_relation_checks_hold_no_plan(monkeypatch):
+    # a forced-exact run and a relation check never build a walk plan, and
+    # an auto run ends holding none: its last degrees are the exact replay
+    engines = _recording_engines(monkeypatch)
+    cs = build_entry("w1").system
+    assert graded_dims(cs, mode="exact").total == 72
+    assert graded_dims(cs).total == 72
+    _relation_engine.cache_clear()
+    assert all(check_relation(cs, terms) for _, terms in build_entry("w1").relations)
+    assert len(engines) == 3
+    assert all(engine._plan is None for engine in engines)
+
+
+def test_engine_never_holds_a_plan_of_another_degree(monkeypatch):
+    # a modular step leaves at most the plan of its own degree, and a step
+    # that builds its seed table has dropped the plan before, so the engine
+    # never holds two
+    engines = _recording_engines(monkeypatch)
+    node_seeds, mod_step = _Engine._node_seeds, _Engine.mod_step
+    plans = []
+
+    def building(self, prev_rows, k):
+        assert self._plan is None, (k, self._plan.k)
+        return node_seeds(self, prev_rows, k)
+
+    def stepping(self, prev_vecs, k, p):
+        out = mod_step(self, prev_vecs, k, p)
+        assert self._plan is None or self._plan.k == k
+        plans.append(self._plan is not None)
+        return out
+
+    monkeypatch.setattr(_Engine, "_node_seeds", building)
+    monkeypatch.setattr(_Engine, "mod_step", stepping)
+    for name, q, primes, cap in (("w1", None, None, 16), ("w3", "zeta3", None, 7),
+                                 ("w3", "zeta3", (7, 13), 7)):
+        cs = build_entry(name, q and {"q": q}).system
+        graded_dims(cs, cap=cap, exact_cap=64, primes=primes)
+    assert any(plans) and not all(plans), plans
+    assert all(engine._plan is None for engine in engines[:1])
+
+
 def _full_seed_engine(cs):
     """An engine that seeds every node of every orbit, as off the paper's
     class."""
