@@ -1267,7 +1267,7 @@ class _Engine:
         all doubled the traced peak of its ``graded_dims``)."""
         plan = self._plan
         if plan is None or not plan.fits(prev_rows, k):
-            self._plan = None
+            plan = self._plan = None  # free it before the new step is built
             seeds = self._node_seeds(prev_rows, k)
             runs = list(seeds.batches(k))
             if len(runs) != 1 or prev_rows.columns is None:

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -651,9 +652,8 @@ def test_staircase_positions_match_derived_pos():
     assert terms == len(catalog_names()) * sum(range(2, 7))
 
 
-def test_top_degree_builds_no_word_arrays(monkeypatch):
-    # w1 vanishes at degree 10: its steps read the word arrays of degree 9,
-    # and degree 10 keeps only its orbit graph
+def _recording_engines(monkeypatch):
+    """The engines built from now on, in order."""
     engines = []
     init = _Engine.__init__
 
@@ -662,6 +662,13 @@ def test_top_degree_builds_no_word_arrays(monkeypatch):
         engines.append(self)
 
     monkeypatch.setattr(_Engine, "__init__", recording)
+    return engines
+
+
+def test_top_degree_builds_no_word_arrays(monkeypatch):
+    # w1 vanishes at degree 10: its steps read the word arrays of degree 9,
+    # and degree 10 keeps only its orbit graph
+    engines = _recording_engines(monkeypatch)
     g = graded_dims(build_entry("w1").system, cap=16)
     assert g.terminated == "zero" and len(g.dims) == 11
     (engine,) = engines
@@ -1449,6 +1456,30 @@ def test_second_prime_walks_from_the_first_primes_plan(monkeypatch):
     assert (reused, rebuilt) == (84, 4)
 
 
+def test_walk_plan_fits_its_degree_and_support_only():
+    # a plan serves rows of its own degree on the same orbits and columns
+    # only; rows of another support, here one value dropped from one row,
+    # rebuild the step and step as on a fresh engine
+    engine = _Engine(build_entry("w1").system)
+    p = primes_for_order(engine.cs.order, count=2)[0]
+    rows = engine.specialize_rows(engine.identity_rows(), p)
+    for k in range(2, 8):
+        rows, _ = engine.mod_step(rows, k, p)
+    engine.mod_step(rows, 8, p)
+    plan = engine._plan
+    assert plan.fits(rows, 8) and not plan.fits(rows, 9)
+    values = [row.copy() for row in rows]
+    columns = [cols.copy() for cols in rows.columns]
+    values[0], columns[0] = values[0][:-1], columns[0][:-1]
+    other = OrbitRows(values, rows.orbits, columns)
+    assert not plan.fits(other, 8)
+    assert rows.orbits != rows.orbits[::-1]
+    assert not plan.fits(OrbitRows(rows, rows.orbits[::-1], rows.columns), 8)
+    got, _ = engine.mod_step(other, 8, p)
+    assert engine._plan is not plan and engine._plan.fits(other, 8)
+    _assert_identical_rows(got, _Engine(engine.cs).mod_step(other, 8, p)[0])
+
+
 def test_modular_degrees_make_one_index_pass(monkeypatch):
     # graded_dims of w1 (auto): degrees 2-6 exact, 7-10 at two primes, then
     # the exact replay of 7-10.  Each modular degree makes one index pass
@@ -1474,18 +1505,6 @@ def test_modular_degrees_make_one_index_pass(monkeypatch):
     assert mapped[0] == 75, mapped
 
 
-def _recording_engines(monkeypatch):
-    engines = []
-    init = _Engine.__init__
-
-    def recording(self, cs):
-        init(self, cs)
-        engines.append(self)
-
-    monkeypatch.setattr(_Engine, "__init__", recording)
-    return engines
-
-
 def test_exact_steps_and_relation_checks_hold_no_plan(monkeypatch):
     # a forced-exact run and a relation check never build a walk plan, and
     # an auto run ends holding none: its last degrees are the exact replay
@@ -1501,20 +1520,22 @@ def test_exact_steps_and_relation_checks_hold_no_plan(monkeypatch):
 
 def test_engine_never_holds_a_plan_of_another_degree(monkeypatch):
     # a modular step leaves at most the plan of its own degree, and a step
-    # that builds its seed table has dropped the plan before, so the engine
-    # never holds two
-    engines = _recording_engines(monkeypatch)
+    # that builds its seed table has freed every plan before, so the engine
+    # never holds two (a plan's gather index lives only in the plan)
     node_seeds, mod_step = _Engine._node_seeds, _Engine.mod_step
-    plans = []
+    plans, held = [], []
 
     def building(self, prev_rows, k):
         assert self._plan is None, (k, self._plan.k)
+        assert all(index() is None for index in held), k
         return node_seeds(self, prev_rows, k)
 
     def stepping(self, prev_vecs, k, p):
         out = mod_step(self, prev_vecs, k, p)
         assert self._plan is None or self._plan.k == k
         plans.append(self._plan is not None)
+        if self._plan is not None:
+            held.append(weakref.ref(self._plan.entries.index))
         return out
 
     monkeypatch.setattr(_Engine, "_node_seeds", building)
@@ -1524,7 +1545,30 @@ def test_engine_never_holds_a_plan_of_another_degree(monkeypatch):
         cs = build_entry(name, q and {"q": q}).system
         graded_dims(cs, cap=cap, exact_cap=64, primes=primes)
     assert any(plans) and not all(plans), plans
-    assert all(engine._plan is None for engine in engines[:1])
+
+
+def test_elimination_inserts_no_zero_seed(monkeypatch):
+    # off the paper's class many seed images vanish on their orbit (over
+    # graded_dims of w1 and w6, 220 of 568 exact and 200 of 384 modular
+    # seeds); they change no basis and are not inserted
+    inserted = Counter()
+    exact_insert, mod_insert = ExactIntRows.insert, ModRows.insert
+
+    def exact(self, arr):
+        assert (arr != 0).any()
+        inserted[None] += 1
+        return exact_insert(self, arr)
+
+    def modular(self, vec):
+        assert (vec != 0).any()
+        inserted[self.p] += 1
+        return mod_insert(self, vec)
+
+    monkeypatch.setattr(ExactIntRows, "insert", exact)
+    monkeypatch.setattr(ModRows, "insert", modular)
+    for name in ("w1", "w6"):
+        assert graded_dims(build_entry(name).system).total == 72
+    assert inserted[None] == 348 and sum(inserted.values()) == 348 + 184, inserted
 
 
 def _full_seed_engine(cs):
