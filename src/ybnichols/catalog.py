@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
-from .exact import CycloElement
+from .exact import CycloElement, parse_rational
 from .nichols import CoefficientSystem, validate_coefficients
 from .orbits import psi
 from .ybe import SetSolution, cached_report
@@ -36,7 +35,8 @@ class ConstraintViolation(ValueError):
 
 def parse_scalar(text: str) -> CycloElement:
     """Parse "zetaN", "zetaN^k", "-zetaN^k" (N >= 1) or a rational like "-1",
-    "2/3"; ValueError quoting the text as given otherwise."""
+    "2/3", "0.5" (``exact.parse_rational``: no exponent notation);
+    ValueError quoting the text as given otherwise."""
     given = text
     text = text.strip()
     sign = 1
@@ -50,7 +50,7 @@ def parse_scalar(text: str) -> CycloElement:
         value = CycloElement.zeta(order) ** power
         return value * sign if sign < 0 else value
     try:
-        return CycloElement.from_rational(Fraction(text))
+        return CycloElement.from_rational(parse_rational(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse scalar {given!r}") from exc
 

@@ -60,6 +60,10 @@ def _load_json_file(path: str) -> dict:
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -378,12 +378,12 @@ class CycloElement:
 
 
 def _json_rational(value, what: str) -> Fraction:
-    """A JSON integer, or a string Fraction reads with a nonzero denominator,
-    else ValueError names ``what``."""
+    """A JSON integer, or a string ``parse_rational`` reads with a nonzero
+    denominator, else ValueError names ``what``."""
     if not isinstance(value, str):
         return Fraction(_json_int(value, what))
     try:
-        return Fraction(value)
+        return parse_rational(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what}: {value!r} is not a rational number") from None
 
@@ -457,6 +457,11 @@ def format_rational(x) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    """An integer, "a/b" or a plain decimal ("0.25") as a Fraction, else
+    ValueError.  Exponent notation is refused: "1e99999999" is a short text
+    whose value alone takes unbounded time and memory to build."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     return Fraction(text)
 
 

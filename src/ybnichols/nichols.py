@@ -56,17 +56,20 @@ degree is one walk per arithmetic, 34 walks writing 1,042,376 entries, where
 walks of one orbit into whole-orbit segments took 132 and wrote 8,493,056.
 A batch whose seeds mix int64 and object rows, or that would leave int64,
 is bisected, so arithmetic turns object orbit by orbit.  Exact and modular
-steps are one step with two walks: the modular walk visits the same batches
-and words with one running product per word, and keeps the products and the
-sums reduced mod p at every term.  The two primes of a modular degree
-mostly step rows of one support (on w1 and w6 at every degree), which walk
-the same words to the same positions, so an off-class modular degree builds
-its value-free part once: the seed table, each entry's gather index and the
-stored index pass, kept by the engine as its walk plan (``_WalkPlan``).  The
-second prime gathers its own values and walks from it.  The plan is rebuilt
-when the rows' support differs (at small primes it can), dropped by a step
-at another degree and by every exact step, and kept only for a degree that
-walks in one batch, so it holds no more than one walk holds.  Off the
+steps are one step (``_Engine._step``) with one walk driver
+(``_Engine._walks``, which relation checks call too) and two walks: the
+modular walk visits the same batches and words with one running product per
+word, and keeps the products and the sums reduced mod p at every term.  The
+two primes of a modular degree mostly step rows of one support (on w1 and w6
+at every degree), which walk the same words to the same positions, so an
+off-class modular degree builds its value-free part once: the seed table,
+each entry's gather index and the stored index pass, kept by the engine as
+its walk plan (``_WalkPlan``).  ``_step`` alone handles the plan: each
+prime gathers its own values and hands the plan's entries to ``_walks``.
+The plan is rebuilt when the rows' support differs (at small primes it
+can), dropped by a step at another degree and by every exact step, and kept
+only for a degree that walks in one batch, so it holds no more than one
+walk holds.  Off the
 paper's class (below), elimination runs orbit by orbit on the reached
 positions where some seed image is nonzero, not the whole orbit (on w1 at
 degree 9, 1,512 of the 229,632 positions of the seeded orbits), inserting
@@ -862,7 +865,8 @@ class _WalkPlan(NamedTuple):
     output length, stored terms and columns, but no values, words or
     places.  Rows of the same support have the same seed table and walk the
     same words to the same positions, at any prime, so they walk from the
-    plan (``_Engine._mod_walks``)."""
+    plan: ``_Engine._step`` builds, keeps and drops it, and hands its
+    entries, with the rows' values gathered, to ``_Engine._walks``."""
 
     k: int
     orbits: list
@@ -1080,17 +1084,6 @@ class _Engine:
             pairs.append(sidx)
         return seeds.compacted(part, entries, positions, pairs)
 
-    def _walk(self, k: int, seeds: _SeedTable, part: range, p: int | None = None,
-              promote: bool = False):
-        """One walk over the seeds of the groups ``part``, exactly
-        (``_staircase_walk``) or over F_p (``_mod_walk``): returns (output,
-        columns), the columns of a compact walk (``_Entries``) or None.  The
-        entries end here, before the caller reads the output."""
-        entries = self._entries(k, seeds, part)
-        if p is None:
-            return self._staircase_walk(k, entries, promote), entries.columns
-        return self._mod_walk(p, k, entries), entries.columns
-
     def _placed(self, k: int, entries: _Entries):
         """(output indices, pair indices) of each staircase term of a walk,
         the identity's pair indices None: a compact walk's stored terms, else
@@ -1128,30 +1121,36 @@ class _Engine:
                 peak = None if scal.dtype == object else _max_abs(scal)
             yield t, scal, den, peak
 
-    def _staircase(self, k: int, seeds: _SeedTable, part: range):
-        """T_k applied to the seeds of the groups ``part``, scaled by
-        r_den^(k-1) to integers: yields (part, walk output, columns) for the
-        parts the groups were walked in.
+    def _walks(self, k: int, seeds: _SeedTable, part: range, p: int | None = None,
+               entries: _Entries | None = None):
+        """T_k applied to the seeds of the groups ``part``, exactly and
+        scaled by r_den^(k-1) to integers (``_staircase_walk``), or over F_p
+        (``_mod_walk``): yields (part, walk output, columns) for the parts
+        the groups were walked in, the columns of a compact walk
+        (``_Entries``) or None.  The walk reads a walk plan's ``entries``
+        when given, else builds its own (``_entries``); they end before the
+        output is yielded.
 
         The groups are walked together; an orbit's arithmetic turns object
         exactly where its own int64 bound would be crossed, so a part whose
-        seeds mix int64 and object rows, or whose walk would cross the bound,
-        is bisected, and an orbit turns object only when it is walked alone.
+        seeds mix int64 and object rows, or whose exact walk would cross the
+        bound, is bisected, and an orbit turns object only when it is walked
+        alone.
         """
-        out, columns = self._walk(k, seeds, part, promote=len(part) == 1)
+        if entries is None:
+            entries = self._entries(k, seeds, part)
+        columns = entries.columns
+        if p is None:
+            out = self._staircase_walk(k, entries, promote=len(part) == 1)
+        else:
+            out = self._mod_walk(p, k, entries)
+        del entries  # a generator keeps its locals across a yield
         if out is not None:
             yield part, out, columns
             return
         half = len(part) // 2
-        yield from self._staircase(k, seeds, part[:half])
-        yield from self._staircase(k, seeds, part[half:])
-
-    def _walks(self, k: int, seeds: _SeedTable, part: range, p: int | None):
-        """(part, walk output, columns) of the groups ``part``, exactly
-        (``_staircase``) or over F_p (one walk per part)."""
-        if p is None:
-            return self._staircase(k, seeds, part)
-        return [(part, *self._walk(k, seeds, part, p))]
+        yield from self._walks(k, seeds, part[:half])
+        yield from self._walks(k, seeds, part[half:])
 
     def _staircase_walk(self, k: int, entries: _Entries, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
@@ -1226,16 +1225,35 @@ class _Engine:
         ``lone_rows`` reduces each batch's output where it lies: an orbit's
         row is a view of its segment, or none.  Off it, each orbit's seed
         images, written compactly, are eliminated (``OrbitRows.add_span``)
-        into support rows; over F_p they are walked by ``_mod_walks``.  An
-        exact step drops the engine's walk plan and neither reads nor keeps
-        one."""
-        out = OrbitRows(columns=None if self.rank_one else [])
-        if p is not None and not self.rank_one:
-            seeds, walks = self._mod_walks(prev_rows, k, p)
-        else:
-            self._plan = None
+        into support rows.
+
+        The step is the one place that handles the engine's walk plan.  Rows
+        that fit it (``_WalkPlan.fits``) walk from it over F_p, with no seed
+        table, entries or index pass of their own, so the second prime of a
+        degree reuses the first prime's.  Otherwise the plan is freed before
+        the step is built, so the engine never holds two, and an off-class
+        step over F_p from support rows that walks in one batch becomes the
+        new plan: a plan holds what one walk holds, where a degree of many
+        batches would hold all their index passes at once (on w3 at zeta3,
+        degree 9 walks in 8 batches, and holding them all doubled the traced
+        peak of its ``graded_dims``).  An exact step neither reads nor keeps
+        a plan."""
+        plan = self._plan
+        if p is None or plan is None or not plan.fits(prev_rows, k):
+            plan = self._plan = None  # free it before the new step is built
             seeds = (self._head_seeds if self.rank_one else self._node_seeds)(prev_rows, k)
-            walks = (walk for run in seeds.batches(k) for walk in self._walks(k, seeds, run, p))
+            runs = list(seeds.batches(k))
+            if p is not None and seeds.compact and len(runs) == 1 and prev_rows.columns is not None:
+                entries = self._entries(k, seeds, runs[0])._replace(words=None, vals=None)
+                plan = self._plan = _WalkPlan(k, prev_rows.orbits, prev_rows.columns, seeds,
+                                              runs[0], entries)
+        if plan is None:
+            walks = (walk for run in runs for walk in self._walks(k, seeds, run, p))
+        else:  # the walk gathers its own values; the plan keeps none
+            seeds, entries = plan.seeds, plan.entries
+            walks = self._walks(k, seeds, plan.part, p,
+                                entries._replace(vals=np.concatenate(prev_rows)[entries.index]))
+        out = OrbitRows(columns=None if self.rank_one else [])
         space = partial(ExactIntRows, self.ctx) if p is None else partial(ModRows, p)
         for part, acc, columns in walks:
             if self.rank_one:
@@ -1250,34 +1268,6 @@ class _Engine:
                 for orbit, block, cols in seeds.outputs(part, acc, columns):
                     out.add_span(orbit, block, cols, space)
         return out, len(out)
-
-    def _mod_walks(self, prev_rows: OrbitRows, k: int, p: int):
-        """The seed table of an off-class degree-k step over F_p and its
-        walks, (part, output, columns) per batch.
-
-        Rows that fit the engine's walk plan (``_WalkPlan.fits``) walk from
-        it: the step gathers their values and walks, with no seed table,
-        entries or index pass of its own, so the second prime of a degree
-        reuses the first prime's.  Otherwise the plan is dropped first, so
-        the engine never holds two, and the step is built from the rows.  It
-        is kept as the new plan when the rows are support rows and the
-        degree walks in one batch: a plan then holds what one walk holds,
-        where a degree of many batches would hold all their index passes at
-        once (on w3 at zeta3, degree 9 walks in 8 batches, and holding them
-        all doubled the traced peak of its ``graded_dims``)."""
-        plan = self._plan
-        if plan is None or not plan.fits(prev_rows, k):
-            plan = self._plan = None  # free it before the new step is built
-            seeds = self._node_seeds(prev_rows, k)
-            runs = list(seeds.batches(k))
-            if len(runs) != 1 or prev_rows.columns is None:
-                return seeds, ((part, *self._walk(k, seeds, part, p)) for part in runs)
-            entries = self._entries(k, seeds, runs[0])
-            plan = self._plan = _WalkPlan(k, prev_rows.orbits, prev_rows.columns, seeds, runs[0],
-                                          entries._replace(words=None, vals=None))
-        else:
-            entries = plan.entries._replace(vals=np.concatenate(prev_rows)[plan.entries.index])
-        return plan.seeds, [(plan.part, self._mod_walk(p, k, entries), entries.columns)]
 
     def exact_step(self, prev_rows: OrbitRows, k: int):
         """One exact degree step (``_step``).  Returns (basis rows, dim)."""
@@ -1313,7 +1303,7 @@ class _Engine:
             seeds = _SeedTable(here, rows, orbits, nodes[order], order, groups, placed)
             rows = []
             for run in seeds.batches(j):
-                for part, acc, columns in self._staircase(j, seeds, run):
+                for part, acc, columns in self._walks(j, seeds, run):
                     rows += [block[0] for _, block, _ in seeds.outputs(part, acc, columns)]
             orbits = placed
         den = self.r_den ** (k * (k - 1) // 2)
@@ -1340,8 +1330,8 @@ class _Engine:
 
     def mod_step(self, prev_vecs: OrbitRows, k: int, p: int):
         """One degree step over F_p (``_step``); off the paper's class it
-        walks from the engine's walk plan when its rows fit it
-        (``_mod_walks``).  Returns (basis rows, dim)."""
+        walks from the engine's walk plan when its rows fit it (``_step``
+        hands the plan's entries to ``_walks``).  Returns (basis rows, dim)."""
         return self._step(prev_vecs, k, p)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -92,6 +93,54 @@ def test_malformed_json_is_an_input_error(tmp_path):
     code, _, err = run_cli(["verify", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+
+
+_FILE_COMMANDS = (["verify"], ["orbits", "-n", "3"], ["dims"], ["relations"], ["phi"])
+
+
+def _file_input_fails(path, message):
+    """Every command that reads a target file exits 2 on ``path``, with a
+    message that names the file."""
+    for command in _FILE_COMMANDS:
+        code, out, err = run_cli([command[0], str(path), *command[1:]])
+        assert code == 2 and out == "", command
+        assert f"{path}: {message}" in err, (command, err)
+
+
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    _file_input_fails(path, "not UTF-8 text")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    _file_input_fails(path, "JSON nested too deeply")
+
+
+def _fails_fast(argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == "" and message in err, (argv, err)
+    assert time.perf_counter() - start < 1.0, argv
+
+
+@pytest.mark.parametrize("q", ["1e99999999", "1E5", "2/3e4"])
+def test_exponent_notation_q_is_an_input_error(q):
+    # the exponent alone would ask for an integer of 10^8 digits
+    _fails_fast(["dims", "z2-shift", "--q", q], f"cannot parse scalar {q!r}")
+    _fails_fast(["dims", "z2-shift", "--param", f"q={q}"], f"cannot parse scalar {q!r}")
+
+
+def test_exponent_notation_coefficient_is_an_input_error(tmp_path):
+    path = _coefficient_file(tmp_path, "1e999999999")
+    _fails_fast(["dims", path], "'1e999999999' is not a rational number")
+
+
+def test_plain_decimal_q_is_a_rational():
+    code, out, _ = run_cli(["dims", "z2-shift", "--q", "0.5", "--cap", "3", "--json"])
+    assert code == 0 and json.loads(out)["dims"] == [1, 2, 3, 4]
 
 
 def test_unknown_name_is_an_input_error():

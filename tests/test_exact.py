@@ -144,6 +144,16 @@ def test_rational_serialization():
     assert x.to_json() == {"order": 6, "coeffs": ["1/2", "-3"]}
 
 
+def test_parse_rational_refuses_exponent_notation():
+    # integers, a/b and plain decimals read exactly; an exponent would let a
+    # short text ask for an integer of any size
+    assert parse_rational("12") == 12 and parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("0.25") == Fraction(1, 4) and parse_rational("-.5") == Fraction(-1, 2)
+    for text in ("1e5", "1E5", "2.5e-3", "1e99999999", "3/4e2"):
+        with pytest.raises(ValueError, match="exponent notation"):
+            parse_rational(text)
+
+
 def test_specialize_examples_and_errors():
     assert specialize(CycloElement.one(1), 5) == 1
     assert specialize(CycloElement.zeta(2), 5) == 4

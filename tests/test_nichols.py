@@ -1547,6 +1547,52 @@ def test_engine_never_holds_a_plan_of_another_degree(monkeypatch):
     assert any(plans) and not all(plans), plans
 
 
+def test_walk_entries_end_before_their_output_is_reduced(monkeypatch):
+    # a walk's entries are freed before its output is eliminated
+    # (OrbitRows.add_span) or reduced (lone_rows), so a step never holds a
+    # batch's entries and its output at once: in both arithmetics and both
+    # walk shapes, dense (rank one: z3-shift) and compact (off-class: w1)
+    staircase_walk, mod_walk = _Engine._staircase_walk, _Engine._mod_walk
+    add_span, lone_rows = OrbitRows.add_span, nichols.lone_rows
+    alive, walked = [], set()
+
+    def record(entries, p):
+        alive.append(weakref.ref(entries.vals))
+        walked.add((p is None, entries.terms is None))
+
+    def exact(self, k, entries, promote):
+        record(entries, None)
+        return staircase_walk(self, k, entries, promote)
+
+    def modular(self, p, k, entries):
+        record(entries, p)
+        return mod_walk(self, p, k, entries)
+
+    def all_dead():
+        assert all(ref() is None for ref in alive)
+
+    def spanning(self, *args):
+        all_dead()
+        return add_span(self, *args)
+
+    def reducing(*args):
+        all_dead()
+        return lone_rows(*args)
+
+    monkeypatch.setattr(_Engine, "_staircase_walk", exact)
+    monkeypatch.setattr(_Engine, "_mod_walk", modular)
+    monkeypatch.setattr(OrbitRows, "add_span", spanning)
+    monkeypatch.setattr(nichols, "lone_rows", reducing)
+    cases = (("w1", "auto", 4 ** 6), ("w1", "exact", 4 ** 6), ("z3-shift", "auto", 4 ** 6),
+             ("z3-shift", "exact", 4 ** 6), ("z3-shift", "auto", 3 ** 4))
+    totals = {"w1": 72, "z3-shift": 27}
+    for name, mode, exact_cap in cases:
+        cs = build_entry(name).system
+        assert graded_dims(cs, mode=mode, exact_cap=exact_cap).total == totals[name]
+    # exact and modular, dense and compact walks were all checked
+    assert walked == {(True, True), (True, False), (False, True), (False, False)}, walked
+
+
 def test_elimination_inserts_no_zero_seed(monkeypatch):
     # off the paper's class many seed images vanish on their orbit (over
     # graded_dims of w1 and w6, 220 of 568 exact and 200 of 384 modular
