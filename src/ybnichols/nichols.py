@@ -1149,8 +1149,8 @@ class _Engine:
             yield part, out, columns
             return
         half = len(part) // 2
-        yield from self._walks(k, seeds, part[:half])
-        yield from self._walks(k, seeds, part[half:])
+        yield from self._walks(k, seeds, part[:half], p)
+        yield from self._walks(k, seeds, part[half:], p)
 
     def _staircase_walk(self, k: int, entries: _Entries, promote: bool):
         """The staircase terms walked once over a batch's seed entries, on the
