@@ -27,6 +27,7 @@ from .nichols import (
     diagonal_coefficient_check,
     graded_dims,
     orbit_count_oracle,
+    relation_support,
     symmetrizer_image,
     theorem_suite,
     validate_coefficients,

@@ -24,7 +24,7 @@ from .nichols import (
     CoefficientSystem,
     canonical_coefficients,
     graded_dims,
-    relation_image,
+    relation_support,
 )
 from .orbits import orbit_census
 from .ybe import (
@@ -124,12 +124,22 @@ def _parse_overrides(args) -> dict:
     return overrides
 
 
+def _refuse_overrides(target: str, kind: str, args, keys) -> None:
+    """InputError naming the flags that a file of this kind does not read."""
+    if keys:
+        flags = ", ".join(
+            "--q" if key == "q" and args.q is not None else f"--param {key}" for key in keys
+        )
+        raise InputError(f"{target}: a {kind} does not take {flags}")
+
+
 def _resolve_system(target: str, args) -> tuple[CoefficientSystem, cat.CatalogEntry | None]:
     """Resolve to a validated coefficient system.
 
     Catalog names honor --q / --param overrides.  A coefficient JSON file is
-    taken verbatim; a bare solution file needs --q and gets the canonical
-    assignment (q on fixed pairs, 1 elsewhere).
+    taken verbatim and takes neither; a bare solution file needs --q, takes
+    no other parameter, and gets the canonical assignment (q on fixed
+    pairs, 1 elsewhere).
     """
     overrides = _parse_overrides(args)
     if _is_catalog_name(target):
@@ -141,10 +151,13 @@ def _resolve_system(target: str, args) -> tuple[CoefficientSystem, cat.CatalogEn
     data = _load_target(target)
     if isinstance(data, dict) and "R" in data:
         try:
-            return CoefficientSystem.from_json(data), None
+            system = CoefficientSystem.from_json(data)
         except _MALFORMED as exc:
             raise InputError(f"{target}: {exc}") from exc
+        _refuse_overrides(target, "coefficient file", args, list(overrides))
+        return system, None
     solution = _solution_from(target, data)
+    _refuse_overrides(target, "bare solution file", args, [k for k in overrides if k != "q"])
     if "q" not in overrides:
         raise InputError("a bare solution file needs --q for the canonical braiding")
     try:
@@ -301,10 +314,9 @@ def cmd_relations(args) -> int:
     results = []
     for label, terms in entry.relations:
         try:
-            image = relation_image(system, terms)
+            nonzero = relation_support(system, terms)
         except CapExceeded as exc:
             raise InputError(f"relation {label}: {exc}") from exc
-        nonzero = sum(1 for x in image if x)
         ok = nonzero == 0
         failures += 0 if ok else 1
         results.append({"relation": label, "ok": ok, "image_nonzero_coords": nonzero})

@@ -133,14 +133,15 @@ Degrees run exactly while the tensor space is small, then modular at two
 distinct primes.  A modular degree is kept only when the primes agree on a
 nonzero rank that also equals the coefficient of ``expected_series``
 wherever that exists; otherwise the exact chain resumes from the last exact
-degree and runs every later degree, so a finiteness claim is only ever made
-with exact backing.
+degree, rewrites the records of the modular degrees it replays and runs
+every later degree, so a finiteness claim is only ever made with exact
+backing.
 
 Relation checks run on the same engine, with the walks of the degree
-steps.  ``check_relation`` and ``relation_image`` build
-S_j = T_j (S_{j-1} (x) id) for j = 2, ..., k in integers, on the orbits the
-element reaches only: split by the tail of its last k-j+1 letters, the
-image so far is a sum of rows on degree-(j-1) orbits P, and a row with tail
+steps.  ``check_relation``, ``relation_support`` and ``relation_image``
+build S_j = T_j (S_{j-1} (x) id) for j = 2, ..., k in integers, on the
+orbits the element reaches only: split by the tail of its last k-j+1
+letters, the image so far is a sum of rows on degree-(j-1) orbits P, and a row with tail
 y t seeds the node (P, y) of degree j, tagged with t.  In the seed table
 each (tail, degree-j orbit) is one group whose seeds walk T_j into one
 segment, where they sum to that orbit's row: they sit on distinct nodes, so
@@ -158,7 +159,7 @@ engine's basis in reduced echelon form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate
@@ -564,6 +565,18 @@ def check_relation(cs: CoefficientSystem, element) -> bool:
         return True
     *_, blocks = found
     return not any((row != 0).any() for _, row in blocks)
+
+
+def relation_support(cs: CoefficientSystem, element) -> int:
+    """The number of nonzero coordinates of ``relation_image``, counted on
+    the orbits the element reaches: each orbit of its degree is one block, so
+    no word array of that degree is built (CapExceeded as for
+    ``relation_image``)."""
+    found = _relation_rows(cs, element)
+    if found is None:
+        return 0
+    *_, blocks = found
+    return sum(int(np.count_nonzero((row != 0).any(axis=1))) for _, row in blocks)
 
 
 @lru_cache(maxsize=1)
@@ -1345,9 +1358,13 @@ class DegreeRecord:
     dim: int
     mode: str  # "trivial" | "exact" | "modular" | "modular+exact"
     primes: tuple = ()
-    agreed: bool | None = None
     escalated: bool = False
     modular_dims: tuple = ()
+
+    @property
+    def agreed(self) -> bool | None:
+        """Whether every prime gave the same rank (None without primes)."""
+        return len(set(self.modular_dims)) == 1 if self.modular_dims else None
 
     def to_json(self) -> dict:
         out = {"degree": self.degree, "dim": self.dim, "mode": self.mode}
@@ -1362,10 +1379,17 @@ class DegreeRecord:
 
 @dataclass(frozen=True)
 class GradedDims:
-    dims: tuple
-    total: int | None
-    provenance: tuple
+    provenance: tuple  # one DegreeRecord per degree, from degree 0
     terminated: str  # "zero" | "cap"
+
+    @property
+    def dims(self) -> tuple:
+        return tuple(r.dim for r in self.provenance)
+
+    @property
+    def total(self) -> int | None:
+        """The sum of the dimensions once a degree vanished, else None."""
+        return sum(self.dims) if self.terminated == "zero" else None
 
     def to_json(self) -> dict:
         return {
@@ -1392,7 +1416,8 @@ def graded_dims(
     ones modular, keeping a modular degree only when every prime gives the
     same nonzero rank and that rank equals the coefficient of
     ``expected_series`` wherever it exists; otherwise it escalates back to
-    exact arithmetic for good.
+    exact arithmetic for good: the exact chain catches up from its last
+    degree through this one and rewrites the modular records on its way.
     "exact" runs every degree exactly.  Given ``primes`` are checked up
     front (BadPrime unless they are at least two distinct primes, each below
     2^31 and 1 mod the order).
@@ -1409,96 +1434,49 @@ def graded_dims(
             check_modulus(p, cs.order)
     m = cs.size
     engine = _Engine(cs)
-    dims = [1, m]
     records = [DegreeRecord(0, 1, "trivial"), DegreeRecord(1, m, "trivial")]
-    exact_rows = engine.identity_rows()  # exact basis of degree exact_degree
-    exact_degree = 1
-    mod_rows: dict[int, list] | None = None
-    series = None  # expected_series, read when the first modular degree runs
-    escalated_permanently = False
+    exact_rows, exact_degree = engine.identity_rows(), 1  # the exact chain
+    mod_rows = None  # per prime, read when the first modular degree runs
+    series = None  # expected_series, read at the same time
+    modular = mode == "auto"  # until an escalation
     terminated = "cap"
-
-    k = 1
-    while k < cap:
-        k += 1
-        L = m ** k
-        if L > _DIMENSION_LIMIT:
-            terminated = "cap"
+    for k in range(2, cap + 1):
+        if m ** k > _DIMENSION_LIMIT:
             break
-        use_exact = mode == "exact" or escalated_permanently or L <= exact_cap
-        if use_exact:
-            exact_rows, dim = engine.exact_step(exact_rows, k)
-            exact_degree = k
-            dims.append(dim)
-            records.append(DegreeRecord(k, dim, "exact"))
-            if dim == 0:
-                terminated = "zero"
-                break
-            continue
-        if primes is None:
-            primes = tuple(primes_for_order(cs.order, count=2))
-        if mod_rows is None:
-            mod_rows = {p: engine.specialize_rows(exact_rows, p) for p in primes}
-            if engine.hypotheses is not None:
-                series = expected_series(cs)
-        step_results = {p: engine.mod_step(mod_rows[p], k, p) for p in primes}
-        mod_dims = tuple(step_results[p][1] for p in primes)
-        agreed = len(set(mod_dims)) == 1
-        dim = mod_dims[0]
-        if agreed and dim != 0 and (series is None or series.coefficient(k) == dim):
-            dims.append(dim)
-            records.append(
-                DegreeRecord(
-                    k, dim, "modular", primes=primes, agreed=agreed, modular_dims=mod_dims
+        if modular and m ** k > exact_cap:
+            if primes is None:
+                primes = tuple(primes_for_order(cs.order, count=2))
+            if mod_rows is None:
+                mod_rows = {p: engine.specialize_rows(exact_rows, p) for p in primes}
+                if engine.hypotheses is not None:
+                    series = expected_series(cs)
+            steps = {p: engine.mod_step(mod_rows[p], k, p) for p in primes}
+            record = DegreeRecord(
+                k, steps[primes[0]][1], "modular", primes,
+                modular_dims=tuple(dim for _, dim in steps.values()),
+            )
+            records.append(record)
+            if record.agreed and record.dim != 0 and (
+                series is None or series.coefficient(k) == record.dim
+            ):
+                mod_rows = {p: rows for p, (rows, _) in steps.items()}
+                continue
+            modular = False  # the exact chain replays the modular degrees
+        for degree in range(exact_degree + 1, k + 1):
+            exact_rows, dim = engine.exact_step(exact_rows, degree)
+            if degree == len(records):
+                records.append(DegreeRecord(degree, dim, "exact"))
+            else:
+                old = records[degree]
+                records[degree] = replace(
+                    old, dim=dim, mode="modular+exact",
+                    escalated=degree == k or dim != old.dim,
                 )
-            )
-            for p in primes:
-                mod_rows[p] = step_results[p][0]
-            continue
-        # escalate: continue the exact chain from the last exact degree (modular
-        # steps never replace exact_rows) through k, and rewrite the records
-        # of the degrees that ran modular
-        first = exact_degree + 1
-        recomputed = {}
-        for degree in range(first, k + 1):
-            exact_rows, recomputed[degree] = engine.exact_step(exact_rows, degree)
         exact_degree = k
-        escalated_permanently = True
-        for degree in range(first, k):
-            old = records[degree]
-            records[degree] = DegreeRecord(
-                degree,
-                recomputed[degree],
-                "modular+exact",
-                primes=old.primes,
-                agreed=old.agreed,
-                escalated=recomputed[degree] != dims[degree],
-                modular_dims=old.modular_dims,
-            )
-            dims[degree] = recomputed[degree]
-        dim = recomputed[k]
-        dims.append(dim)
-        records.append(
-            DegreeRecord(
-                k,
-                dim,
-                "modular+exact",
-                primes=primes,
-                agreed=agreed,
-                escalated=True,
-                modular_dims=mod_dims,
-            )
-        )
-        if dim == 0:
+        if records[k].dim == 0:
             terminated = "zero"
             break
-    total = sum(dims) if terminated == "zero" else None
-    return GradedDims(
-        dims=tuple(dims),
-        total=total,
-        provenance=tuple(records),
-        terminated=terminated,
-    )
+    return GradedDims(tuple(records), terminated)
 
 
 def symmetrizer_image(cs: CoefficientSystem, k: int, exact_cap: int = 4096) -> RowSpace:

@@ -348,6 +348,25 @@ def test_dims_from_coefficient_file(tmp_path):
     assert json.loads(out)["total"] == 36
 
 
+@pytest.mark.parametrize("extra", [["--q", "2"], ["--param", "a=5"]])
+def test_coefficient_file_takes_no_overrides(tmp_path, extra):
+    # the file's table would be used as it stands, whatever the flag said
+    path = tmp_path / "coeffs.json"
+    path.write_text(json.dumps(build_entry("z2-shift").system.to_json()))
+    code, out, err = run_cli(["dims", str(path), *extra])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"a coefficient file does not take {extra[0]}" in err, err
+
+
+def test_bare_solution_file_takes_only_q(tmp_path):
+    # the canonical braiding reads q alone, so any other parameter is refused
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(SetSolution.cyclic_shift(3).to_json()))
+    code, out, err = run_cli(["dims", str(path), "--q", "-1", "--param", "a=5"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "a bare solution file does not take --param a" in err, err
+
+
 def test_dims_bad_parameter_is_input_error():
     code, _, err = run_cli(["dims", "w1", "--param", "x3=2"])
     assert code == 2
@@ -390,6 +409,19 @@ def test_relations_commands():
     # limit, an input error instead of a run out of memory
     code, _, err = run_cli(["relations", "z2-shift", "--q", "zeta25", "--json"])
     assert code == 2 and "dimension limit" in err and "Traceback" not in err
+
+
+def test_relations_command_builds_no_word_arrays_of_its_degree():
+    # the nonzero image coordinates are counted on the orbit rows, so the
+    # degree-6 relation of w1 leaves degree 6 with its orbit graph only
+    from ybnichols.nichols import _relation_engine
+
+    _relation_engine.cache_clear()
+    code, out, _ = run_cli(["relations", "w1", "--json"])
+    assert code == 0 and all(r["ok"] for r in json.loads(out)["relations"])
+    top = _relation_engine(build_entry("w1").system).orbits(6)
+    assert "links" in vars(top)
+    assert not {"label", "order", "pos"} & set(vars(top))
 
 
 def test_phi_command():

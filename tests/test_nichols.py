@@ -46,6 +46,7 @@ from ybnichols.nichols import (
     hexagon_failures,
     orbit_count_oracle,
     relation_image,
+    relation_support,
     symmetrizer_apply,
     symmetrizer_image,
     theorem_hypotheses,
@@ -958,6 +959,22 @@ def test_check_relation_builds_no_word_arrays_of_its_degree():
     assert not {"label", "order", "pos"} & set(vars(top))
     assert not any(relation_image(entry.system, element))
     assert "order" in vars(top)
+
+
+def test_relation_support_counts_the_nonzero_image_coordinates():
+    # the blocks of the top degree are disjoint orbits, so counting nonzero
+    # rows per block is counting the dense image's nonzero coordinates
+    rng = random.Random(31)
+    counted = 0
+    for name in catalog_names():
+        entry = build_entry(name)
+        for k in range(1, 5):
+            for element in _random_elements(rng, entry, k):
+                image = relation_image(entry.system, element)
+                assert relation_support(entry.system, element) == sum(map(bool, image)), (name, k)
+                counted += any(image)
+    assert counted >= 50, counted
+    assert relation_support(build_entry("w1").system, []) == 0
 
 
 def test_escalation_resumes_from_exact_basis(monkeypatch):
